@@ -9,7 +9,6 @@ CLI front end (`tpack`).
 """
 
 from .core import (
-    BudgetExhausted,
     Digraph,
     DomainError,
     Embedding,
@@ -22,6 +21,7 @@ from .core import (
     bits,
     canonical_tournament_key,
     ceil_frac,
+    copy_masks,
     digraph_to_text,
     k3_minus_pattern,
     load_digraph,

@@ -268,7 +268,8 @@ def absorb(g: Digraph, pattern_or_family, family: AbsorberFamily, w,
 
     W is chunked into r-sets and matched to distinct absorbers; when no
     injective assignment exists, several chunks may share one absorber as a
-    group, re-verified as a unit.  Untouched absorbers pack on their own.
+    group, re-verified as a unit; at most budget groupings are tried.
+    Untouched absorbers pack on their own.
     """
     fam = normalize_patterns(pattern_or_family)
     r = fam[0].n
@@ -316,9 +317,13 @@ def absorb(g: Digraph, pattern_or_family, family: AbsorberFamily, w,
 
 
 def _grouped_assignment(g: Digraph, fam, absorbers, chunks, budget):
-    """Map absorber index -> chunk indices, allowing several chunks per absorber."""
+    """Map absorber index -> chunk indices, allowing several chunks per absorber.
+
+    Tries at most budget groupings, then gives up with None.
+    """
     num = len(chunks)
-    for combo in itertools.product(range(len(absorbers)), repeat=num):
+    groupings = itertools.product(range(len(absorbers)), repeat=num)
+    for combo in itertools.islice(groupings, budget):
         groups: dict[int, list[int]] = {}
         for i, j in enumerate(combo):
             groups.setdefault(j, []).append(i)

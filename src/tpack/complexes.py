@@ -17,6 +17,7 @@ from .core import (
     at_least,
     bits,
     canonical_tournament_key,
+    copy_masks,
     mask_of,
     spans_copy,
 )
@@ -69,15 +70,9 @@ def build_complex(g: Digraph, t: Tournament) -> Complex:
     subs = subtournaments_by_size(t)
     layers: list[frozenset[int]] = [frozenset({0})]
     for i in range(1, t.n + 1):
-        if i > g.n:
-            layers.append(frozenset())
-            continue
         found: set[int] = set()
-        for combo in itertools.combinations(range(g.n), i):
-            for pat in subs[i]:
-                if spans_copy(g, combo, pat) is not None:
-                    found.add(mask_of(combo))
-                    break
+        for pat in subs[i]:
+            found |= copy_masks(g, pat)
         layers.append(frozenset(found))
     return Complex(g.n, t.n, tuple(layers))
 

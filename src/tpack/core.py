@@ -21,10 +21,6 @@ class InvariantViolation(RuntimeError):
     """An internal guarantee failed; indicates a bug or an out-of-regime input."""
 
 
-class BudgetExhausted(RuntimeError):
-    """A bounded search ran out of its node budget before reaching a verdict."""
-
-
 def bits(mask: int):
     """Yield the set bit positions of mask in ascending order."""
     while mask:
@@ -443,6 +439,50 @@ def spans_copy(g: Digraph, x, pattern: Digraph) -> Embedding | None:
     return None
 
 
+def copy_masks(g: Digraph, pattern: Digraph) -> set[int]:
+    """Vertex masks of every pattern.n-set of g that spans pattern.
+
+    Grows embeddings one pattern vertex at a time, in spans_copy's placement
+    order.  The candidates for the next vertex are the unused host vertices
+    left after ANDing, for each pattern arc to an already placed vertex, the
+    in-row or out-row of that vertex's image.  A set hosting several
+    embeddings is recorded once.
+    """
+    r = pattern.n
+    if r == 0:
+        return {0}
+    order = sorted(range(r), key=lambda p: (-pattern.d_out(p), -pattern.d_in(p), p))
+    # need[i]: (j, rows) pairs; step i's image must lie in rows[image[j]]
+    need = [
+        tuple([(j, g._in) for j in range(i) if pattern.arc(p, order[j])]
+              + [(j, g._out) for j in range(i) if pattern.arc(order[j], p)])
+        for i, p in enumerate(order)
+    ]
+    full = (1 << g.n) - 1
+    image = [0] * r
+    found: set[int] = set()
+    last = r - 1
+
+    def grow(step: int, used: int) -> None:
+        cand = full & ~used
+        for j, rows in need[step]:
+            cand &= rows[image[j]]
+        if step == last:
+            while cand:
+                low = cand & -cand
+                found.add(used | low)
+                cand ^= low
+            return
+        while cand:
+            low = cand & -cand
+            image[step] = low.bit_length() - 1
+            grow(step + 1, used | low)
+            cand ^= low
+
+    grow(0, 0)
+    return found
+
+
 def min_semidegree(g: Digraph) -> int:
     """Minimum over vertices of min(outdegree, indegree)."""
     if g.n == 0:
@@ -455,69 +495,6 @@ def total_min_degree(g: Digraph) -> int:
     if g.n == 0:
         raise DomainError("digraph has no vertices")
     return min(g.d_out(v) + g.d_in(v) for v in range(g.n))
-
-
-def min_out_or_in_degree(g: Digraph) -> int:
-    """Minimum over vertices of max(outdegree, indegree).
-
-    A per-vertex disjunctive bound "outdegree >= t or indegree >= t" holds for
-    every vertex exactly when this statistic is >= t.
-    """
-    if g.n == 0:
-        raise DomainError("digraph has no vertices")
-    return min(max(g.d_out(v), g.d_in(v)) for v in range(g.n))
-
-
-def is_gamma_independent(g: Digraph, s, gamma: float) -> bool:
-    """True when the vertex set s spans at most gamma * n^2 arcs; n is g's order."""
-    smask = mask_of(s)
-    if smask & ~((1 << g.n) - 1):
-        raise DomainError("set contains vertices outside the digraph")
-    return g.arcs_inside(smask) <= gamma * g.n * g.n + FLOAT_SLACK
-
-
-class ParamHierarchy:
-    """Named positive reals declared in strictly decreasing order.
-
-    Stands in for constant hierarchies of the form 0 < a << b << c: declare
-    ("c", cv), ("b", bv), ("a", av) and construction validates cv > bv > av > 0.
-    """
-
-    def __init__(self, *pairs: tuple[str, float]):
-        if not pairs:
-            raise DomainError("hierarchy needs at least one parameter")
-        names = [name for name, _ in pairs]
-        if len(set(names)) != len(names):
-            raise DomainError("duplicate parameter name")
-        values = [float(v) for _, v in pairs]
-        for v in values:
-            if not v > 0:
-                raise DomainError("hierarchy values must be positive")
-        for hi, lo in zip(values, values[1:]):
-            if not hi > lo:
-                raise DomainError("hierarchy values must strictly decrease left to right")
-        self._order = tuple(names)
-        self._map = dict(zip(names, values))
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return self._order
-
-    def __getitem__(self, name: str) -> float:
-        return self._map[name]
-
-    def __getattr__(self, name: str) -> float:
-        try:
-            return self.__dict__["_map"][name]
-        except KeyError:
-            raise AttributeError(name) from None
-
-    def as_dict(self) -> dict[str, float]:
-        return dict(self._map)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{k}={self._map[k]}" for k in self._order)
-        return f"ParamHierarchy({inner})"
 
 
 def load_digraph_text(text: str) -> Digraph:

@@ -9,10 +9,11 @@ searches into a distinct verdict instead of a wrong answer.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .core import Digraph, DomainError, Embedding, bits, spans_copy
+from .core import (
+    Digraph, DomainError, Embedding, InvariantViolation, bits, copy_masks, spans_copy,
+)
 
 DEFAULT_BUDGET = 10**8
 
@@ -97,19 +98,29 @@ def normalize_patterns(pattern_or_family) -> tuple[Digraph, ...]:
 
 
 def _candidate_embeddings(g: Digraph, fam: tuple[Digraph, ...]):
-    """All r-sets spanning some pattern: lex-ordered masks plus mask -> embedding."""
-    r = fam[0].n
-    masks: list[int] = []
-    emb: dict[int, Embedding] = {}
-    for combo in itertools.combinations(range(g.n), r):
+    """All r-sets spanning some pattern, as lex-ordered masks, plus mask -> embedding.
+
+    Masks are sorted by their ascending vertex tuples, so the search branches
+    in combination order.  embed(m) is the first family pattern's spans_copy
+    embedding on m; it is built only for the masks a packing uses.
+    """
+    found: set[int] = set()
+    for pat in fam:
+        found |= copy_masks(g, pat)
+    # character v of the key is "1" when vertex v is in the set, so descending
+    # key order is ascending order of the sorted vertex tuples
+    fmt = f"0{g.n}b"
+    masks = sorted(found, key=lambda m: format(m, fmt)[::-1], reverse=True)
+
+    def embed(m: int) -> Embedding:
+        xs = tuple(bits(m))
         for pat in fam:
-            found = spans_copy(g, combo, pat)
-            if found is not None:
-                m = found.vertex_mask
-                masks.append(m)
-                emb[m] = found
-                break
-    return masks, emb
+            e = spans_copy(g, xs, pat)
+            if e is not None:
+                return e
+        raise InvariantViolation("mask spans no pattern of the family")
+
+    return masks, embed
 
 
 class _BudgetHit(Exception):
@@ -202,7 +213,7 @@ def find_perfect_family_packing(g: Digraph, family,
                                 budget: int = DEFAULT_BUDGET) -> PackCertificate:
     fam = normalize_patterns(family)
     r = _precheck(g, fam, need_divisible=True)
-    masks, emb = _candidate_embeddings(g, fam)
+    masks, embed = _candidate_embeddings(g, fam)
     search = _CoverSearch(g.n, r, masks, budget)
     full = (1 << g.n) - 1
     try:
@@ -211,7 +222,7 @@ def find_perfect_family_packing(g: Digraph, family,
         return PackCertificate(BUDGET_EXCEEDED, None, search.nodes)
     if chosen is None:
         return PackCertificate(EXHAUSTED_NONE, None, search.nodes)
-    elements = tuple(emb[m] for m in reversed(chosen))
+    elements = tuple(embed(m) for m in reversed(chosen))
     return PackCertificate(PACKED, Packing(g.n, elements), search.nodes)
 
 
@@ -220,7 +231,7 @@ def find_max_packing(g: Digraph, pattern_or_family,
     """Maximum-cardinality packing; exact flag set when the search completed."""
     fam = normalize_patterns(pattern_or_family)
     r = _precheck(g, fam, need_divisible=False)
-    masks, emb = _candidate_embeddings(g, fam)
+    masks, embed = _candidate_embeddings(g, fam)
     search = _CoverSearch(g.n, r, masks, budget)
     full = (1 << g.n) - 1
     exact = True
@@ -228,7 +239,7 @@ def find_max_packing(g: Digraph, pattern_or_family,
         search.maximum(full, [])
     except _BudgetHit:
         exact = False
-    elements = tuple(emb[m] for m in search.best)
+    elements = tuple(embed(m) for m in search.best)
     return MaxPackingResult(Packing(g.n, elements), exact, search.nodes)
 
 

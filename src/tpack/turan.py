@@ -4,7 +4,6 @@ large independent set, each with an inspectable certificate.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .core import (
@@ -17,6 +16,7 @@ from .core import (
     Tournament,
     at_least,
     bits,
+    copy_masks,
     mask_of,
     min_semidegree,
     spans_copy,
@@ -70,14 +70,7 @@ def find_kr_from_density(g: Digraph, r: int) -> tuple[int, ...]:
 
 def count_copies(g: Digraph, pattern: Digraph) -> int:
     """Number of vertex sets of size pattern.n spanning the pattern."""
-    r = pattern.n
-    if r > g.n:
-        return 0
-    return sum(
-        1
-        for combo in itertools.combinations(range(g.n), r)
-        if spans_copy(g, combo, pattern) is not None
-    )
+    return len(copy_masks(g, pattern))
 
 
 @dataclass(frozen=True)

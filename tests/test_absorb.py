@@ -16,7 +16,9 @@ from tpack.absorbing import (
     is_absorbing,
     spans_two_cycles,
 )
+from tpack import absorbing
 from tpack.constructions import make_near_independent_extremal
+from tpack.solver import normalize_patterns
 
 
 def two_triangles():
@@ -149,6 +151,23 @@ def test_assignment_failure_surfaces():
     )
     with pytest.raises(AssignmentFailed):
         absorb(Digraph.empty(36), Tournament.transitive(3), family, (6, 7, 8))
+
+
+def test_grouped_assignment_stops_at_budget(monkeypatch):
+    tried = []
+
+    def never_absorbing(g, fam, s, q, budget):
+        tried.append(s)
+        return False
+
+    monkeypatch.setattr(absorbing, "is_absorbing", never_absorbing)
+    absorbers = [(0, 1, 2), (3, 4, 5), (6, 7, 8)]
+    chunks = [(9, 10, 11), (12, 13, 14), (15, 16, 17), (18, 19, 20)]
+    fam = normalize_patterns(Tournament.transitive(3))
+    # 3**4 = 81 groupings exist; each failed one costs a single is_absorbing call
+    got = absorbing._grouped_assignment(Digraph.empty(21), fam, absorbers, chunks, budget=5)
+    assert got is None
+    assert len(tried) == 5
 
 
 def test_family_mask_bookkeeping():

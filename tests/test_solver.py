@@ -9,10 +9,12 @@ from tpack.core import (
     Embedding,
     Tournament,
     all_tournaments,
+    k3_minus_pattern,
     spans_copy,
 )
 from tpack.solver import (
     BUDGET_EXCEEDED,
+    _candidate_embeddings,
     EXHAUSTED_NONE,
     PACKED,
     Packing,
@@ -117,16 +119,48 @@ def brute_max_triples(g, family):
     return best((1 << g.n) - 1, 0)
 
 
-def random_digraph(n, seed):
+def random_digraph(n, seed, density=0.55):
     import random
 
     rng = random.Random(seed)
     rows = [0] * n
     for u in range(n):
         for v in range(n):
-            if u != v and rng.random() < 0.55:
+            if u != v and rng.random() < density:
                 rows[u] |= 1 << v
     return Digraph(n, rows)
+
+
+def reference_candidates(g, fam):
+    """Every r-set in combination order, embedded by the first family pattern spanning it."""
+    masks, emb = [], {}
+    for combo in itertools.combinations(range(g.n), fam[0].n):
+        for pat in fam:
+            found = spans_copy(g, combo, pat)
+            if found is not None:
+                masks.append(found.vertex_mask)
+                emb[found.vertex_mask] = found
+                break
+    return masks, emb
+
+
+ORACLE_FAMILIES = (
+    [[t] for t in all_tournaments(3) + all_tournaments(4)]
+    + [[Digraph.complete(3)], [k3_minus_pattern()], [T3, C3]]
+)
+
+
+@pytest.mark.parametrize("family", ORACLE_FAMILIES)
+def test_candidate_embeddings_match_the_combination_loop(family):
+    fam = normalize_patterns(family)
+    hosts = [random_digraph(n, 100 * n + i, density)
+             for n in range(5, 13) for i, density in enumerate((0.3, 0.6, 0.85))]
+    hosts += [Digraph.complete(fam[0].n - 1), Digraph.empty(0), Digraph.empty(8)]
+    for g in hosts:
+        want_masks, want_emb = reference_candidates(g, fam)
+        masks, embed = _candidate_embeddings(g, fam)
+        assert masks == want_masks
+        assert all(embed(m) == want_emb[m] for m in masks)
 
 
 @given(st.integers(min_value=4, max_value=7), st.integers(min_value=0, max_value=500))
