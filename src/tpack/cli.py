@@ -399,6 +399,8 @@ def _persist_counterexamples(report, out: str | None) -> None:
 
 
 def _cmd_verify(args) -> int:
+    if args.check in ("krtotal", "c3total") and args.mode == "exhaustive":
+        raise DomainError(f"{args.check} sweeps are sampling-only; drop --mode")
     if args.check == "threshold":
         pattern = parse_tournament_name(args.tournament or f"t{args.r}")
         report = sweep_semidegree(
@@ -413,14 +415,10 @@ def _cmd_verify(args) -> int:
         _emit(tr.to_dict(), args.out)
         return 0
     elif args.check == "krtotal":
-        if args.mode == "exhaustive":
-            raise DomainError("krtotal sweeps are sampling-only; drop --mode")
         report = sweep_total_degree_kr(
             args.r, args.n, args.samples, args.seed, args.budget
         )
     elif args.check == "c3total":
-        if args.mode == "exhaustive":
-            raise DomainError("c3total sweeps are sampling-only; drop --mode")
         report = sweep_total_degree_c3(args.n, args.samples, args.seed, args.budget)
     else:
         raise DomainError(f"unknown check {args.check!r}")

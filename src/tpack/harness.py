@@ -291,6 +291,8 @@ def _pattern_name(p: Digraph) -> str:
     try:
         t = Tournament.from_digraph(p)
     except DomainError:
+        if p.num_arcs == p.n * (p.n - 1):
+            return f"k{p.n}"
         return f"digraph-{p.n}v-{p.num_arcs}a"
     if t == Tournament.transitive(t.n):
         return f"t{t.n}"
@@ -299,46 +301,100 @@ def _pattern_name(p: Digraph) -> str:
     return f"tournament-{t.n}v"
 
 
+# child seeds are seed * stride + index, distinct while index < stride
+_SEED_STRIDE = 1_000_003
+
+
 def _derived_seed(seed: int, index: int) -> int:
-    return seed * 1_000_003 + index
+    return seed * _SEED_STRIDE + index
 
 
-def _run_sweep(
+def _tournament_of_order(pattern: Digraph, r: int) -> Digraph:
+    tour = Tournament.from_digraph(pattern)
+    if tour.n != r:
+        raise DomainError(f"pattern has {tour.n} vertices, expected {r}")
+    return pattern
+
+
+def _sweep(
     kind: str,
-    params: dict,
+    r: int,
+    n: int,
+    pattern: Callable[[], Digraph],
+    threshold: Callable[[], int],
     scope: str,
-    instances: Iterable[tuple[str, Digraph]],
-    solve: Callable[[Digraph], tuple[str, int]],
-    patterns_text: tuple[str, ...],
-    family,
+    random_host: Callable[[int, int], Digraph],
+    all_hosts: Callable[[int], Iterable[Digraph]] | None,
+    mode: str,
+    samples: int,
+    seed: int,
     budget: int,
+    fast: Callable[[Digraph], bool] | None = None,
 ) -> SweepReport:
+    """Solve each host meeting a degree condition for a perfect pattern packing.
+
+    ``pattern`` and ``threshold`` are evaluated once r and n are known to
+    be valid.  Hosts come from ``random_host(threshold, child_seed)`` or,
+    in exhaustive mode, from ``all_hosts(threshold)``; ``None`` makes the
+    condition sampling-only.  ``fast(g)`` may prove a packing exists and so
+    skip the exact solver; only the exact solver can declare non-existence.
+    """
+    if r < 2:
+        raise DomainError("pattern order must be at least 2")
+    if n < r or n % r:
+        raise DomainError(f"{r} must divide the host order {n}")
+    p = pattern()
+    t = threshold()
+    family = normalize_patterns(p)
+    if mode == "random":
+        if not 0 <= samples < _SEED_STRIDE:
+            raise DomainError(
+                f"samples must lie in [0, {_SEED_STRIDE}), got {samples}"
+            )
+        instances = (
+            (f"sample:{i}", random_host(t, _derived_seed(seed, i)))
+            for i in range(samples)
+        )
+    elif mode == "exhaustive" and all_hosts is not None:
+        instances = ((f"enum:{i}", g) for i, g in enumerate(all_hosts(t)))
+    else:
+        raise DomainError(f"unknown mode {mode!r}")
+    params = {
+        "r": r,
+        "n": n,
+        "pattern": _pattern_name(p),
+        "threshold": t,
+        "mode": mode,
+        "samples": samples if mode == "random" else 0,
+        "seed": seed if mode == "random" else 0,
+    }
+
     start = time.perf_counter()
     examined = packed = over = 0
     cexs: list[Counterexample] = []
     for label, g in instances:
         examined += 1
-        outcome, nodes = solve(g)
-        if outcome == PACKED:
+        if fast is not None and fast(g):
             packed += 1
-        elif outcome == BUDGET_EXCEEDED:
+            continue
+        cert = find_perfect_family_packing(g, family, budget)
+        if cert.verdict == PACKED:
+            if not verify_packing(g, family, cert.packing, require_perfect=True):
+                raise InvariantViolation("solver produced an invalid packing")
+            packed += 1
+        elif cert.verdict == BUDGET_EXCEEDED:
             over += 1
         else:
-            reloaded = load_digraph_text(digraph_to_text(g))
-            recheck = find_perfect_family_packing(reloaded, family, budget)
-            if recheck.verdict != EXHAUSTED_NONE:
-                raise InvariantViolation(
-                    f"counterexample did not replay: got {recheck.verdict}"
-                )
-            cexs.append(
-                Counterexample(
-                    edge_list=digraph_to_text(g),
-                    verdict=EXHAUSTED_NONE,
-                    nodes=nodes,
-                    label=label,
-                    patterns=patterns_text,
-                )
+            cex = Counterexample(
+                edge_list=digraph_to_text(g),
+                verdict=EXHAUSTED_NONE,
+                nodes=cert.nodes,
+                label=label,
+                patterns=(digraph_to_text(p),),
             )
+            if not replay_counterexample(cex, budget):
+                raise InvariantViolation("counterexample did not replay")
+            cexs.append(cex)
     return SweepReport(
         kind=kind,
         params=tuple(sorted(params.items())),
@@ -351,18 +407,6 @@ def _run_sweep(
     )
 
 
-def _solver_only(family, budget: int) -> Callable[[Digraph], tuple[str, int]]:
-    def solve(g: Digraph) -> tuple[str, int]:
-        cert = find_perfect_family_packing(g, family, budget)
-        if cert.verdict == PACKED and not verify_packing(
-            g, family, cert.packing, require_perfect=True
-        ):
-            raise InvariantViolation("solver produced an invalid packing")
-        return cert.verdict, cert.nodes
-
-    return solve
-
-
 def sweep_semidegree(
     r: int,
     pattern: Digraph,
@@ -373,44 +417,14 @@ def sweep_semidegree(
     budget: int = DEFAULT_BUDGET,
 ) -> SweepReport:
     """Solve every (or a sample of) host with min semidegree >= ceil((1-1/r)n)."""
-    if r < 2:
-        raise DomainError("pattern order must be at least 2")
-    if n < r or n % r:
-        raise DomainError(f"{r} must divide the host order {n}")
-    tour = Tournament.from_digraph(pattern)
-    if tour.n != r:
-        raise DomainError(f"pattern has {tour.n} vertices, expected {r}")
-    dmin = ceil_frac((r - 1) * n, r)
-    family = normalize_patterns(pattern)
-    params = {
-        "r": r,
-        "n": n,
-        "pattern": _pattern_name(pattern),
-        "threshold": dmin,
-        "mode": mode,
-        "samples": samples if mode == "random" else 0,
-        "seed": seed if mode == "random" else 0,
-    }
-    if mode == "exhaustive":
-        instances = (
-            (f"enum:{i}", g) for i, g in enumerate(iter_min_semidegree_hosts(n, dmin))
-        )
-    elif mode == "random":
-        instances = (
-            (f"sample:{i}", random_digraph_min_semidegree(n, dmin, _derived_seed(seed, i)))
-            for i in range(samples)
-        )
-    else:
-        raise DomainError(f"unknown mode {mode!r}")
-    return _run_sweep(
-        "semidegree",
-        params,
-        SCOPE_ASYMPTOTIC,
-        instances,
-        _solver_only(family, budget),
-        (digraph_to_text(pattern),),
-        family,
-        budget,
+    return _sweep(
+        "semidegree", r, n,
+        pattern=lambda: _tournament_of_order(pattern, r),
+        threshold=lambda: ceil_frac((r - 1) * n, r),
+        scope=SCOPE_ASYMPTOTIC,
+        random_host=lambda t, s: random_digraph_min_semidegree(n, t, s),
+        all_hosts=lambda t: iter_min_semidegree_hosts(n, t),
+        mode=mode, samples=samples, seed=seed, budget=budget,
     )
 
 
@@ -465,58 +479,27 @@ def sweep_out_or_in(
     probe misses, and the exact solver settles anything left; only the exact
     solver can declare non-existence.
     """
-    if r < 2:
-        raise DomainError("pattern order must be at least 2")
-    if n < r or n % r:
-        raise DomainError(f"{r} must divide the host order {n}")
-    t = ceil_frac((r - 1) * n, r)
-    pattern = Tournament.transitive(r)
-    family = normalize_patterns(pattern)
-    params = {
-        "r": r,
-        "n": n,
-        "pattern": _pattern_name(pattern),
-        "threshold": t,
-        "mode": mode,
-        "samples": samples if mode == "random" else 0,
-        "seed": seed if mode == "random" else 0,
-    }
-    solver_fallback = _solver_only(family, budget)
 
-    def solve(g: Digraph) -> tuple[str, int]:
-        if r == 3:
-            if _t3_first_fit(g):
-                return PACKED, 0
-            try:
-                packing, _ = t3_pack(g, budget)
-            except SwapNotFound:
-                return solver_fallback(g)
-            if not verify_packing(g, pattern, packing, require_perfect=True):
-                raise InvariantViolation("local-search packing failed verification")
-            return PACKED, 0
-        return solver_fallback(g)
+    def t3_packs(g: Digraph) -> bool:
+        if _t3_first_fit(g):
+            return True
+        try:
+            packing, _ = t3_pack(g, budget)
+        except SwapNotFound:
+            return False
+        if not verify_packing(g, Tournament.transitive(3), packing, require_perfect=True):
+            raise InvariantViolation("local-search packing failed verification")
+        return True
 
-    if mode == "exhaustive":
-        instances = (
-            (f"enum:{i}", g) for i, g in enumerate(iter_out_or_in_hosts(n, t))
-        )
-    elif mode == "random":
-        instances = (
-            (f"sample:{i}", random_digraph_out_or_in(n, _derived_seed(seed, i), t))
-            for i in range(samples)
-        )
-    else:
-        raise DomainError(f"unknown mode {mode!r}")
-    scope = SCOPE_ALL_ORDERS if r == 3 else SCOPE_CONJECTURED
-    return _run_sweep(
-        "out-or-in",
-        params,
-        scope,
-        instances,
-        solve,
-        (digraph_to_text(pattern),),
-        family,
-        budget,
+    return _sweep(
+        "out-or-in", r, n,
+        pattern=lambda: Tournament.transitive(r),
+        threshold=lambda: ceil_frac((r - 1) * n, r),
+        scope=SCOPE_ALL_ORDERS if r == 3 else SCOPE_CONJECTURED,
+        random_host=lambda t, s: random_digraph_out_or_in(n, s, t),
+        all_hosts=lambda t: iter_out_or_in_hosts(n, t),
+        mode=mode, samples=samples, seed=seed, budget=budget,
+        fast=t3_packs if r == 3 else None,
     )
 
 
@@ -529,35 +512,14 @@ def sweep_total_degree_kr(
 ) -> SweepReport:
     """Sampled hosts with total degree >= (2-1/r)n - 1, solved for perfect
     complete-digraph packings (equivalently, cliques of mutual arc pairs)."""
-    if r < 2:
-        raise DomainError("pattern order must be at least 2")
-    if n < r or n % r:
-        raise DomainError(f"{r} must divide the host order {n}")
-    t = ceil_frac((2 * r - 1) * n - r, r)
-    pattern = Digraph.complete(r)
-    family = normalize_patterns(pattern)
-    params = {
-        "r": r,
-        "n": n,
-        "pattern": f"k{r}",
-        "threshold": t,
-        "mode": "random",
-        "samples": samples,
-        "seed": seed,
-    }
-    instances = (
-        (f"sample:{i}", random_digraph_total_min_degree(n, t, _derived_seed(seed, i)))
-        for i in range(samples)
-    )
-    return _run_sweep(
-        "kr-total",
-        params,
-        SCOPE_ALL_ORDERS,
-        instances,
-        _solver_only(family, budget),
-        (digraph_to_text(pattern),),
-        family,
-        budget,
+    return _sweep(
+        "kr-total", r, n,
+        pattern=lambda: Digraph.complete(r),
+        threshold=lambda: ceil_frac((2 * r - 1) * n - r, r),
+        scope=SCOPE_ALL_ORDERS,
+        random_host=lambda t, s: random_digraph_total_min_degree(n, t, s),
+        all_hosts=None,
+        mode="random", samples=samples, seed=seed, budget=budget,
     )
 
 
@@ -569,33 +531,14 @@ def sweep_total_degree_c3(
 ) -> SweepReport:
     """Sampled hosts with total degree >= ceil((3n-3)/2), solved for perfect
     cyclic-triangle packings."""
-    if n < 3 or n % 3:
-        raise DomainError(f"3 must divide the host order {n}")
-    t = ceil_frac(3 * n - 3, 2)
-    pattern = Tournament.cyclic_triangle()
-    family = normalize_patterns(pattern)
-    params = {
-        "r": 3,
-        "n": n,
-        "pattern": "c3",
-        "threshold": t,
-        "mode": "random",
-        "samples": samples,
-        "seed": seed,
-    }
-    instances = (
-        (f"sample:{i}", random_digraph_total_min_degree(n, t, _derived_seed(seed, i)))
-        for i in range(samples)
-    )
-    return _run_sweep(
-        "c3-total",
-        params,
-        SCOPE_ALL_ORDERS,
-        instances,
-        _solver_only(family, budget),
-        (digraph_to_text(pattern),),
-        family,
-        budget,
+    return _sweep(
+        "c3-total", 3, n,
+        pattern=Tournament.cyclic_triangle,
+        threshold=lambda: ceil_frac(3 * n - 3, 2),
+        scope=SCOPE_ALL_ORDERS,
+        random_host=lambda t, s: random_digraph_total_min_degree(n, t, s),
+        all_hosts=None,
+        mode="random", samples=samples, seed=seed, budget=budget,
     )
 
 
@@ -648,13 +591,11 @@ class TightnessReport:
         }
 
 
-def _expect_none(g: Digraph, pattern: Digraph, name: str, budget: int):
-    cert = find_perfect_family_packing(g, [pattern], budget)
-    if cert.verdict != EXHAUSTED_NONE:
-        raise InvariantViolation(
-            f"{name}: expected no perfect packing, solver said {cert.verdict}"
-        )
-    return (name, cert.verdict, cert.nodes)
+_STATISTICS = {
+    "min-semidegree": min_semidegree,
+    "total-min-degree": total_min_degree,
+    "min-out-degree": lambda g: min(g.d_out(v) for v in range(g.n)),
+}
 
 
 def tightness_suite(r: int, n: int, budget: int = DEFAULT_BUDGET) -> TightnessReport:
@@ -665,93 +606,47 @@ def tightness_suite(r: int, n: int, budget: int = DEFAULT_BUDGET) -> TightnessRe
         raise DomainError("pattern order must be at least 2")
     if n < r or n % r:
         raise DomainError(f"{r} must divide the host order {n}")
-    entries: list[TightnessEntry] = []
-
-    g = make_near_independent_extremal(n, r)
-    expected = n - n // r - 1
-    actual = min_semidegree(g)
-    if actual != expected:
-        raise InvariantViolation(
-            f"near-independent: min semidegree {actual}, expected {expected}"
-        )
-    checks = []
-    for t in all_tournaments(r):
-        checks.append(_expect_none(g, t, _pattern_name(t), budget))
-    entries.append(
-        TightnessEntry(
-            "near-independent", "min-semidegree", expected, actual, tuple(checks)
-        )
-    )
-
-    gt = make_near_tournament_extremal(n, r)
-    expected = 2 * n - n // r - 2
-    actual = total_min_degree(gt)
-    if actual != expected:
-        raise InvariantViolation(
-            f"near-tournament: total min degree {actual}, expected {expected}"
-        )
-    checks = (_expect_none(gt, Digraph.complete(r), f"k{r}", budget),)
-    entries.append(
-        TightnessEntry("near-tournament", "total-min-degree", expected, actual, checks)
-    )
-
+    # (family, host, statistic, expected value, [(patterns, name, verdict)])
+    cases = [
+        ("near-independent", make_near_independent_extremal(n, r),
+         "min-semidegree", n - n // r - 1,
+         [([t], _pattern_name(t), EXHAUSTED_NONE) for t in all_tournaments(r)]),
+        ("near-tournament", make_near_tournament_extremal(n, r),
+         "total-min-degree", 2 * n - n // r - 2,
+         [([Digraph.complete(r)], f"k{r}", EXHAUSTED_NONE)]),
+    ]
     if r == 3:
+        no_c3 = ([Tournament.cyclic_triangle()], "c3", EXHAUSTED_NONE)
         if n >= 9:
-            ex1, _ = make_c3_blowup(n, 1)
-            expected = 2 * n // 3 - 2
-            actual = min_semidegree(ex1)
-            if actual != expected:
-                raise InvariantViolation(
-                    f"shifted-blow-up: min semidegree {actual}, expected {expected}"
-                )
-            checks = [
-                _expect_none(ex1, Tournament.cyclic_triangle(), "c3", budget)
-            ]
-            mixed = find_perfect_family_packing(
-                ex1, all_tournaments(3), budget
+            cases.append(
+                ("shifted-blow-up", make_c3_blowup(n, 1)[0],
+                 "min-semidegree", 2 * n // 3 - 2,
+                 [no_c3, (all_tournaments(3), "t3+c3", PACKED)])
             )
-            if mixed.verdict != PACKED:
-                raise InvariantViolation(
-                    "shifted-blow-up: expected a mixed-triangle packing, got "
-                    + mixed.verdict
-                )
-            checks.append(("t3+c3", mixed.verdict, mixed.nodes))
-            entries.append(
-                TightnessEntry(
-                    "shifted-blow-up",
-                    "min-semidegree",
-                    expected,
-                    actual,
-                    tuple(checks),
-                )
+        cases.append(
+            ("source", make_source_counterexample(n), "min-out-degree", n - 2, [no_c3])
+        )
+        if n >= 15 and (n - 3) % 2 == 0 and ((n - 3) // 2) % 6 == 0:
+            cases.append(
+                ("k3-minus-extremal", make_k3minus_example((n - 3) // 2),
+                 "min-semidegree", (3 * n - 5) // 4,
+                 [([k3_minus_pattern()], "k3-minus", EXHAUSTED_NONE)])
             )
 
-        src = make_source_counterexample(n)
-        expected = n - 2
-        actual = min(src.d_out(v) for v in range(n))
+    entries: list[TightnessEntry] = []
+    for family, g, statistic, expected, solves in cases:
+        actual = _STATISTICS[statistic](g)
         if actual != expected:
             raise InvariantViolation(
-                f"source: min out-degree {actual}, expected {expected}"
+                f"{family}: {statistic} {actual}, expected {expected}"
             )
-        checks = (_expect_none(src, Tournament.cyclic_triangle(), "c3", budget),)
-        entries.append(
-            TightnessEntry("source", "min-out-degree", expected, actual, checks)
-        )
-
-        if n >= 15 and (n - 3) % 2 == 0 and ((n - 3) // 2) % 6 == 0:
-            m = (n - 3) // 2
-            gk = make_k3minus_example(m)
-            expected = (3 * n - 5) // 4
-            actual = min_semidegree(gk)
-            if actual != expected:
+        checks = []
+        for patterns, name, verdict in solves:
+            cert = find_perfect_family_packing(g, patterns, budget)
+            if cert.verdict != verdict:
                 raise InvariantViolation(
-                    f"k3-minus-extremal: min semidegree {actual}, expected {expected}"
+                    f"{family}: expected {verdict} for {name}, solver said {cert.verdict}"
                 )
-            checks = (_expect_none(gk, k3_minus_pattern(), "k3-minus", budget),)
-            entries.append(
-                TightnessEntry(
-                    "k3-minus-extremal", "min-semidegree", expected, actual, checks
-                )
-            )
-
+            checks.append((name, cert.verdict, cert.nodes))
+        entries.append(TightnessEntry(family, statistic, expected, actual, tuple(checks)))
     return TightnessReport(r, n, tuple(entries))

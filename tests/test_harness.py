@@ -1,8 +1,11 @@
+import hashlib
 import json
 import math
+from collections import Counter
 
 import pytest
 
+from tpack import harness
 from tpack.core import (
     Digraph,
     DomainError,
@@ -12,6 +15,8 @@ from tpack.core import (
     min_semidegree,
 )
 from tpack.constructions import make_source_counterexample
+from tpack.solver import EXHAUSTED_NONE, PackCertificate
+from tpack.t3local import SwapNotFound
 from tpack.harness import (
     Counterexample,
     SweepReport,
@@ -134,15 +139,162 @@ def test_report_tally_invariant():
         )
 
 
+T2, T3, T4 = (Tournament.transitive(k) for k in (2, 3, 4))
+
+
+# r is checked first, then n, then the pattern, then the mode, then samples
+INVALID_SWEEPS = [
+    (lambda: sweep_semidegree(1, Tournament.transitive(1), 6), "pattern order must be at least 2"),
+    (lambda: sweep_semidegree(1, Tournament.transitive(1), 7), "pattern order must be at least 2"),
+    (lambda: sweep_semidegree(3, T3, 7), "3 must divide the host order 7"),
+    (lambda: sweep_semidegree(3, T3, 0), "3 must divide the host order 0"),
+    (lambda: sweep_semidegree(3, T4, 7), "3 must divide the host order 7"),
+    (lambda: sweep_semidegree(3, T4, 6), "pattern has 4 vertices, expected 3"),
+    (lambda: sweep_semidegree(3, Digraph.complete(3), 6), "pair (0,1) carries 2 arcs"),
+    (lambda: sweep_semidegree(3, T3, 6, mode="careful"), "unknown mode 'careful'"),
+    (lambda: sweep_semidegree(3, T2, 6, mode="careful"), "pattern has 2 vertices, expected 3"),
+    (lambda: sweep_semidegree(3, T3, 6, mode="careful", samples=-1), "unknown mode 'careful'"),
+    (lambda: sweep_semidegree(3, T4, 6, samples=-1), "pattern has 4 vertices, expected 3"),
+    (lambda: sweep_out_or_in(1, 6), "pattern order must be at least 2"),
+    (lambda: sweep_out_or_in(0, 6), "pattern order must be at least 2"),
+    (lambda: sweep_out_or_in(3, 7), "3 must divide the host order 7"),
+    (lambda: sweep_out_or_in(4, 6, mode="careful"), "4 must divide the host order 6"),
+    (lambda: sweep_out_or_in(3, 6, mode="careful"), "unknown mode 'careful'"),
+    (lambda: sweep_total_degree_kr(1, 6), "pattern order must be at least 2"),
+    (lambda: sweep_total_degree_kr(0, 6), "pattern order must be at least 2"),
+    (lambda: sweep_total_degree_kr(3, 7), "3 must divide the host order 7"),
+    (lambda: sweep_total_degree_kr(4, 2), "4 must divide the host order 2"),
+    (lambda: sweep_total_degree_c3(7), "3 must divide the host order 7"),
+    (lambda: sweep_total_degree_c3(0), "3 must divide the host order 0"),
+    (lambda: tightness_suite(1, 6), "pattern order must be at least 2"),
+    (lambda: tightness_suite(0, 4), "pattern order must be at least 2"),
+    (lambda: tightness_suite(3, 7), "3 must divide the host order 7"),
+    (lambda: tightness_suite(4, 6), "4 must divide the host order 6"),
+]
+
+
 def test_sweep_argument_validation():
-    with pytest.raises(DomainError):
-        sweep_semidegree(3, Tournament.transitive(3), 7)
-    with pytest.raises(DomainError):
-        sweep_semidegree(1, Tournament.transitive(1), 6)
-    with pytest.raises(DomainError):
-        sweep_semidegree(3, Tournament.transitive(4), 6)
-    with pytest.raises(DomainError):
-        sweep_semidegree(3, Tournament.transitive(3), 6, mode="careful")
+    for call, message in INVALID_SWEEPS:
+        with pytest.raises(DomainError) as err:
+            call()
+        assert message in str(err.value)
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_canonical_reports_are_pinned():
+    reports = {
+        "3081883a9d54abf6": sweep_semidegree(2, T2, 4, mode="exhaustive"),
+        "10ed487e32286d84": sweep_semidegree(3, Tournament.cyclic_triangle(), 9,
+                                             samples=25, seed=7),
+        "5864a4878a49cd0b": sweep_out_or_in(3, 3, mode="exhaustive"),
+        "a5f99e85fcc20ac3": sweep_out_or_in(3, 9, samples=30, seed=3),
+        "c755ec5d98f2afc9": sweep_out_or_in(4, 8, samples=10, seed=5),
+        "6c5a06f780cad8b4": sweep_total_degree_kr(3, 6, samples=20, seed=11),
+        "8367ca9adfe57672": sweep_total_degree_c3(9, samples=10, seed=2),
+    }
+    for want, report in reports.items():
+        assert _sha(report.to_json()) == want, report.kind
+    for want, (r, n) in (("a2fc9d2337fdc760", (3, 15)), ("182b563206a6a5a0", (4, 8))):
+        doc = tightness_suite(r, n).to_dict()
+        assert _sha(json.dumps(doc, sort_keys=True)) == want, (r, n)
+
+
+def test_samples_bound_is_refused_before_any_host(monkeypatch):
+    def no_host(*args):
+        raise AssertionError("a host was built")
+
+    for name in ("random_digraph_min_semidegree", "random_digraph_out_or_in",
+                 "random_digraph_total_min_degree"):
+        monkeypatch.setattr(harness, name, no_host)
+    for samples in (-1, 1_000_003, 10**9):
+        for call in (
+            lambda: sweep_semidegree(3, T3, 6, samples=samples),
+            lambda: sweep_out_or_in(3, 6, samples=samples),
+            lambda: sweep_total_degree_kr(3, 6, samples=samples),
+            lambda: sweep_total_degree_c3(6, samples=samples),
+        ):
+            with pytest.raises(DomainError, match=r"samples must lie in \[0, 1000003\)"):
+                call()
+    # exhaustive sweeps derive no seeds, so they ignore samples
+    rep = sweep_semidegree(2, T2, 4, mode="exhaustive", samples=10**9)
+    assert _sha(rep.to_json()) == "3081883a9d54abf6"
+
+
+def test_sweep_counterexample_branch(monkeypatch):
+    real_gen = harness.random_digraph_total_min_degree
+    real_solve = harness.find_perfect_family_packing
+    hosts = []
+    lies = Counter()
+
+    def record(*args):
+        hosts.append(real_gen(*args))
+        return hosts[-1]
+
+    def solve(g, family, budget):
+        # claim host 3 has no packing, as many times as lies["left"] allows
+        if len(hosts) > 3 and g == hosts[3] and lies["left"]:
+            lies["left"] -= 1
+            return PackCertificate(EXHAUSTED_NONE, None, 17)
+        return real_solve(g, family, budget)
+
+    monkeypatch.setattr(harness, "random_digraph_total_min_degree", record)
+    monkeypatch.setattr(harness, "find_perfect_family_packing", solve)
+    lies["left"] = 2
+    rep = sweep_total_degree_c3(9, samples=5, seed=2)
+    assert rep.verdict == "counterexample"
+    assert (rep.examined, rep.packed, rep.budget_exceeded) == (5, 4, 0)
+    (cex,) = rep.counterexamples
+    assert cex.label == "sample:3"
+    assert cex.patterns == (digraph_to_text(Tournament.cyclic_triangle()),)
+    assert cex.verdict == "exhausted-none"
+    assert cex.nodes == 17
+    assert cex.edge_list == digraph_to_text(hosts[3])
+    assert json.loads(rep.to_json())["counterexamples"][0]["label"] == "sample:3"
+    assert not lies["left"]  # the sweep replayed the counterexample
+    monkeypatch.setattr(harness, "find_perfect_family_packing", real_solve)
+    assert not replay_counterexample(cex)  # the host really packs
+
+    # a replay that disagrees with the sweep's verdict is an invariant failure
+    monkeypatch.setattr(harness, "find_perfect_family_packing", solve)
+    hosts.clear()
+    lies["left"] = 1
+    with pytest.raises(InvariantViolation, match="did not replay"):
+        sweep_total_degree_c3(9, samples=5, seed=2)
+
+
+def test_out_or_in_fallback_chain_gives_the_same_report(monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def give_up(*args, **kwargs):
+        raise SwapNotFound("forced onto the exact solver")
+
+    def report():
+        calls.clear()
+        return sweep_out_or_in(3, 9, mode="random", samples=30, seed=3).to_json()
+
+    monkeypatch.setattr(harness, "t3_pack", counted("t3_pack", harness.t3_pack))
+    monkeypatch.setattr(harness, "find_perfect_family_packing",
+                        counted("exact", harness.find_perfect_family_packing))
+    first_fit = report()
+    assert calls["t3_pack"] == calls["exact"] == 0
+
+    monkeypatch.setattr(harness, "_t3_first_fit", lambda g, node_cap=256: False)
+    local = report()
+    assert calls["t3_pack"] == 30 and calls["exact"] == 0
+
+    monkeypatch.setattr(harness, "t3_pack", counted("t3_pack", give_up))
+    exact = report()
+    assert calls["t3_pack"] == calls["exact"] == 30
+    assert first_fit == local == exact
 
 
 def test_out_or_in_sweeps():
