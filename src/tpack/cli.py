@@ -172,6 +172,8 @@ def _cmd_gen(args) -> int:
     elif fam == "random-outin":
         g = random_digraph_out_or_in(args.n, args.seed, args.t)
     elif fam == "random-total":
+        if args.t is None:
+            raise DomainError("random-total needs --t, the minimum total degree")
         g = random_digraph_total_min_degree(args.n, args.t, args.seed)
     elif fam == "tournament":
         g = random_tournament(args.r, args.seed)

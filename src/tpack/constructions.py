@@ -326,26 +326,37 @@ def make_near_tournament_extremal(n: int, r: int) -> Digraph:
     return Digraph(n, rows)
 
 
-def _repair_candidates(rows: list[int], v: int, n: int, outgoing: bool) -> list[int]:
-    options = []
+def _random_base(n: int, rng: random.Random) -> tuple[list[int], list[int]]:
+    """Out-rows and in-rows of a random digraph of a random density in [0.1, 0.9]."""
+    p = rng.uniform(0.1, 0.9)
+    rand = rng.random
+    rows = [0] * n
+    cols = [0] * n
     for u in range(n):
-        if u == v:
-            continue
-        present = rows[v] >> u & 1 if outgoing else rows[u] >> v & 1
-        if not present:
-            options.append(u)
-    return options
-
-
-def _add_arc(rows: list[int], tail: int, head: int) -> None:
-    rows[tail] |= 1 << head
-
-
-def _random_base(rows: list[int], n: int, rng: random.Random, p: float) -> None:
-    for u in range(n):
+        bit = 1 << u
         for v in range(n):
-            if u != v and rng.random() < p:
+            if u != v and rand() < p:
                 rows[u] |= 1 << v
+                cols[v] |= bit
+    return rows, cols
+
+
+def _add_arcs(own: list[int], other: list[int], v: int, k: int, rng: random.Random) -> None:
+    """Join v to k vertices drawn one at a time from those it misses in own.
+
+    own and other are (rows, cols) to add out-arcs at v and (cols, rows) to add
+    in-arcs.  The candidate list is built once, ascending, and loses only the
+    vertex drawn, since no other arc at v is added meanwhile.
+    """
+    if k <= 0:
+        return
+    n = len(own)
+    options = list(bits(((1 << n) - 1) & ~(own[v] | 1 << v)))
+    for _ in range(k):
+        u = rng.choice(options)
+        options.remove(u)
+        own[v] |= 1 << u
+        other[u] |= 1 << v
 
 
 def random_digraph_min_semidegree(n: int, dmin: int, seed: int) -> Digraph:
@@ -359,17 +370,11 @@ def random_digraph_min_semidegree(n: int, dmin: int, seed: int) -> Digraph:
     if not 0 <= dmin <= n - 1:
         raise DomainError(f"dmin={dmin} infeasible for n={n}")
     rng = random.Random(seed)
-    rows = [0] * n
-    _random_base(rows, n, rng, rng.uniform(0.1, 0.9))
+    rows, cols = _random_base(n, rng)
     for v in range(n):
-        while rows[v].bit_count() < dmin:
-            _add_arc(rows, v, rng.choice(_repair_candidates(rows, v, n, True)))
-    indeg = [sum(rows[u] >> v & 1 for u in range(n)) for v in range(n)]
+        _add_arcs(rows, cols, v, dmin - rows[v].bit_count(), rng)
     for v in range(n):
-        while indeg[v] < dmin:
-            u = rng.choice(_repair_candidates(rows, v, n, False))
-            _add_arc(rows, u, v)
-            indeg[v] += 1
+        _add_arcs(cols, rows, v, dmin - cols[v].bit_count(), rng)
     return Digraph(n, rows)
 
 
@@ -387,18 +392,14 @@ def random_digraph_out_or_in(n: int, seed: int, t: int | None = None) -> Digraph
     if not 0 <= t <= n - 1:
         raise DomainError(f"t={t} infeasible for n={n}")
     rng = random.Random(seed)
-    rows = [0] * n
-    _random_base(rows, n, rng, rng.uniform(0.1, 0.9))
+    rows, cols = _random_base(n, rng)
     for v in range(n):
-        while True:
-            dout = rows[v].bit_count()
-            din = sum(rows[u] >> v & 1 for u in range(n))
-            if dout >= t or din >= t:
-                break
-            if dout >= din:
-                _add_arc(rows, v, rng.choice(_repair_candidates(rows, v, n, True)))
-            else:
-                _add_arc(rows, rng.choice(_repair_candidates(rows, v, n, False)), v)
+        dout, din = rows[v].bit_count(), cols[v].bit_count()
+        # Repairing the larger side keeps it the larger one, so it never switches.
+        if dout >= din:
+            _add_arcs(rows, cols, v, t - dout, rng)
+        else:
+            _add_arcs(cols, rows, v, t - din, rng)
     return Digraph(n, rows)
 
 
@@ -409,20 +410,24 @@ def random_digraph_total_min_degree(n: int, t: int, seed: int) -> Digraph:
     if not 0 <= t <= 2 * (n - 1):
         raise DomainError(f"t={t} infeasible for n={n}")
     rng = random.Random(seed)
-    rows = [0] * n
-    _random_base(rows, n, rng, rng.uniform(0.1, 0.9))
+    rows, cols = _random_base(n, rng)
+    full = (1 << n) - 1
     for v in range(n):
-        while True:
-            total = rows[v].bit_count() + sum(rows[u] >> v & 1 for u in range(n))
-            if total >= t:
-                break
-            out_opts = _repair_candidates(rows, v, n, True)
-            in_opts = _repair_candidates(rows, v, n, False)
-            pick_out = out_opts and (not in_opts or rng.random() < 0.5)
-            if pick_out:
-                _add_arc(rows, v, rng.choice(out_opts))
+        need = t - rows[v].bit_count() - cols[v].bit_count()
+        if need <= 0:
+            continue
+        bit = 1 << v
+        out_opts = list(bits(full & ~(rows[v] | bit)))
+        in_opts = list(bits(full & ~(cols[v] | bit)))
+        for _ in range(need):
+            if out_opts and (not in_opts or rng.random() < 0.5):
+                own, other, options = rows, cols, out_opts
             else:
-                _add_arc(rows, rng.choice(in_opts), v)
+                own, other, options = cols, rows, in_opts
+            u = rng.choice(options)
+            options.remove(u)
+            own[v] |= 1 << u
+            other[u] |= bit
     return Digraph(n, rows)
 
 

@@ -68,8 +68,11 @@ class Digraph:
             if row >> u & 1:
                 raise DomainError(f"loop at vertex {u}")
             m += row.bit_count()
-            for v in bits(row):
-                in_rows[v] |= 1 << u
+            bit = 1 << u
+            while row:
+                low = row & -row
+                in_rows[low.bit_length() - 1] |= bit
+                row ^= low
         self.n = n
         self._out = out
         self._in = tuple(in_rows)

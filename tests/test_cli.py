@@ -239,6 +239,9 @@ def test_error_exit_codes(tmp_path, capsys):
     code, _, err = run(capsys, "gen", "blowup", "--n", "2")
     assert code == 1 and "error:" in err
 
+    code, out, err = run(capsys, "gen", "random-total", "--n", "9")
+    assert code == 1 and "error:" in err and "--t" in err and not out
+
     # child seeds would collide from 1,000,003 samples on
     code, out, err = run(capsys, "verify", "krtotal", "--samples", "1000003")
     assert code == 1 and "error:" in err and "samples" in err and not out

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,6 +8,7 @@ from tpack.core import (
     DomainError,
     Tournament,
     ceil_frac,
+    digraph_to_text,
     min_semidegree,
     spans_copy,
     total_min_degree,
@@ -110,28 +113,74 @@ def test_alpha_contains_rejects_far_host():
 seeds = st.integers(min_value=0, max_value=10_000)
 
 
+# n = 30 at the thresholds the sweeps use: ceil(2n/3) for semidegree and
+# out-or-in, ceil((3n-3)/2) for C3 and (2-1/r)n - 1 at r = 3 for K3.
 @given(seeds)
 @settings(max_examples=30, deadline=None)
 def test_random_min_semidegree_meets_threshold(seed):
-    g = random_digraph_min_semidegree(9, 6, seed)
-    assert g.n == 9
-    assert min_semidegree(g) >= 6
+    for n, dmin in ((9, 6), (30, 20)):
+        g = random_digraph_min_semidegree(n, dmin, seed)
+        assert g.n == n
+        assert min_semidegree(g) >= dmin
 
 
 @given(seeds)
 @settings(max_examples=30, deadline=None)
 def test_random_out_or_in_meets_threshold(seed):
-    n = 9
-    t = ceil_frac(2 * n, 3)
-    g = random_digraph_out_or_in(n, seed, t)
-    assert all(g.d_out(v) >= t or g.d_in(v) >= t for v in range(n))
+    for n in (9, 30):
+        t = ceil_frac(2 * n, 3)
+        g = random_digraph_out_or_in(n, seed, t)
+        assert all(g.d_out(v) >= t or g.d_in(v) >= t for v in range(n))
 
 
 @given(seeds)
 @settings(max_examples=30, deadline=None)
 def test_random_total_degree_meets_threshold(seed):
-    g = random_digraph_total_min_degree(6, 9, seed)
-    assert total_min_degree(g) >= 9
+    for n, t in ((6, 9), (30, 44), (30, 49)):
+        g = random_digraph_total_min_degree(n, t, seed)
+        assert total_min_degree(g) >= t
+
+
+def _generator_cases(kind):
+    """(n, t, seed) over small orders and the sweep sizes 30 and 45, with t at
+    0, n//2, n-1 and the thresholds (None is out-or-in's default ceil(2n/3))."""
+    for n in (*range(1, 13), 30, 45):
+        if kind == "semi":
+            ts, top = {0, n // 2, ceil_frac(2 * n, 3), n - 1}, n - 1
+        elif kind == "outin":
+            ts, top = {0, n // 2, None, n - 1}, n - 1
+        else:
+            ts = {0, n // 2, n - 1, ceil_frac(3 * n - 3, 2), ceil_frac(5 * n - 3, 3), 2 * (n - 1)}
+            top = 2 * (n - 1)
+        for t in sorted(ts, key=lambda x: -1 if x is None else x):
+            if 0 <= (ceil_frac(2 * n, 3) if t is None else t) <= top:
+                for seed in range(20):
+                    yield n, t, seed
+
+
+_GENERATORS = {
+    "semi": lambda n, t, s: random_digraph_min_semidegree(n, t, s),
+    "outin": lambda n, t, s: random_digraph_out_or_in(n, s, t),
+    "total": lambda n, t, s: random_digraph_total_min_degree(n, t, s),
+}
+
+# sha256 of the concatenated edge lists, so any change to the RNG stream or
+# the repair order shows up here even when every sweep tally stays the same.
+_PINNED_GENERATORS = {
+    "semi": (960, "149607f542a03684383fafc61d05f1afd2cde8317922ed6162ee96017d16d660"),
+    "outin": (1020, "c5a13f22ef0dd244cc85590522f25671bdbe96c40cd60b8d9f0ef1e3a53df7f8"),
+    "total": (1460, "c13017c9da2639b17bd02ea29e05fbbef4096fc1cfa43a8bdca91ef471455a1d"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_PINNED_GENERATORS))
+def test_random_generators_are_pinned(kind):
+    digest = hashlib.sha256()
+    count = 0
+    for n, t, seed in _generator_cases(kind):
+        digest.update(digraph_to_text(_GENERATORS[kind](n, t, seed)).encode())
+        count += 1
+    assert (count, digest.hexdigest()) == _PINNED_GENERATORS[kind]
 
 
 def test_random_generators_deterministic():

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -63,6 +64,25 @@ def test_digraph_construction_rejects_loops_and_range():
         Digraph(2, [0b100, 0])  # out of range
     with pytest.raises(DomainError):
         Digraph.from_arcs(3, [(0, 3)])
+    # a negative row has infinitely many high bits; it must be refused before
+    # the transpose walks its bits
+    for n in (1, 5, 45):
+        for row in (-1, -2, -(1 << n), -(1 << (n + 7)) + 1):
+            with pytest.raises(DomainError):
+                Digraph(n, [0] * (n - 1) + [row])
+
+
+def test_in_rows_and_arc_count_match_brute_force():
+    rng = random.Random(11)
+    for n in range(46):
+        for density in (0.1, 0.5, 0.9):
+            rows = [sum(1 << v for v in range(n) if v != u and rng.random() < density)
+                    for u in range(n)]
+            g = Digraph(n, rows)
+            assert [g.in_mask(v) for v in range(n)] == [
+                sum(1 << u for u in range(n) if rows[u] >> v & 1) for v in range(n)
+            ]
+            assert g.num_arcs == sum(1 for u in range(n) for v in range(n) if rows[u] >> v & 1)
 
 
 def test_complete_digraph_degrees():
