@@ -2,7 +2,9 @@
 
 The search is exact cover over candidate vertex sets: enumerate every r-set
 that spans one of the patterns, then backtrack on the lowest-index uncovered
-vertex.  A failed-subproblem memo keyed on the uncovered mask makes
+vertex.  It runs in the mirror labelling (vertex v becomes n-1-v), where that
+vertex is the highest uncovered bit and combination order is descending
+integer order.  A failed-subproblem memo keyed on the uncovered mask makes
 non-existence proofs cheap to exhaust, and a node budget turns runaway
 searches into a distinct verdict instead of a wrong answer.
 """
@@ -97,23 +99,31 @@ def normalize_patterns(pattern_or_family) -> tuple[Digraph, ...]:
     return tuple(uniq[key] for key in sorted(uniq))
 
 
-def _candidate_embeddings(g: Digraph, fam: tuple[Digraph, ...]):
-    """All r-sets spanning some pattern, as lex-ordered masks, plus mask -> embedding.
+def _mirror(n: int, m: int) -> int:
+    """The mask m of vertices below n with each vertex v relabelled n-1-v."""
+    return int(format(m, f"0{n}b")[::-1], 2)
 
-    Masks are sorted by their ascending vertex tuples, so the search branches
-    in combination order.  embed(m) is the first family pattern's spans_copy
-    embedding on m; it is built only for the masks a packing uses.
+
+def _candidate_embeddings(g: Digraph, fam: tuple[Digraph, ...]):
+    """All r-sets spanning some pattern, as mirrored masks in combination order,
+    plus mask -> embedding.
+
+    One r-set precedes another in combination order when the lowest vertex in
+    which they differ lies in it.  Mirroring makes that vertex the highest
+    differing bit, so descending mirrored masks are in combination order and
+    the search branches in it.  embed(m) mirrors m back and returns the first
+    family pattern's spans_copy embedding there; it is built only for the
+    masks a packing uses.
     """
+    n = g.n
+    mirror = Digraph(n, [_mirror(n, g._out[n - 1 - v]) for v in range(n)])
     found: set[int] = set()
     for pat in fam:
-        found |= copy_masks(g, pat)
-    # character v of the key is "1" when vertex v is in the set, so descending
-    # key order is ascending order of the sorted vertex tuples
-    fmt = f"0{g.n}b"
-    masks = sorted(found, key=lambda m: format(m, fmt)[::-1], reverse=True)
+        found |= copy_masks(mirror, pat)
+    masks = sorted(found, reverse=True)
 
     def embed(m: int) -> Embedding:
-        xs = tuple(bits(m))
+        xs = tuple(bits(_mirror(n, m)))
         for pat in fam:
             e = spans_copy(g, xs, pat)
             if e is not None:
@@ -128,15 +138,23 @@ class _BudgetHit(Exception):
 
 
 class _CoverSearch:
-    """Exact cover core shared by the perfect and maximum searches."""
+    """Exact cover core shared by the perfect and maximum searches.
+
+    Masks are mirrored, so the branch vertex, the lowest uncovered one in the
+    host's labels, is the highest uncovered bit.
+    """
 
     def __init__(self, n: int, r: int, masks: list[int], budget: int):
         self.n = n
         self.r = r
-        self.by_vertex: list[list[int]] = [[] for _ in range(n)]
+        by_vertex: list[list[int]] = [[] for _ in range(n)]
         for m in masks:
-            for v in bits(m):
-                self.by_vertex[v].append(m)
+            rest = m
+            while rest:
+                low = rest & -rest
+                by_vertex[low.bit_length() - 1].append(m)
+                rest ^= low
+        self.by_vertex = by_vertex
         self.budget = budget
         self.nodes = 0
         self.failed: set[int] = set()
@@ -154,11 +172,13 @@ class _CoverSearch:
         if uncovered in self.failed:
             return None
         self._tick()
+        # each list runs from the masks of the lowest host vertices, which the
+        # search covers first, so a mask that still fits is likelier at its end
         for w in bits(uncovered):
-            if not any(m & ~uncovered == 0 for m in self.by_vertex[w]):
+            if not any(m & ~uncovered == 0 for m in reversed(self.by_vertex[w])):
                 self.failed.add(uncovered)
                 return None
-        v = (uncovered & -uncovered).bit_length() - 1
+        v = uncovered.bit_length() - 1
         for m in self.by_vertex[v]:
             if m & ~uncovered:
                 continue
@@ -176,7 +196,7 @@ class _CoverSearch:
             if uncovered.bit_count() < self.r:
                 hit = ()
             else:
-                v = (uncovered & -uncovered).bit_length() - 1
+                v = uncovered.bit_length() - 1
                 best: tuple[int, ...] = ()
                 for m in self.by_vertex[v]:
                     if m & ~uncovered:
@@ -249,6 +269,10 @@ def max_disjoint_sets(n: int, masks, budget: int = DEFAULT_BUDGET) -> tuple[list
     Returns the chosen masks and whether the search completed within budget.
     """
     mask_list = list(masks)
+    outside = ~((1 << n) - 1)
+    for m in mask_list:
+        if m & outside:
+            raise DomainError(f"mask {m:#b} is not a set of vertices below {n}")
     sizes = {m.bit_count() for m in mask_list}
     if len(sizes) > 1:
         raise DomainError(f"masks mix sizes {sorted(sizes)}")
@@ -257,13 +281,13 @@ def max_disjoint_sets(n: int, masks, budget: int = DEFAULT_BUDGET) -> tuple[list
     r = sizes.pop()
     if r == 0:
         raise DomainError("empty sets cannot form a matching")
-    search = _CoverSearch(n, r, mask_list, budget)
+    search = _CoverSearch(n, r, [_mirror(n, m) for m in mask_list], budget)
     exact = True
     try:
         search.maximum((1 << n) - 1, [])
     except _BudgetHit:
         exact = False
-    return list(search.best), exact
+    return [_mirror(n, m) for m in search.best], exact
 
 
 def verify_packing(g: Digraph, pattern_or_family, packing: Packing,

@@ -1,20 +1,27 @@
+import hashlib
 import itertools
+import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tpack.complexes import build_complex
 from tpack.core import (
     Digraph,
     DomainError,
     Embedding,
     Tournament,
     all_tournaments,
+    ceil_frac,
     k3_minus_pattern,
+    mask_of,
     spans_copy,
 )
 from tpack.solver import (
     BUDGET_EXCEEDED,
     _candidate_embeddings,
+    _mirror,
     EXHAUSTED_NONE,
     PACKED,
     Packing,
@@ -25,7 +32,14 @@ from tpack.solver import (
     normalize_patterns,
     verify_packing,
 )
-from tpack.constructions import make_c3_blowup, make_source_counterexample
+from tpack.constructions import (
+    make_c3_blowup,
+    make_k3minus_example,
+    make_near_independent_extremal,
+    make_near_tournament_extremal,
+    make_source_counterexample,
+    random_digraph_min_semidegree,
+)
 
 T3 = Tournament.transitive(3)
 C3 = Tournament.cyclic_triangle()
@@ -120,8 +134,6 @@ def brute_max_triples(g, family):
 
 
 def random_digraph(n, seed, density=0.55):
-    import random
-
     rng = random.Random(seed)
     rows = [0] * n
     for u in range(n):
@@ -159,8 +171,11 @@ def test_candidate_embeddings_match_the_combination_loop(family):
     for g in hosts:
         want_masks, want_emb = reference_candidates(g, fam)
         masks, embed = _candidate_embeddings(g, fam)
-        assert masks == want_masks
-        assert all(embed(m) == want_emb[m] for m in masks)
+        # mirrored labels: mirrored back they follow the combination loop,
+        # and as integers they strictly decrease
+        assert [_mirror(g.n, m) for m in masks] == want_masks
+        assert all(a > b for a, b in zip(masks, masks[1:]))
+        assert all(embed(m) == want_emb[_mirror(g.n, m)] for m in masks)
 
 
 @given(st.integers(min_value=4, max_value=7), st.integers(min_value=0, max_value=500))
@@ -174,11 +189,150 @@ def test_max_packing_matches_brute_force(n, seed):
     assert len(res.packing.elements) == brute_max_triples(g, fam)
 
 
+def _relabelled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Digraph.from_arcs(g.n, [(perm[u], perm[v]) for u, v in g.arcs()])
+
+
+def _packing_rows(packing):
+    return [[list(e.image), [e.pattern.out_mask(v) for v in range(e.pattern.n)]]
+            for e in packing.elements]
+
+
+def _pinned_perfect_cases(kind):
+    T4 = Tournament.transitive(4)
+    if kind == "prove-none":
+        rng = random.Random("pinned-prove-none")
+        blowup = [[C3], [T3, C3]]
+        cases = [
+            (make_k3minus_example(6), [[k3_minus_pattern()]]),
+            (make_near_independent_extremal(12, 4), [[T4]]),
+            (make_near_independent_extremal(15, 3), [[T3]]),
+            (make_near_tournament_extremal(15, 3), [[Digraph.complete(3)]]),
+            (make_c3_blowup(15, 1)[0], blowup),
+            (make_c3_blowup(18, 1)[0], blowup),
+        ]
+        for g, families in cases:
+            for _ in range(2):
+                h = _relabelled(g, rng)
+                for family in families:
+                    yield h, family
+    else:
+        for family, n in (([T3], 30), ([C3], 30), ([T3, C3], 30), ([T4], 20)):
+            r = family[0].n
+            dmin = ceil_frac((r - 1) * n, r)
+            for seed in range(4):
+                yield random_digraph_min_semidegree(n, dmin, 7000 + seed), family
+
+
+def _pinned_max_cases():
+    for n in range(7, 13):
+        for i, density in enumerate((0.3, 0.5, 0.7)):
+            g = random_digraph(n, 900 + 10 * n + i, density)
+            for family in ([T3], [C3], [T3, C3]):
+                yield g, family
+        yield Digraph.empty(n), [T3]
+    yield make_c3_blowup(9, 1)[0], [C3]
+    yield make_c3_blowup(12, 1)[0], [C3]
+    yield make_source_counterexample(9), [C3]
+    yield make_k3minus_example(0), [k3_minus_pattern()]
+    yield random_digraph(12, 77, 0.5), [Tournament.transitive(4)]
+
+
+def _pinned_outputs(kind):
+    """Verdicts, node counts and packings as JSON rows, pinned below by sha256."""
+    if kind in ("prove-none", "semidegree"):
+        for g, family in _pinned_perfect_cases(kind):
+            cert = find_perfect_family_packing(g, family)
+            yield [cert.verdict, cert.nodes,
+                   None if cert.packing is None else _packing_rows(cert.packing)]
+    elif kind == "max-packing":
+        for g, family in _pinned_max_cases():
+            res = find_max_packing(g, family)
+            yield [res.exact, res.nodes, _packing_rows(res.packing)]
+    else:
+        for n in (6, 8, 10, 12):
+            for i, density in enumerate((0.4, 0.7)):
+                g = random_digraph(n, 300 + 10 * n + i, density)
+                for t in (T3, C3, Tournament.transitive(4)):
+                    c = build_complex(g, t)
+                    for layer in range(1, t.n + 1):
+                        for masks in ([mask_of(e) for e in c.edges(layer)],
+                                      sorted(c.layers[layer], reverse=True)):
+                            yield list(max_disjoint_sets(n, masks))
+
+
+_PINNED_SOLVER = {
+    "disjoint-sets": (160, "816cb4d4ae57c7626fbabd4409b87d9748fa3cffbdce7a96dbefa7cc6e0da960"),
+    "max-packing": (65, "a0234066fef1f8fe74ffe06af4c810d7ccddaec872e9025ab69cf44e05106135"),
+    "prove-none": (16, "0a9d88701488c31c0f9eee1aa9f90ff49f0ac082658ec960de7ef3eef43569c2"),
+    "semidegree": (16, "ae572a5bf60384f537d9ada6e74b6609fdf9f141658fb00cf3be2e16920a3388"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_PINNED_SOLVER))
+def test_solver_outputs_are_pinned(kind):
+    digest = hashlib.sha256()
+    count = 0
+    for row in _pinned_outputs(kind):
+        digest.update(json.dumps(row).encode())
+        count += 1
+    assert (count, digest.hexdigest()) == _PINNED_SOLVER[kind]
+
+
 def test_max_disjoint_sets_exact_flag():
     masks = [0b0011, 0b1100, 0b0110]
     got, complete = max_disjoint_sets(4, masks, budget=10**6)
     assert complete
     assert len(got) == 2
+
+
+@pytest.mark.parametrize("n, masks, named", [
+    (3, [0b1001], "0b1001"),
+    (3, [0b011, 0b1100], "0b1100"),
+    (4, [0b0011, -1], "-0b1"),
+    (5, [-0b110], "-0b110"),
+    (0, [1], "0b1"),
+])
+def test_max_disjoint_sets_rejects_masks_outside_the_host(n, masks, named):
+    with pytest.raises(DomainError, match=f"mask {named} "):
+        max_disjoint_sets(n, masks)
+
+
+def brute_has_perfect_packing(g, family):
+    """Perfect packing exists: cover the lowest free vertex with every spanning r-set."""
+    r = family[0].n
+
+    def cover(free):
+        if not free:
+            return True
+        v, rest = free[0], free[1:]
+        for others in itertools.combinations(rest, r - 1):
+            if any(spans_copy(g, (v,) + others, p) is not None for p in family):
+                if cover(tuple(w for w in rest if w not in others)):
+                    return True
+        return False
+
+    return cover(tuple(range(g.n)))
+
+
+@pytest.mark.parametrize("family", [[T3], [C3], [T3, C3], [k3_minus_pattern()]],
+                         ids=["t3", "c3", "t3-c3", "k3-minus"])
+def test_perfect_verdict_matches_brute_force(family):
+    verdicts = []
+    for n in (3, 6, 9):
+        for density in (0.3, 0.4, 0.5, 0.6, 0.7):
+            for seed in range(4):
+                g = random_digraph(n, 1000 * n + 10 * seed + int(10 * density), density)
+                cert = find_perfect_family_packing(g, family)
+                assert cert.verdict == (PACKED if brute_has_perfect_packing(g, family)
+                                        else EXHAUSTED_NONE)
+                if cert.found:
+                    assert verify_packing(g, family, cert.packing, require_perfect=True)
+                verdicts.append(cert.verdict)
+    # the oracle must see both verdicts often enough to mean something
+    assert verdicts.count(PACKED) >= 10 and verdicts.count(EXHAUSTED_NONE) >= 10
 
 
 def test_packing_uncovered():
