@@ -375,7 +375,7 @@ def random_digraph_min_semidegree(n: int, dmin: int, seed: int) -> Digraph:
         _add_arcs(rows, cols, v, dmin - rows[v].bit_count(), rng)
     for v in range(n):
         _add_arcs(cols, rows, v, dmin - cols[v].bit_count(), rng)
-    return Digraph(n, rows)
+    return Digraph._from_rows(n, rows, cols)
 
 
 def random_digraph_out_or_in(n: int, seed: int, t: int | None = None) -> Digraph:
@@ -400,7 +400,7 @@ def random_digraph_out_or_in(n: int, seed: int, t: int | None = None) -> Digraph
             _add_arcs(rows, cols, v, t - dout, rng)
         else:
             _add_arcs(cols, rows, v, t - din, rng)
-    return Digraph(n, rows)
+    return Digraph._from_rows(n, rows, cols)
 
 
 def random_digraph_total_min_degree(n: int, t: int, seed: int) -> Digraph:
@@ -428,7 +428,7 @@ def random_digraph_total_min_degree(n: int, t: int, seed: int) -> Digraph:
             options.remove(u)
             own[v] |= 1 << u
             other[u] |= bit
-    return Digraph(n, rows)
+    return Digraph._from_rows(n, rows, cols)
 
 
 def random_tournament(r: int, seed: int) -> Tournament:

@@ -9,6 +9,7 @@ before freezing.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -77,6 +78,17 @@ class Digraph:
         self._out = out
         self._in = tuple(in_rows)
         self._m = m
+
+    @classmethod
+    def _from_rows(cls, n: int, out_rows, in_rows) -> "Digraph":
+        """Digraph from out-rows and their transpose, both already checked by
+        the caller; nothing is validated or re-derived."""
+        g = cls.__new__(cls)
+        g.n = n
+        g._out = tuple(out_rows)
+        g._in = tuple(in_rows)
+        g._m = sum(row.bit_count() for row in g._out)
+        return g
 
     @classmethod
     def from_arcs(cls, n: int, arcs) -> "Digraph":
@@ -484,6 +496,71 @@ def copy_masks(g: Digraph, pattern: Digraph) -> set[int]:
 
     grow(0, 0)
     return found
+
+
+@functools.cache
+def _rooted_plans(pattern: Digraph) -> tuple:
+    """One growth plan per pattern vertex, which the plan places first.
+
+    The other vertices follow in spans_copy's placement order.  A plan is
+    (outs, ins, slot): step i's image must lie in the out-row of the image
+    of each step in outs[i] and in the in-row of the image of each step in
+    ins[i]; slot[q] is the step that places pattern vertex q.
+    """
+    r = pattern.n
+    rest = sorted(range(r), key=lambda p: (-pattern.d_out(p), -pattern.d_in(p), p))
+    plans = []
+    for root in range(r):
+        order = [root] + [p for p in rest if p != root]
+        outs = tuple(tuple(j for j in range(i) if pattern.arc(order[j], p))
+                     for i, p in enumerate(order))
+        ins = tuple(tuple(j for j in range(i) if pattern.arc(p, order[j]))
+                    for i, p in enumerate(order))
+        plans.append((outs, ins, tuple(order.index(q) for q in range(r))))
+    return tuple(plans)
+
+
+def iter_copies(g: Digraph, pattern: Digraph, within: int, through: int):
+    """Yield (mask, image) for each copy of pattern in g that contains vertex
+    through and lies inside the vertex mask within; image[q] hosts pattern
+    vertex q.
+
+    Each rooted plan maps one pattern vertex to through and grows the rest
+    as copy_masks does, lowest candidate first, on an explicit stack, so
+    copies come lazily.  A vertex set is yielded once per embedding.
+    """
+    start = 1 << through
+    if not within & start:
+        return
+    out_rows, in_rows = g._out, g._in
+    r = pattern.n
+    last = r - 1
+    img = [0] * r
+    used = [0] * r  # used[i]: images of the steps before i
+    cand = [0] * r
+    for outs, ins, slot in _rooted_plans(pattern):
+        step = 0
+        cand[0] = start
+        while step >= 0:
+            c = cand[step]
+            if not c:
+                step -= 1
+                continue
+            low = c & -c
+            cand[step] = c ^ low
+            img[step] = low.bit_length() - 1
+            taken = used[step] | low
+            if step == last:
+                yield taken, tuple([img[i] for i in slot])
+                continue
+            step += 1
+            used[step] = taken
+            c = within & ~taken
+            for j in outs[step]:
+                c &= out_rows[img[j]]
+            for j in ins[step]:
+                c &= in_rows[img[j]]
+            cand[step] = c
 
 
 def min_semidegree(g: Digraph) -> int:

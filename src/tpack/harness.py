@@ -42,6 +42,7 @@ from .solver import (
     DEFAULT_BUDGET,
     EXHAUSTED_NONE,
     PACKED,
+    _first_fit,
     find_perfect_family_packing,
     normalize_patterns,
     verify_packing,
@@ -428,39 +429,13 @@ def sweep_semidegree(
     )
 
 
-def _spans_transitive_triple(g: Digraph, a: int, b: int, c: int) -> bool:
-    for x, y, z in (
-        (a, b, c), (a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a),
-    ):
-        if g.arc(x, y) and g.arc(x, z) and g.arc(y, z):
-            return True
-    return False
+_T3_FAMILY = (Tournament.transitive(3),)
 
 
-def _t3_first_fit(g: Digraph, node_cap: int = 256) -> bool:
-    """Cheap existence probe: first-fit the lowest vertex into a transitive
-    triple, backtracking under a small node budget.  True proves a perfect
-    packing exists; False only means the probe gave up."""
-    n = g.n
-    nodes = 0
-
-    def place(avail: int) -> bool:
-        nonlocal nodes
-        if not avail:
-            return True
-        nodes += 1
-        if nodes > node_cap:
-            return False
-        a = (avail & -avail).bit_length() - 1
-        rest = [v for v in range(a + 1, n) if (avail >> v) & 1]
-        for i, b in enumerate(rest):
-            for c in rest[i + 1:]:
-                if _spans_transitive_triple(g, a, b, c):
-                    if place(avail & ~((1 << a) | (1 << b) | (1 << c))):
-                        return True
-        return False
-
-    return place((1 << n) - 1)
+def _t3_first_fit(g: Digraph) -> bool:
+    """The solver's first-fit stage for transitive triangles: True proves a
+    perfect packing exists; False only means the stage gave up."""
+    return _first_fit(g, _T3_FAMILY, DEFAULT_BUDGET) is not None
 
 
 def sweep_out_or_in(
@@ -474,10 +449,10 @@ def sweep_out_or_in(
     """Hosts where each vertex has out- or in-degree >= ceil((1-1/r)n), solved
     for perfect transitive packings.
 
-    For r = 3 a first-fit probe confirms most near-complete hosts straight
-    from the arc bits, the dedicated local-search packer handles what the
-    probe misses, and the exact solver settles anything left; only the exact
-    solver can declare non-existence.
+    For r = 3 the solver's first-fit stage confirms most hosts, the
+    dedicated local-search packer handles what it misses, and the exact
+    solver settles anything left; only the exact solver can declare
+    non-existence.
     """
 
     def t3_packs(g: Digraph) -> bool:

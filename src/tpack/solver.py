@@ -1,12 +1,14 @@
-"""Exact perfect and maximum packing search over fixed-order patterns.
+"""Perfect and maximum packing search over fixed-order patterns.
 
-The search is exact cover over candidate vertex sets: enumerate every r-set
-that spans one of the patterns, then backtrack on the lowest-index uncovered
-vertex.  It runs in the mirror labelling (vertex v becomes n-1-v), where that
-vertex is the highest uncovered bit and combination order is descending
-integer order.  A failed-subproblem memo keyed on the uncovered mask makes
-non-existence proofs cheap to exhaust, and a node budget turns runaway
-searches into a distinct verdict instead of a wrong answer.
+A perfect packing is first sought by a capped first-fit (_first_fit), which
+can only prove that one exists.  The exact search behind it is exact cover
+over candidate vertex sets: enumerate every r-set that spans one of the
+patterns, then backtrack on the lowest-index uncovered vertex.  It runs in
+the mirror labelling (vertex v becomes n-1-v), where that vertex is the
+highest uncovered bit and combination order is descending integer order.  A
+failed-subproblem memo keyed on the uncovered mask makes non-existence proofs
+cheap to exhaust, and a node budget turns runaway searches into a distinct
+verdict instead of a wrong answer.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (
-    Digraph, DomainError, Embedding, InvariantViolation, bits, copy_masks, spans_copy,
+    Digraph, DomainError, Embedding, InvariantViolation, bits, copy_masks, iter_copies,
+    spans_copy,
 )
 
 DEFAULT_BUDGET = 10**8
@@ -61,6 +64,9 @@ class Packing:
 
 @dataclass(frozen=True)
 class PackCertificate:
+    """A verdict with its packing, if any; nodes counts the first-fit nodes
+    for a packing that stage found and the exact search's nodes otherwise."""
+
     verdict: str
     packing: Packing | None
     nodes: int
@@ -116,7 +122,8 @@ def _candidate_embeddings(g: Digraph, fam: tuple[Digraph, ...]):
     masks a packing uses.
     """
     n = g.n
-    mirror = Digraph(n, [_mirror(n, g._out[n - 1 - v]) for v in range(n)])
+    mirror = Digraph._from_rows(n, [_mirror(n, g._out[n - 1 - v]) for v in range(n)],
+                                [_mirror(n, g._in[n - 1 - v]) for v in range(n)])
     found: set[int] = set()
     for pat in fam:
         found |= copy_masks(mirror, pat)
@@ -229,10 +236,69 @@ def find_perfect_packing(g: Digraph, pattern: Digraph,
     return find_perfect_family_packing(g, [pattern], budget)
 
 
+#: first-fit gives up after n/r + _FIRST_FIT_SLACK nodes (n/r when nothing backtracks)
+_FIRST_FIT_SLACK = 32
+
+
+def _copies_through(g: Digraph, fam: tuple[Digraph, ...], within: int, a: int):
+    """(mask, pattern, image) for each family copy through a inside within."""
+    for pat in fam:
+        for mask, image in iter_copies(g, pat, within, a):
+            yield mask, pat, image
+
+
+def _first_fit(g: Digraph, fam: tuple[Digraph, ...], budget: int) -> PackCertificate | None:
+    """Perfect packing by depth-first first-fit, or None once it gives up.
+
+    Each node covers the lowest uncovered vertex with the next untried copy
+    through it inside the uncovered set, drawn lazily from iter_copies; a node
+    whose copies run out is backtracked.  It gives up after n/r +
+    _FIRST_FIT_SLACK nodes (never more than budget), so None proves nothing.
+    """
+    uncovered = (1 << g.n) - 1
+    cap = min(g.n // fam[0].n + _FIRST_FIT_SLACK, budget)
+    frames = []  # per node: (its copies, uncovered there, masks tried there)
+    chosen: list[Embedding] = []  # the copy taken at each node below the top one
+    nodes = 0
+    while uncovered:
+        if nodes >= cap:
+            return None
+        nodes += 1
+        a = (uncovered & -uncovered).bit_length() - 1
+        frames.append((_copies_through(g, fam, uncovered, a), uncovered, set()))
+        while True:
+            copies, before, tried = frames[-1]
+            for mask, pat, image in copies:
+                if mask not in tried:
+                    break
+            else:
+                frames.pop()
+                if not frames:
+                    return None
+                chosen.pop()
+                continue
+            tried.add(mask)
+            chosen.append(Embedding(pat, image))
+            uncovered = before ^ mask
+            break
+    return PackCertificate(PACKED, Packing(g.n, tuple(chosen)), nodes)
+
+
 def find_perfect_family_packing(g: Digraph, family,
                                 budget: int = DEFAULT_BUDGET) -> PackCertificate:
+    """Perfect packing of patterns from family, proof of non-existence, or
+    budget verdict.
+
+    The first-fit stage runs first; when it gives up, the exact search runs
+    with the full budget.  nodes counts the nodes of whichever stage gave the
+    verdict, so every exhausted-none and budget-exceeded count is the exact
+    search's own.
+    """
     fam = normalize_patterns(family)
     r = _precheck(g, fam, need_divisible=True)
+    quick = _first_fit(g, fam, budget)
+    if quick is not None:
+        return quick
     masks, embed = _candidate_embeddings(g, fam)
     search = _CoverSearch(g.n, r, masks, budget)
     full = (1 << g.n) - 1

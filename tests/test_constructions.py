@@ -183,6 +183,18 @@ def test_random_generators_are_pinned(kind):
     assert (count, digest.hexdigest()) == _PINNED_GENERATORS[kind]
 
 
+@pytest.mark.parametrize("kind", sorted(_GENERATORS))
+def test_generator_in_rows_are_the_transpose(kind):
+    """The generators hand their own in-rows to the digraph; check them."""
+    for n, t, seed in _generator_cases(kind):
+        g = _GENERATORS[kind](n, t, seed)
+        rows = [g.out_mask(u) for u in range(n)]
+        assert [g.in_mask(v) for v in range(n)] == [
+            sum(1 << u for u in range(n) if rows[u] >> v & 1) for v in range(n)
+        ]
+        assert g.num_arcs == sum(row.bit_count() for row in rows)
+
+
 def test_random_generators_deterministic():
     a = random_digraph_min_semidegree(9, 6, 42)
     b = random_digraph_min_semidegree(9, 6, 42)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from tpack.core import (
     Digraph,
     DomainError,
+    Embedding,
     Graph,
     InvariantViolation,
     Tournament,
@@ -16,6 +17,7 @@ from tpack.core import (
     canonical_tournament_key,
     ceil_frac,
     digraph_to_text,
+    iter_copies,
     k3_minus_pattern,
     load_digraph_text,
     mask_of,
@@ -83,6 +85,34 @@ def test_in_rows_and_arc_count_match_brute_force():
                 sum(1 << u for u in range(n) if rows[u] >> v & 1) for v in range(n)
             ]
             assert g.num_arcs == sum(1 for u in range(n) for v in range(n) if rows[u] >> v & 1)
+
+
+COPY_PATTERNS = all_tournaments(3) + all_tournaments(4) + [
+    Digraph.complete(1), Digraph.complete(2), Digraph.complete(3), k3_minus_pattern(),
+    Digraph.from_arcs(3, [(0, 1)]), Digraph.empty(2),
+]
+
+
+@pytest.mark.parametrize("pattern", COPY_PATTERNS)
+def test_iter_copies_matches_brute_force(pattern):
+    """Every copy through the given vertex inside the given set, each embedding once."""
+    rng = random.Random(pattern.n * 100 + pattern.num_arcs)
+    for trial in range(40):
+        n = rng.randint(1, 8)
+        rows = [sum(1 << v for v in range(n) if v != u and rng.random() < 0.65)
+                for u in range(n)]
+        g = Digraph(n, rows)
+        within = (1 << n) - 1 if trial % 4 == 0 else rng.getrandbits(n)
+        a = rng.randrange(n)
+        want = {
+            (mask_of(image), image)
+            for image in itertools.permutations(range(n), pattern.n)
+            if a in image and not mask_of(image) & ~within
+            and Embedding(pattern, image).is_valid(g)
+        }
+        got = list(iter_copies(g, pattern, within, a))
+        assert len(got) == len(set(got))
+        assert set(got) == want
 
 
 def test_complete_digraph_degrees():

@@ -287,7 +287,7 @@ def test_out_or_in_fallback_chain_gives_the_same_report(monkeypatch):
     first_fit = report()
     assert calls["t3_pack"] == calls["exact"] == 0
 
-    monkeypatch.setattr(harness, "_t3_first_fit", lambda g, node_cap=256: False)
+    monkeypatch.setattr(harness, "_t3_first_fit", lambda g: False)
     local = report()
     assert calls["t3_pack"] == 30 and calls["exact"] == 0
 

@@ -18,9 +18,13 @@ from tpack.core import (
     mask_of,
     spans_copy,
 )
+from tpack import solver
+from tpack.harness import iter_min_semidegree_hosts
 from tpack.solver import (
     BUDGET_EXCEEDED,
+    DEFAULT_BUDGET,
     _candidate_embeddings,
+    _first_fit,
     _mirror,
     EXHAUSTED_NONE,
     PACKED,
@@ -263,22 +267,48 @@ def _pinned_outputs(kind):
                             yield list(max_disjoint_sets(n, masks))
 
 
+def _sha_rows(rows):
+    digest = hashlib.sha256()
+    count = 0
+    for row in rows:
+        digest.update(json.dumps(row).encode())
+        count += 1
+    return count, digest.hexdigest()
+
+
+# the packings and the node counts of packed rows follow the first-fit stage,
+# so these hashes move whenever it picks other copies; the verdicts below do not
 _PINNED_SOLVER = {
     "disjoint-sets": (160, "816cb4d4ae57c7626fbabd4409b87d9748fa3cffbdce7a96dbefa7cc6e0da960"),
     "max-packing": (65, "a0234066fef1f8fe74ffe06af4c810d7ccddaec872e9025ab69cf44e05106135"),
-    "prove-none": (16, "0a9d88701488c31c0f9eee1aa9f90ff49f0ac082658ec960de7ef3eef43569c2"),
-    "semidegree": (16, "ae572a5bf60384f537d9ada6e74b6609fdf9f141658fb00cf3be2e16920a3388"),
+    "prove-none": (16, "864d867df3eefa4245bb28794b0327809c71e532306b618ed5bdfe4d63878404"),
+    "semidegree": (16, "5e4b008b5b9e41b0aa747514c552c1c52c4fd8ce51266fc12e673a5faa065b95"),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(_PINNED_SOLVER))
 def test_solver_outputs_are_pinned(kind):
-    digest = hashlib.sha256()
-    count = 0
-    for row in _pinned_outputs(kind):
-        digest.update(json.dumps(row).encode())
-        count += 1
-    assert (count, digest.hexdigest()) == _PINNED_SOLVER[kind]
+    assert _sha_rows(_pinned_outputs(kind)) == _PINNED_SOLVER[kind]
+
+
+# verdicts, plus the node count of every verdict but packed, which only the
+# exact search gives; these must not move with any change to the stages,
+# and the first-fit stage must give up wherever no packing exists
+_PINNED_VERDICTS = {
+    "prove-none": (16, "693b05adc90dc60c6f9fe8b140b9381f172928dafca10b8fee372fa6141408e0"),
+    "semidegree": (16, "9f54d11d8e44ba20024782683d235cedc2384490c9153ad4232a9803879416c8"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_PINNED_VERDICTS))
+def test_solver_verdicts_are_pinned(kind):
+    rows = []
+    for g, family in _pinned_perfect_cases(kind):
+        cert = find_perfect_family_packing(g, family)
+        rows.append([cert.verdict] if cert.found else [cert.verdict, cert.nodes])
+        if cert.verdict == EXHAUSTED_NONE:
+            assert _first_fit(g, normalize_patterns(family), DEFAULT_BUDGET) is None
+    assert _sha_rows(rows) == _PINNED_VERDICTS[kind]
 
 
 def test_max_disjoint_sets_exact_flag():
@@ -330,6 +360,12 @@ def test_perfect_verdict_matches_brute_force(family):
                                         else EXHAUSTED_NONE)
                 if cert.found:
                     assert verify_packing(g, family, cert.packing, require_perfect=True)
+                # the first-fit stage alone may give up, but never packs where
+                # brute force finds nothing
+                quick = _first_fit(g, normalize_patterns(family), DEFAULT_BUDGET)
+                if quick is not None:
+                    assert cert.found
+                    assert verify_packing(g, family, quick.packing, require_perfect=True)
                 verdicts.append(cert.verdict)
     # the oracle must see both verdicts often enough to mean something
     assert verdicts.count(PACKED) >= 10 and verdicts.count(EXHAUSTED_NONE) >= 10
@@ -341,3 +377,64 @@ def test_packing_uncovered():
     p = Packing(6, (e,))
     assert set(p.uncovered()) == set(range(6)) - set(e.image)
     assert not p.is_perfect
+
+
+@pytest.mark.parametrize("pattern", [T3, C3], ids=["t3", "c3"])
+def test_first_fit_packings_verify_on_every_n6_threshold_host(pattern):
+    settled = 0
+    for g in iter_min_semidegree_hosts(6, 4):
+        quick = _first_fit(g, (pattern,), DEFAULT_BUDGET)
+        if quick is not None:
+            assert quick.verdict == PACKED and quick.nodes >= 2
+            assert verify_packing(g, pattern, quick.packing, require_perfect=True)
+            settled += 1
+    assert settled == 6600
+
+
+def test_first_fit_stops_at_its_node_cap(monkeypatch):
+    # the near-independent host has no t3 packing, so first-fit runs to its cap
+    g = make_near_independent_extremal(15, 3)
+    branched = []  # one branch vertex per node
+    real = solver._copies_through
+
+    def counted(g, fam, within, a):
+        branched.append(a)
+        return real(g, fam, within, a)
+
+    monkeypatch.setattr(solver, "_copies_through", counted)
+    assert _first_fit(g, (T3,), DEFAULT_BUDGET) is None
+    assert len(branched) == 15 // 3 + 32
+    branched.clear()
+    assert _first_fit(g, (T3,), 7) is None
+    assert len(branched) == 7
+
+
+def test_disjoint_cyclic_triangles_pack_without_recursion():
+    k = 1000
+    arcs = [(3 * i + a, 3 * i + (a + 1) % 3) for i in range(k) for a in range(3)]
+    g = Digraph.from_arcs(3 * k, arcs)
+    cert = find_perfect_packing(g, C3)
+    assert cert.verdict == PACKED and cert.nodes == k
+    assert verify_packing(g, C3, cert.packing, require_perfect=True)
+
+
+def test_mirror_host_in_rows_are_the_transpose(monkeypatch):
+    hosts = []
+    real = solver.copy_masks
+
+    def capture(g, pattern):
+        hosts.append(g)
+        return real(g, pattern)
+
+    monkeypatch.setattr(solver, "copy_masks", capture)
+    for n in (0, 1, 5, 12, 30):
+        for density in (0.2, 0.6):
+            g = random_digraph(n, 50 * n + int(10 * density), density)
+            _candidate_embeddings(g, (T3,))
+            mirror = hosts[-1]
+            rows = [mirror.out_mask(u) for u in range(n)]
+            assert rows == [_mirror(n, g.out_mask(n - 1 - v)) for v in range(n)]
+            assert [mirror.in_mask(v) for v in range(n)] == [
+                sum(1 << u for u in range(n) if rows[u] >> v & 1) for v in range(n)
+            ]
+            assert mirror.num_arcs == g.num_arcs
