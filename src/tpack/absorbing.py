@@ -11,7 +11,9 @@ import itertools
 import random
 from dataclasses import dataclass, field
 
-from .core import Digraph, DomainError, Embedding, Tournament, bits, mask_of, spans_copy
+from .core import (
+    Digraph, DomainError, Embedding, Tournament, bits, iter_copies, mask_of, spans_copy,
+)
 from .solver import (
     DEFAULT_BUDGET,
     PACKED,
@@ -106,26 +108,23 @@ def estimate_connector_density(g: Digraph, pattern: Digraph, x: int, y: int,
     return hits / trials
 
 
-_TRIPLE_SPLITS = [
-    (a, b)
-    for a in itertools.combinations(range(6), 3)
-    if 0 in a
-    for b in [tuple(i for i in range(6) if i not in a)]
-]
+_C3 = Tournament.cyclic_triangle()
 
 
 def spans_two_cycles(g: Digraph, six) -> bool:
-    """Does the 6-set split into two vertex-disjoint cyclic triangles?"""
-    vs = tuple(sorted(six))
+    """Does the 6-set split into two vertex-disjoint cyclic triangles?
+
+    It does exactly when some cyclic triangle through its lowest vertex
+    leaves three vertices that span another.
+    """
+    vs = sorted(set(six))
     if len(vs) != 6:
         raise DomainError("need exactly 6 vertices")
-    c3 = Tournament.cyclic_triangle()
-    for a_idx, b_idx in _TRIPLE_SPLITS:
-        a = tuple(vs[i] for i in a_idx)
-        b = tuple(vs[i] for i in b_idx)
-        if spans_copy(g, a, c3) is not None and spans_copy(g, b, c3) is not None:
-            return True
-    return False
+    if not (0 <= vs[0] and vs[-1] < g.n):
+        raise DomainError(f"6-set {vs} is outside 0..{g.n - 1}")
+    within = mask_of(vs)
+    return any(spans_copy(g, bits(within ^ mask), _C3) is not None
+               for mask, _ in iter_copies(g, _C3, within, vs[0]))
 
 
 def count_connectors_2c3(g: Digraph, x: int, y: int, cap: int | None = None) -> int:

@@ -399,80 +399,38 @@ def spans_copy(g: Digraph, x, pattern: Digraph) -> Embedding | None:
     """Embedding of pattern with image exactly the vertex set x, or None.
 
     Spanning means every pattern arc maps to a host arc; extra host arcs inside
-    x are allowed.  Pattern vertices are placed in decreasing degree-signature
-    order, host candidates tried in ascending index, so the result is
-    deterministic.
+    x are allowed.  The result is the first copy that the spans-order plan
+    grows inside x, lowest candidate first, so it is deterministic.
     """
-    xs = sorted(set(x))
+    xs = set(x)
     r = pattern.n
     if len(xs) != r:
-        raise DomainError(f"vertex set has {len(set(x))} elements, pattern needs {r}")
-    xmask = mask_of(xs)
-    p_out = [pattern.d_out(p) for p in range(r)]
-    p_in = [pattern.d_in(p) for p in range(r)]
-    order = sorted(range(r), key=lambda p: (-p_out[p], -p_in[p], p))
-    candidates: list[list[int]] = []
-    for p in order:
-        cand = [
-            v for v in xs
-            if g.d_out_to(v, xmask) >= p_out[p] and g.d_in_from(v, xmask) >= p_in[p]
-        ]
-        if not cand:
-            return None
-        candidates.append(cand)
-
-    image: dict[int, int] = {}
-    used: set[int] = set()
-
-    def place(step: int) -> bool:
-        if step == r:
-            return True
-        p = order[step]
-        for v in candidates[step]:
-            if v in used:
-                continue
-            ok = True
-            for q in order[:step]:
-                w = image[q]
-                if pattern.arc(p, q) and not g.arc(v, w):
-                    ok = False
-                    break
-                if pattern.arc(q, p) and not g.arc(w, v):
-                    ok = False
-                    break
-            if ok:
-                used.add(v)
-                image[p] = v
-                if place(step + 1):
-                    return True
-                used.discard(v)
-                del image[p]
-        return False
-
-    if place(0):
-        return Embedding(pattern, tuple(image[p] for p in range(r)))
+        raise DomainError(f"vertex set has {len(xs)} elements, pattern needs {r}")
+    if not r:
+        return Embedding(pattern, ())
+    xmask = 0
+    for v in sorted(xs):
+        if not 0 <= v < g.n:
+            raise DomainError(f"vertex {v} is outside 0..{g.n - 1}")
+        xmask |= 1 << v
+    for _, image in _copies(g, _plans(pattern)[0], xmask, xmask):
+        return Embedding(pattern, image)
     return None
 
 
 def copy_masks(g: Digraph, pattern: Digraph) -> set[int]:
     """Vertex masks of every pattern.n-set of g that spans pattern.
 
-    Grows embeddings one pattern vertex at a time, in spans_copy's placement
-    order.  The candidates for the next vertex are the unused host vertices
-    left after ANDing, for each pattern arc to an already placed vertex, the
-    in-row or out-row of that vertex's image.  A set hosting several
-    embeddings is recorded once.
+    Grows embeddings with the spans-order plan, like _copies, but adds every
+    candidate of the last step at once instead of yielding them one by one,
+    which is several times faster when every copy is wanted.  A set hosting
+    several embeddings is recorded once.
     """
     r = pattern.n
     if r == 0:
         return {0}
-    order = sorted(range(r), key=lambda p: (-pattern.d_out(p), -pattern.d_in(p), p))
-    # need[i]: (j, rows) pairs; step i's image must lie in rows[image[j]]
-    need = [
-        tuple([(j, g._in) for j in range(i) if pattern.arc(p, order[j])]
-              + [(j, g._out) for j in range(i) if pattern.arc(order[j], p)])
-        for i, p in enumerate(order)
-    ]
+    (outs, ins, _), = _plans(pattern)[0]
+    out_rows, in_rows = g._out, g._in
     full = (1 << g.n) - 1
     image = [0] * r
     found: set[int] = set()
@@ -480,8 +438,10 @@ def copy_masks(g: Digraph, pattern: Digraph) -> set[int]:
 
     def grow(step: int, used: int) -> None:
         cand = full & ~used
-        for j, rows in need[step]:
-            cand &= rows[image[j]]
+        for j in outs[step]:
+            cand &= out_rows[image[j]]
+        for j in ins[step]:
+            cand &= in_rows[image[j]]
         if step == last:
             while cand:
                 low = cand & -cand
@@ -499,48 +459,47 @@ def copy_masks(g: Digraph, pattern: Digraph) -> set[int]:
 
 
 @functools.cache
-def _rooted_plans(pattern: Digraph) -> tuple:
-    """One growth plan per pattern vertex, which the plan places first.
+def _plans(pattern: Digraph) -> tuple:
+    """The growth plans of pattern, as (spans, rooted).
 
-    The other vertices follow in spans_copy's placement order.  A plan is
+    spans holds one plan in spans order: decreasing out-degree, then
+    in-degree, then index.  rooted holds one plan per pattern vertex q,
+    which places q first and the rest in spans order.  A plan is
     (outs, ins, slot): step i's image must lie in the out-row of the image
     of each step in outs[i] and in the in-row of the image of each step in
     ins[i]; slot[q] is the step that places pattern vertex q.
     """
     r = pattern.n
-    rest = sorted(range(r), key=lambda p: (-pattern.d_out(p), -pattern.d_in(p), p))
-    plans = []
-    for root in range(r):
-        order = [root] + [p for p in rest if p != root]
+    spans = sorted(range(r), key=lambda p: (-pattern.d_out(p), -pattern.d_in(p), p))
+
+    def plan(order: list[int]) -> tuple:
         outs = tuple(tuple(j for j in range(i) if pattern.arc(order[j], p))
                      for i, p in enumerate(order))
         ins = tuple(tuple(j for j in range(i) if pattern.arc(p, order[j]))
                     for i, p in enumerate(order))
-        plans.append((outs, ins, tuple(order.index(q) for q in range(r))))
-    return tuple(plans)
+        return outs, ins, tuple(order.index(q) for q in range(r))
+
+    rooted = tuple(plan([q] + [p for p in spans if p != q]) for q in range(r))
+    return (plan(spans),), rooted
 
 
-def iter_copies(g: Digraph, pattern: Digraph, within: int, through: int):
-    """Yield (mask, image) for each copy of pattern in g that contains vertex
-    through and lies inside the vertex mask within; image[q] hosts pattern
-    vertex q.
+def _copies(g: Digraph, plans: tuple, within: int, first: int):
+    """Yield (mask, image) for each embedding that some plan grows in g with
+    its first step in the vertex mask first and every step in within;
+    image[q] hosts pattern vertex q.
 
-    Each rooted plan maps one pattern vertex to through and grows the rest
-    as copy_masks does, lowest candidate first, on an explicit stack, so
-    copies come lazily.  A vertex set is yielded once per embedding.
+    The plans run in turn.  Each grows its copies with the row-AND step,
+    lowest candidate first, on an explicit stack, so copies come lazily.
     """
-    start = 1 << through
-    if not within & start:
-        return
     out_rows, in_rows = g._out, g._in
-    r = pattern.n
+    r = len(plans[0][2]) if plans else 0
     last = r - 1
     img = [0] * r
     used = [0] * r  # used[i]: images of the steps before i
     cand = [0] * r
-    for outs, ins, slot in _rooted_plans(pattern):
+    for outs, ins, slot in plans:
         step = 0
-        cand[0] = start
+        cand[0] = first
         while step >= 0:
             c = cand[step]
             if not c:
@@ -561,6 +520,17 @@ def iter_copies(g: Digraph, pattern: Digraph, within: int, through: int):
             for j in ins[step]:
                 c &= in_rows[img[j]]
             cand[step] = c
+
+
+def iter_copies(g: Digraph, pattern: Digraph, within: int, through: int):
+    """Yield (mask, image) for each copy of pattern in g that contains vertex
+    through and lies inside the vertex mask within; image[q] hosts pattern
+    vertex q.
+
+    Each rooted plan maps one pattern vertex to through and grows the rest
+    lazily (_copies).  A vertex set is yielded once per embedding.
+    """
+    return _copies(g, _plans(pattern)[1], within, within & 1 << through)
 
 
 def min_semidegree(g: Digraph) -> int:
@@ -589,8 +559,7 @@ def load_digraph_text(text: str) -> Digraph:
         raise DomainError(f"first line must be the vertex count, got {lines[0]!r}") from None
     if n < 0:
         raise DomainError("vertex count must be non-negative")
-    seen: set[tuple[int, int]] = set()
-    arcs: list[tuple[int, int]] = []
+    rows: dict[int, int] = {}  # not a list of n rows: a huge n fails on its lines first
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
@@ -603,11 +572,11 @@ def load_digraph_text(text: str) -> Digraph:
             raise DomainError(f"loop line {ln!r}")
         if not (0 <= u < n and 0 <= v < n):
             raise DomainError(f"arc line {ln!r} out of range for n={n}")
-        if (u, v) in seen:
+        row = rows.get(u, 0)
+        if row >> v & 1:
             raise DomainError(f"duplicate arc line {ln!r}")
-        seen.add((u, v))
-        arcs.append((u, v))
-    return Digraph.from_arcs(n, arcs)
+        rows[u] = row | 1 << v
+    return Digraph(n, [rows.get(u, 0) for u in range(n)])
 
 
 def load_digraph(path: str) -> Digraph:

@@ -100,33 +100,6 @@ class TuranResult:
         return "copy" if self.embedding is not None else "independent"
 
 
-def _greedy_partial_embedding(g: Digraph, pattern: Digraph, order: tuple[int, ...]):
-    """Place pattern vertices in the given order on lowest compatible hosts."""
-    placed: dict[int, int] = {}
-    used = 0
-    for p in order:
-        choice = None
-        for v in range(g.n):
-            if used >> v & 1:
-                continue
-            ok = True
-            for q, w in placed.items():
-                if pattern.arc(p, q) and not g.arc(v, w):
-                    ok = False
-                    break
-                if pattern.arc(q, p) and not g.arc(w, v):
-                    ok = False
-                    break
-            if ok:
-                choice = v
-                break
-        if choice is None:
-            return None
-        placed[p] = choice
-        used |= 1 << choice
-    return placed
-
-
 def independent_or_copy(g: Digraph, pattern: Tournament, alpha: float) -> TuranResult:
     """Pattern copy or a large independent set, under the semidegree bound.
 
@@ -144,11 +117,8 @@ def independent_or_copy(g: Digraph, pattern: Tournament, alpha: float) -> TuranR
     bound = (1 / (r - 1) - 2 * r * r * alpha) * n
 
     a, b = next(iter(pattern.arcs()))
-    rest = tuple(p for p in range(r) if p not in (a, b))
-    placed = _greedy_partial_embedding(g, pattern, rest)
-    if placed is None:
-        raise InvariantViolation("could not embed the split pattern greedily")
-    used = mask_of(placed.values())
+    placed: dict[int, int] = {}
+    used = 0
 
     def candidates(p: int) -> int:
         cand = ((1 << n) - 1) ^ used
@@ -158,6 +128,16 @@ def independent_or_copy(g: Digraph, pattern: Tournament, alpha: float) -> TuranR
             if pattern.arc(q, p):
                 cand &= g.out_mask(w)
         return cand
+
+    for p in range(r):
+        if p in (a, b):
+            continue
+        cand = candidates(p)
+        if not cand:
+            raise InvariantViolation("could not embed the split pattern greedily")
+        low = cand & -cand
+        placed[p] = low.bit_length() - 1
+        used |= low
 
     a_mask = candidates(a)
     b_mask = candidates(b)

@@ -1,9 +1,10 @@
 import itertools
 import math
+import random
 
 import pytest
 
-from tpack.core import Digraph, DomainError, Tournament, mask_of
+from tpack.core import Digraph, DomainError, Tournament, mask_of, spans_copy
 from tpack.absorbing import (
     AbsorberFamily,
     AssignmentFailed,
@@ -84,6 +85,37 @@ def test_spans_two_cycles():
     assert not spans_two_cycles(Digraph(6, rows), range(6))
     with pytest.raises(DomainError):
         spans_two_cycles(g, (0, 1, 2))
+
+
+def ten_split_two_cycles(g, six):
+    """Reference: try the ten splits of the 6-set into triples containing
+    its lowest vertex and the rest."""
+    vs = sorted(six)
+    c3 = Tournament.cyclic_triangle()
+    for a in itertools.combinations(vs[1:], 2):
+        b = [v for v in vs[1:] if v not in a]
+        if spans_copy(g, (vs[0], *a), c3) and spans_copy(g, b, c3):
+            return True
+    return False
+
+
+def test_spans_two_cycles_matches_the_ten_splits():
+    rng = random.Random(23)
+    hits = 0
+    for trial in range(300):
+        n = rng.randint(6, 12)
+        density = (0.35, 0.5, 0.7)[trial % 3]
+        g = Digraph(n, [sum(1 << v for v in range(n) if v != u and rng.random() < density)
+                        for u in range(n)])
+        for _ in range(5):
+            six = rng.sample(range(n), 6)
+            want = ten_split_two_cycles(g, six)
+            assert spans_two_cycles(g, six) == want
+            hits += want
+    assert 100 < hits < 1400
+    for bad in ((0, 1, 2, 3, 4, 6), (-1, 0, 1, 2, 3, 4)):
+        with pytest.raises(DomainError, match="outside 0..5"):
+            spans_two_cycles(Digraph.complete(6), bad)
 
 
 def test_count_connectors_2c3():

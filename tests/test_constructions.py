@@ -9,6 +9,7 @@ from tpack.core import (
     Tournament,
     ceil_frac,
     digraph_to_text,
+    load_digraph_text,
     min_semidegree,
     spans_copy,
     total_min_degree,
@@ -181,6 +182,19 @@ def test_random_generators_are_pinned(kind):
         digest.update(digraph_to_text(_GENERATORS[kind](n, t, seed)).encode())
         count += 1
     assert (count, digest.hexdigest()) == _PINNED_GENERATORS[kind]
+
+
+@pytest.mark.parametrize("kind", sorted(_GENERATORS))
+def test_parse_matches_from_arcs_on_generator_texts(kind):
+    """load_digraph_text builds the rows itself; on every pinned generator
+    text it must give the digraph from_arcs gives (arc lines reversed on odd
+    seeds)."""
+    for n, t, seed in _generator_cases(kind):
+        lines = digraph_to_text(_GENERATORS[kind](n, t, seed)).splitlines()
+        if seed % 2:
+            lines[1:] = lines[:0:-1]
+        arcs = [tuple(map(int, ln.split())) for ln in lines[1:]]
+        assert load_digraph_text("\n".join(lines)) == Digraph.from_arcs(n, arcs)
 
 
 @pytest.mark.parametrize("kind", sorted(_GENERATORS))

@@ -222,6 +222,80 @@ def test_spans_copy_matches_brute_force(g, pick):
                         assert g.arc(emb.image[a], emb.image[b])
 
 
+def reference_spans_copy(g, x, pattern):
+    """The recursive spans_copy that core replaced, kept as the reference:
+    degree-prefiltered candidate lists, then a lowest-first search in
+    decreasing (out-degree, in-degree) order, checking arcs with g.arc."""
+    xs = sorted(set(x))
+    r = pattern.n
+    xmask = mask_of(xs)
+    p_out = [pattern.d_out(p) for p in range(r)]
+    p_in = [pattern.d_in(p) for p in range(r)]
+    order = sorted(range(r), key=lambda p: (-p_out[p], -p_in[p], p))
+    candidates = []
+    for p in order:
+        cand = [
+            v for v in xs
+            if g.d_out_to(v, xmask) >= p_out[p] and g.d_in_from(v, xmask) >= p_in[p]
+        ]
+        if not cand:
+            return None
+        candidates.append(cand)
+    image = {}
+    used = set()
+
+    def place(step):
+        if step == r:
+            return True
+        p = order[step]
+        for v in candidates[step]:
+            if v in used:
+                continue
+            if all((not pattern.arc(p, q) or g.arc(v, image[q]))
+                   and (not pattern.arc(q, p) or g.arc(image[q], v))
+                   for q in order[:step]):
+                used.add(v)
+                image[p] = v
+                if place(step + 1):
+                    return True
+                used.discard(v)
+                del image[p]
+        return False
+
+    if place(0):
+        return Embedding(pattern, tuple(image[p] for p in range(r)))
+    return None
+
+
+def test_spans_copy_matches_the_recursive_reference():
+    """Same embedding, not just the same verdict, as the recursive search."""
+    rng = random.Random(7)
+    spanned = 0
+    for n in range(4, 15):
+        for density in (0.3, 0.6, 0.85):
+            for _ in range(4):
+                rows = [sum(1 << v for v in range(n) if v != u and rng.random() < density)
+                        for u in range(n)]
+                g = Digraph(n, rows)
+                for pattern in COPY_PATTERNS:
+                    for _ in range(8):
+                        x = rng.sample(range(n), pattern.n)
+                        want = reference_spans_copy(g, x, pattern)
+                        assert spans_copy(g, x, pattern) == want
+                        spanned += want is not None
+    assert spanned > 5000
+
+
+def test_spans_copy_rejects_vertices_outside_the_host():
+    g = Digraph.complete(5)
+    t3 = Tournament.transitive(3)
+    for x, bad in (((0, 1, 7), 7), ((0, 1, 5), 5), ((0, 1, -1), -1), ((-3, 9, 2), -3)):
+        with pytest.raises(DomainError, match=f"vertex {bad} is outside 0..4"):
+            spans_copy(g, x, t3)
+    with pytest.raises(DomainError, match="vertex 0 is outside"):
+        spans_copy(Digraph.empty(0), (0,), Digraph.complete(1))
+
+
 def test_spans_copy_monotone_under_arc_addition():
     g = Digraph.from_arcs(3, [(0, 1), (1, 2)])
     t3 = Tournament.transitive(3)
@@ -250,6 +324,37 @@ def test_load_rejects_garbage():
         load_digraph_text("3\n0 0\n")
     with pytest.raises(DomainError):
         load_digraph_text("2\n0 5\n")
+
+
+def test_load_digraph_text_messages_are_pinned():
+    """Each refusal names its line; a text breaking several rules fails on its
+    first bad line, and on one line the checks run in the order below."""
+    cases = [
+        ("", "empty edge-list input"),
+        ("# only a comment\n\n", "empty edge-list input"),
+        ("three\n0 1\n", "first line must be the vertex count, got 'three'"),
+        ("-2\n", "vertex count must be non-negative"),
+        ("3\n0 1 2\n", "malformed arc line '0 1 2'"),
+        ("3\n0\n", "malformed arc line '0'"),
+        ("3\n0 x\n", "non-integer arc line '0 x'"),
+        ("3\n1 1\n", "loop line '1 1'"),
+        ("3\n7 7\n", "loop line '7 7'"),
+        ("3\n0 3\n", "arc line '0 3' out of range for n=3"),
+        ("3\n-1 0\n", "arc line '-1 0' out of range for n=3"),
+        ("3\n0 1\n1 0\n0 1\n", "duplicate arc line '0 1'"),
+        ("3\n0 1\n0 0\n0 1\n", "loop line '0 0'"),
+        ("3\n0 1\n0 1\n0 0\n", "duplicate arc line '0 1'"),
+        ("3\n0 5\n0 1 2\n", "arc line '0 5' out of range for n=3"),
+        # the lines are checked before anything of size n is built
+        (f"{2 ** 62}\n0 0\n", "loop line '0 0'"),
+    ]
+    for text, message in cases:
+        with pytest.raises(DomainError) as err:
+            load_digraph_text(text)
+        assert str(err.value) == message
+    assert load_digraph_text("# hosts\n 4 \n\n2 3\n# mid\n3 0\n0 2\n") == Digraph.from_arcs(
+        4, [(2, 3), (3, 0), (0, 2)])
+    assert load_digraph_text("0\n") == Digraph.empty(0)
 
 
 def test_parse_tournament_name():

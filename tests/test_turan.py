@@ -1,5 +1,8 @@
+import hashlib
 import itertools
+import json
 import random
+from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 import pytest
@@ -151,6 +154,36 @@ def test_independent_or_copy_random_hosts():
             common = set(res.candidates.common)
             assert common <= set(res.candidates.a_set)
             assert common <= set(res.candidates.b_set)
+
+
+def test_independent_or_copy_outputs_are_pinned():
+    """Copies, independent sets, bounds and candidate sets on relabelled
+    one-way blow-ups with extra arcs, each at an alpha that meets the
+    precondition; the sha256 was computed before the greedy placement of the
+    split pattern moved onto row masks."""
+    rng = random.Random(31)
+    patterns = all_tournaments(3) + all_tournaments(4)
+    out = []
+    for trial in range(240):
+        k = rng.randint(2, 5)
+        n = 3 * k
+        perm = rng.sample(range(n), n)
+        extra = rng.choice((0.0, 0.0, 0.05, 0.2, 0.9))
+        rows = [0] * n
+        for u in range(n):
+            for v in range(n):
+                if u != v and (v // k == (u // k + 1) % 3 or rng.random() < extra):
+                    rows[perm[u]] |= 1 << perm[v]
+        g = Digraph(n, rows)
+        pattern = patterns[trial % len(patterns)]
+        r = pattern.n
+        alpha = max(0.0, 1 - 1 / (r - 1) - min_semidegree(g) / n) + rng.choice((0.0, 0.01, 0.05))
+        res = independent_or_copy(g, pattern, alpha)
+        out.append([res.kind, res.embedding and res.embedding.image, res.independent,
+                    res.bound, res.candidates.a_set, res.candidates.b_set])
+    assert sorted(Counter(row[0] for row in out).items()) == [("copy", 115), ("independent", 125)]
+    assert hashlib.sha256(json.dumps(out).encode()).hexdigest() == (
+        "b3e959d9a794fa3cbd70b82e7384231887642fa331d68ac1938314853b57c1f3")
 
 
 def test_consistent_copy_on_complete_host():
