@@ -29,7 +29,6 @@ from .core import (
     mask_of,
     min_semidegree,
     parse_tournament_name,
-    save_digraph,
     spans_copy,
     total_min_degree,
 )

@@ -12,7 +12,8 @@ import random
 from dataclasses import dataclass, field
 
 from .core import (
-    Digraph, DomainError, Embedding, Tournament, bits, iter_copies, mask_of, spans_copy,
+    Digraph, DomainError, Embedding, Tournament, bits, copy_masks, iter_copies, mask_of,
+    spans_copy,
 )
 from .solver import (
     DEFAULT_BUDGET,
@@ -65,14 +66,20 @@ class ConnectorCount:
     cap_hit: bool
 
 
+def _check_connector_query(g: Digraph, x: int, y: int, cap: int | None) -> None:
+    if x == y:
+        raise DomainError("connector endpoints must differ")
+    if not (0 <= x < g.n and 0 <= y < g.n):
+        raise DomainError("endpoint outside the vertex range")
+    if cap is not None and cap < 1:
+        raise DomainError(f"cap must be at least 1, got {cap}")
+
+
 def count_connectors(g: Digraph, pattern: Digraph, x: int, y: int,
                      cap: int | None = None, sample_limit: int = 20) -> ConnectorCount:
     """Exact count of (r-1)-sets X with both X u {x} and X u {y} spanning the pattern."""
-    if x == y:
-        raise DomainError("connector endpoints must differ")
+    _check_connector_query(g, x, y, cap)
     n, r = g.n, pattern.n
-    if not (0 <= x < n and 0 <= y < n):
-        raise DomainError("endpoint outside the vertex range")
     others = [v for v in range(n) if v not in (x, y)]
     count = 0
     samples: list[tuple[int, ...]] = []
@@ -128,19 +135,26 @@ def spans_two_cycles(g: Digraph, six) -> bool:
 
 
 def count_connectors_2c3(g: Digraph, x: int, y: int, cap: int | None = None) -> int:
-    """5-sets X where X u {x} and X u {y} both split into two disjoint cycles."""
-    if x == y:
-        raise DomainError("connector endpoints must differ")
+    """5-sets X where X u {x} and X u {y} both split into two disjoint cycles,
+    counted up to cap.
+
+    X u {x} splits exactly when it is the union of two disjoint cyclic
+    triangles, one through x, so each endpoint's sets X come from pairs of
+    cyclic-triangle masks that avoid the other endpoint.
+    """
+    _check_connector_query(g, x, y, cap)
     if g.n < 7:
         raise DomainError("need at least 7 vertices")
-    others = [v for v in range(g.n) if v not in (x, y)]
-    count = 0
-    for combo in itertools.combinations(others, 5):
-        if spans_two_cycles(g, combo + (x,)) and spans_two_cycles(g, combo + (y,)):
-            count += 1
-            if cap is not None and count >= cap:
-                return count
-    return count
+    cycles = copy_masks(g, _C3)
+
+    def completions(a: int, b: int) -> set[int]:
+        ends = 1 << a | 1 << b
+        through = [m for m in cycles if m & ends == 1 << a]
+        rest = [m for m in cycles if not m & ends]
+        return {(m | o) ^ (1 << a) for m in through for o in rest if not m & o}
+
+    count = len(completions(x, y) & completions(y, x))
+    return count if cap is None else min(count, cap)
 
 
 @dataclass(frozen=True)
@@ -171,13 +185,16 @@ class AbsorberFamily:
         return self.m_mask.bit_count() == total
 
 
+#: random r-sets each absorber candidate is tried on
+_PROBES = 3
+
+
 def build_absorbing_family(g: Digraph, pattern_or_family, xi: float, samples: int = 200,
-                           seed: int = 0, probes: int = 3, min_hits: int = 1,
-                           budget: int = DEFAULT_BUDGET) -> AbsorberFamily:
+                           seed: int = 0, budget: int = DEFAULT_BUDGET) -> AbsorberFamily:
     """Sample candidate absorber sets, keep verified ones, drop overlaps, truncate.
 
     Candidates of size 2 r^2 are drawn uniformly; each is kept when it absorbs
-    at least min_hits of its random probe r-sets.  Kept sets are made disjoint
+    at least one of its _PROBES random probe r-sets.  Kept sets are made disjoint
     greedily in draw order and truncated so the union stays within xi * n
     vertices.  For 3-vertex patterns a 6-vertex candidate size is retried when
     the full size finds nothing.
@@ -207,11 +224,11 @@ def build_absorbing_family(g: Digraph, pattern_or_family, xi: float, samples: in
             cmask = mask_of(cand)
             outside = [v for v in range(n) if not cmask >> v & 1]
             probe_sets = [
-                tuple(sorted(rng.sample(outside, r))) for _ in range(probes)
+                tuple(sorted(rng.sample(outside, r))) for _ in range(_PROBES)
             ]
             good = [q for q in probe_sets
                     if is_absorbing(g, fam, cand, q, budget)]
-            if len(good) < min_hits:
+            if not good:
                 continue
             if cmask & used:
                 continue
@@ -234,7 +251,7 @@ def build_absorbing_family(g: Digraph, pattern_or_family, xi: float, samples: in
             )
     raise FamilyEmpty(
         f"no absorbing candidate among {tried} samples "
-        f"(sizes tried: {sizes}, probes per candidate: {probes})"
+        f"(sizes tried: {sizes}, probes per candidate: {_PROBES})"
     )
 
 

@@ -74,12 +74,6 @@ class BlowupPartition:
     def masks(self) -> tuple[int, int, int]:
         return tuple(mask_of(cl) for cl in self.classes)
 
-    def class_of(self, v: int) -> int:
-        for i, cl in enumerate(self.classes):
-            if v in cl:
-                return i
-        raise DomainError(f"vertex {v} not in any class")
-
 
 def _blowup_from_masks(masks: tuple[int, int, int], base: tuple[int, int, int],
                        shift: int) -> BlowupPartition:
@@ -136,32 +130,26 @@ class ContainmentWitness:
 
 
 _EXACT_CONTAIN_CAP = 12
+_HEURISTIC_RESTARTS = 16
 
 
-def alpha_contains_c3_blowup(g: Digraph, alpha: float, mode: str = "exact",
-                             seed: int = 0, restarts: int = 16) -> ContainmentWitness:
+def alpha_contains_c3_blowup(g: Digraph, alpha: float) -> ContainmentWitness:
     """Does some class assignment leave at most alpha * n^2 blow-up arcs missing?
 
-    Exact mode enumerates every assignment of V(g) into classes of the base
-    sizes (capped at n <= 12); heuristic mode runs seeded multi-restart swap
-    descent and can miss assignments but never claims containment falsely.
-    The witness carries the best partition and its deficit either way.
+    Up to n = 12 every assignment of V(g) into classes of the base sizes is
+    enumerated (mode "exact"); above that a seeded multi-restart swap descent
+    runs (mode "heuristic"), which can miss assignments but never claims
+    containment falsely.  The witness carries the best partition and its
+    deficit either way.
     """
     n = g.n
     if n < 3:
         raise DomainError("containment target needs n >= 3")
     base = _base_class_sizes(n)
     bound = alpha * n * n + FLOAT_SLACK
-    if mode == "exact":
-        if n > _EXACT_CONTAIN_CAP:
-            raise DomainError(
-                f"exact containment search capped at n <= {_EXACT_CONTAIN_CAP}; "
-                "use mode='heuristic'"
-            )
+    if n <= _EXACT_CONTAIN_CAP:
         return _contains_exact(g, base, bound, alpha)
-    if mode == "heuristic":
-        return _contains_heuristic(g, base, bound, alpha, seed, restarts)
-    raise DomainError(f"unknown containment mode {mode!r}")
+    return _contains_heuristic(g, base, bound, alpha)
 
 
 def _contains_exact(g: Digraph, base: tuple[int, int, int], bound: float,
@@ -189,12 +177,12 @@ def _contains_exact(g: Digraph, base: tuple[int, int, int], bound: float,
 
 
 def _contains_heuristic(g: Digraph, base: tuple[int, int, int], bound: float,
-                        alpha: float, seed: int, restarts: int) -> ContainmentWitness:
+                        alpha: float) -> ContainmentWitness:
     n = g.n
-    rng = random.Random(seed)
+    rng = random.Random(0)
     best: tuple[int, tuple[int, int, int]] | None = None
     cuts = (base[0], base[0] + base[1])
-    for _ in range(max(1, restarts)):
+    for _ in range(_HEURISTIC_RESTARTS):
         order = list(range(n))
         rng.shuffle(order)
         groups = [order[: cuts[0]], order[cuts[0]: cuts[1]], order[cuts[1]:]]

@@ -135,9 +135,6 @@ class Digraph:
     def out_neighbors(self, u: int):
         return bits(self._out[u])
 
-    def in_neighbors(self, u: int):
-        return bits(self._in[u])
-
     @property
     def num_arcs(self) -> int:
         return self._m
@@ -169,11 +166,6 @@ class Digraph:
                     row |= 1 << pos[old_v]
             rows[new_u] = row
         return Digraph(len(order), rows), order
-
-    def union(self, other: "Digraph") -> "Digraph":
-        if other.n != self.n:
-            raise DomainError("union requires equal orders")
-        return Digraph(self.n, [a | b for a, b in zip(self._out, other._out)])
 
     def minus_arcs(self, arcs) -> "Digraph":
         rows = list(self._out)
@@ -249,9 +241,6 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return self._adj[v].bit_count()
-
-    def degree_into(self, v: int, vertex_mask: int) -> int:
-        return (self._adj[v] & vertex_mask).bit_count()
 
     @property
     def num_edges(self) -> int:
@@ -588,11 +577,6 @@ def digraph_to_text(g: Digraph) -> str:
     lines = [str(g.n)]
     lines.extend(f"{u} {v}" for u, v in g.arcs())
     return "\n".join(lines) + "\n"
-
-
-def save_digraph(g: Digraph, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(digraph_to_text(g))
 
 
 def parse_tournament_name(name: str) -> Tournament:

@@ -111,8 +111,8 @@ class SweepReport:
     def params_dict(self) -> dict:
         return dict(self.params)
 
-    def to_dict(self, include_elapsed: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "schema": REPORT_SCHEMA,
             "kind": self.kind,
             "params": self.params_dict(),
@@ -132,13 +132,10 @@ class SweepReport:
                 for c in self.counterexamples
             ],
         }
-        if include_elapsed:
-            out["elapsed"] = self.elapsed
-        return out
 
-    def to_json(self, include_elapsed: bool = False) -> str:
+    def to_json(self) -> str:
         """Canonical form; wall time is excluded so reruns compare equal."""
-        return json.dumps(self.to_dict(include_elapsed), sort_keys=True)
+        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

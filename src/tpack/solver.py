@@ -144,6 +144,10 @@ class _BudgetHit(Exception):
     pass
 
 
+class _Optimal(Exception):
+    """The maximum search holds n // r disjoint sets, which nothing beats."""
+
+
 class _CoverSearch:
     """Exact cover core shared by the perfect and maximum searches.
 
@@ -220,7 +224,23 @@ class _CoverSearch:
             self.memo[uncovered] = hit
         if len(path) + len(hit) > len(self.best):
             self.best = path + list(hit)
+            if len(self.best) == self.n // self.r:
+                raise _Optimal
         return hit
+
+    def largest(self) -> bool:
+        """Fill best with a maximum packing; False when the budget ran out first.
+
+        best only ever grows, so stopping once it is as large as it can be
+        leaves the packing that the full search would end with.
+        """
+        try:
+            self.maximum((1 << self.n) - 1, [])
+        except _BudgetHit:
+            return False
+        except _Optimal:
+            pass
+        return True
 
 
 def _precheck(g: Digraph, fam: tuple[Digraph, ...], need_divisible: bool) -> int:
@@ -319,12 +339,7 @@ def find_max_packing(g: Digraph, pattern_or_family,
     r = _precheck(g, fam, need_divisible=False)
     masks, embed = _candidate_embeddings(g, fam)
     search = _CoverSearch(g.n, r, masks, budget)
-    full = (1 << g.n) - 1
-    exact = True
-    try:
-        search.maximum(full, [])
-    except _BudgetHit:
-        exact = False
+    exact = search.largest()
     elements = tuple(embed(m) for m in search.best)
     return MaxPackingResult(Packing(g.n, elements), exact, search.nodes)
 
@@ -348,11 +363,7 @@ def max_disjoint_sets(n: int, masks, budget: int = DEFAULT_BUDGET) -> tuple[list
     if r == 0:
         raise DomainError("empty sets cannot form a matching")
     search = _CoverSearch(n, r, [_mirror(n, m) for m in mask_list], budget)
-    exact = True
-    try:
-        search.maximum((1 << n) - 1, [])
-    except _BudgetHit:
-        exact = False
+    exact = search.largest()
     return [_mirror(n, m) for m in search.best], exact
 
 

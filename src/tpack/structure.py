@@ -24,6 +24,7 @@ from .core import (
     Tournament,
     at_least,
     bits,
+    copy_masks,
     mask_of,
     spans_copy,
 )
@@ -657,24 +658,10 @@ def _class_degrees(g: Digraph, v: int, cmask: int) -> tuple[int, int]:
     return g.d_out_to(v, cmask), g.d_in_from(v, cmask)
 
 
-def _find_cycle_in(
-    g: Digraph, pools: Sequence[Sequence[int]], counts: Sequence[int]
-) -> Embedding | None:
-    """Lex-least cyclic triangle drawing counts[i] vertices from pools[i]."""
-    picks: list[list[tuple[int, ...]]] = []
-    for pool, cnt in zip(pools, counts):
-        if cnt == 0:
-            picks.append([()])
-        else:
-            if len(pool) < cnt:
-                return None
-            picks.append(list(itertools.combinations(sorted(pool), cnt)))
-    for chosen in itertools.product(*picks):
-        verts = tuple(sorted(v for grp in chosen for v in grp))
-        emb = spans_copy(g, verts, _CYCLE)
-        if emb is not None:
-            return emb
-    return None
+def _lex(mask: int) -> tuple[int, ...]:
+    """Sort key that orders equal-size vertex sets as combinations() of a
+    sorted pool would."""
+    return tuple(bits(mask))
 
 
 def extremal_c3_pack(
@@ -715,9 +702,7 @@ def extremal_c3_pack(
                 "to proceed anyway"
             )
     if partition is None:
-        witness = alpha_contains_c3_blowup(
-            g, alpha, mode="exact" if n <= 12 else "heuristic"
-        )
+        witness = alpha_contains_c3_blowup(g, alpha)
         if not witness.contains:
             raise DomainError("host does not contain the blow-up at this alpha")
         classes = [list(c) for c in witness.partition.classes]
@@ -775,19 +760,36 @@ def extremal_c3_pack(
             classes[target].sort()
             diagnostics["moved"].append((v, src, target))
 
+    cycles: set[int] | None = None
+
+    def least_cycle(fits, key=_lex) -> Embedding | None:
+        """spans_copy's embedding on the key-least cyclic-triangle mask that fits.
+
+        The masks are enumerated on first use; balanced hosts never get here.
+        """
+        nonlocal cycles
+        if cycles is None:
+            cycles = copy_masks(g, _CYCLE)
+        found = [m for m in cycles if fits(m)]
+        return spans_copy(g, bits(min(found, key=key)), _CYCLE) if found else None
+
     # stage 2: one triangle to equalize class sizes mod 3
     sizes = [len(c) for c in classes]
     if len({s % 3 for s in sizes}) > 1:
         found = None
+        masks = [mask_of(c) for c in classes]
         for counts in itertools.product(range(4), repeat=3):
             if sum(counts) != 3:
                 continue
             residues = {(sizes[i] - counts[i]) % 3 for i in range(3)}
             if len(residues) != 1:
                 continue
-            emb = _find_cycle_in(g, classes, counts)
-            if emb is not None:
-                found = emb
+            # least in the product order of per-class combinations
+            found = least_cycle(
+                lambda m: tuple((m & cm).bit_count() for cm in masks) == counts,
+                key=lambda m: tuple(_lex(m & cm) for cm in masks),
+            )
+            if found is not None:
                 break
         if found is None:
             raise StageFailed(
@@ -825,12 +827,8 @@ def extremal_c3_pack(
         if v in removed_by_cover:
             continue
         idx = next(i for i, c in enumerate(classes) if v in c)
-        pool = [u for u in classes[idx] if u != v and u not in removed_by_cover]
-        emb = None
-        for pair in itertools.combinations(pool, 2):
-            emb = spans_copy(g, (v, *pair), _CYCLE)
-            if emb is not None:
-                break
+        pool = mask_of(u for u in classes[idx] if u not in removed_by_cover)
+        emb = least_cycle(lambda m: m >> v & 1 and not m & ~pool)
         if emb is None:
             raise StageFailed(
                 "cover",
@@ -849,11 +847,8 @@ def extremal_c3_pack(
         if len(set(sizes)) == 1:
             break
         idx = max(range(3), key=lambda i: (sizes[i], -i))
-        emb = None
-        for triple in itertools.combinations(classes[idx], 3):
-            emb = spans_copy(g, triple, _CYCLE)
-            if emb is not None:
-                break
+        pool = mask_of(classes[idx])
+        emb = least_cycle(lambda m: not m & ~pool)
         if emb is None:
             raise StageFailed(
                 "balance",

@@ -128,6 +128,50 @@ def test_count_connectors_2c3():
         count_connectors_2c3(g, 1, 1)
 
 
+def five_set_connectors_2c3(g, x, y, cap=None):
+    """Reference: scan every 5-set outside x and y for one that completes
+    both endpoints to two disjoint cyclic triangles."""
+    others = [v for v in range(g.n) if v not in (x, y)]
+    count = 0
+    for combo in itertools.combinations(others, 5):
+        if spans_two_cycles(g, combo + (x,)) and spans_two_cycles(g, combo + (y,)):
+            count += 1
+            if cap is not None and count >= cap:
+                return count
+    return count
+
+
+def test_count_connectors_2c3_matches_the_five_set_scan():
+    rng = random.Random(31)
+    nonzero = capped = 0
+    for trial in range(150):
+        n = rng.randint(7, 14)
+        density = (0.5, 0.7, 0.85)[trial % 3]
+        g = Digraph(n, [sum(1 << v for v in range(n) if v != u and rng.random() < density)
+                        for u in range(n)])
+        x, y = rng.sample(range(n), 2)
+        cap = rng.choice((None, None, 1, 3, 20))
+        want = five_set_connectors_2c3(g, x, y, cap)
+        assert count_connectors_2c3(g, x, y, cap) == want
+        nonzero += want > 0
+        capped += cap is not None and want == cap
+    assert nonzero > 50 and capped > 10
+
+
+def test_connector_counts_reject_bad_caps_and_endpoints():
+    g = Digraph.complete(8)
+    t = Tournament.transitive(3)
+    for cap in (0, -2):
+        with pytest.raises(DomainError, match="cap"):
+            count_connectors(g, t, 0, 1, cap=cap)
+        with pytest.raises(DomainError, match="cap"):
+            count_connectors_2c3(g, 0, 1, cap=cap)
+    for host in (g, Digraph.empty(8)):
+        for x, y in ((0, 8), (8, 0), (-1, 2), (2, -1)):
+            with pytest.raises(DomainError):
+                count_connectors_2c3(host, x, y)
+
+
 def test_is_absorbing_basics():
     g = Digraph.complete(9)
     t = Tournament.transitive(3)

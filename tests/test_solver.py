@@ -15,6 +15,7 @@ from tpack.core import (
     all_tournaments,
     ceil_frac,
     k3_minus_pattern,
+    copy_masks,
     mask_of,
     spans_copy,
 )
@@ -43,6 +44,7 @@ from tpack.constructions import (
     make_near_tournament_extremal,
     make_source_counterexample,
     random_digraph_min_semidegree,
+    random_digraph_out_or_in,
 )
 
 T3 = Tournament.transitive(3)
@@ -277,10 +279,12 @@ def _sha_rows(rows):
 
 
 # the packings and the node counts of packed rows follow the first-fit stage,
-# so these hashes move whenever it picks other copies; the verdicts below do not
+# so these hashes move whenever it picks other copies; the verdicts below do not.
+# max-packing rows carry node counts, which move with any change to when the
+# maximum search stops; its exact flags and packings are pinned apart below
 _PINNED_SOLVER = {
     "disjoint-sets": (160, "816cb4d4ae57c7626fbabd4409b87d9748fa3cffbdce7a96dbefa7cc6e0da960"),
-    "max-packing": (65, "a0234066fef1f8fe74ffe06af4c810d7ccddaec872e9025ab69cf44e05106135"),
+    "max-packing": (65, "1183fe874102b7156bde7ea04553bec42c1bfb62c9cf3f185ee5af9a824f80fb"),
     "prove-none": (16, "864d867df3eefa4245bb28794b0327809c71e532306b618ed5bdfe4d63878404"),
     "semidegree": (16, "5e4b008b5b9e41b0aa747514c552c1c52c4fd8ce51266fc12e673a5faa065b95"),
 }
@@ -289,6 +293,26 @@ _PINNED_SOLVER = {
 @pytest.mark.parametrize("kind", sorted(_PINNED_SOLVER))
 def test_solver_outputs_are_pinned(kind):
     assert _sha_rows(_pinned_outputs(kind)) == _PINNED_SOLVER[kind]
+
+
+# exact flags and packings of the max-packing cases without their node
+# counts, computed before the search stopped on reaching n // r copies
+_PINNED_MAX_PACKINGS = (65, "b337f99f334fa11b24771269188c92f6063962d64d66a299afd0401fbd4e781a")
+
+
+def test_max_packings_are_pinned_without_nodes():
+    rows = ([res.exact, _packing_rows(res.packing)]
+            for res in (find_max_packing(g, family) for g, family in _pinned_max_cases()))
+    assert _sha_rows(rows) == _PINNED_MAX_PACKINGS
+
+
+def test_max_packing_stops_once_it_holds_n_over_r_copies():
+    g = random_digraph_out_or_in(30, 4)
+    res = find_max_packing(g, C3, budget=20_000)
+    assert res.exact and len(res.packing) == 10
+    assert verify_packing(g, C3, res.packing)
+    chosen, exact = max_disjoint_sets(30, copy_masks(g, C3), budget=20_000)
+    assert exact and len(chosen) == 10
 
 
 # verdicts, plus the node count of every verdict but packed, which only the

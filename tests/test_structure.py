@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -259,3 +261,76 @@ def test_extremal_pack_tolerates_small_damage():
         return  # a stage may legitimately give up on a damaged host
     assert verify_packing(damaged, Tournament.cyclic_triangle(), pk,
                           require_perfect=True)
+
+
+def _damaged_blowups(count):
+    """Seeded n=9..30 cyclic blow-ups, damaged and relabelled, with the
+    relabelled classes as witness (none now and then at n <= 12).
+
+    Damage rewires up to two turncoat vertices to look like members of
+    another class, which stage 1 then moves and stage 2 must make up for,
+    and flips a random share of the ordered pairs, which weakens cross
+    degrees for stages 3 and 4.
+    """
+    rng = random.Random("extremal-c3-pack")
+    for _ in range(count):
+        n = 3 * rng.randint(3, 10)
+        g, part = make_c3_blowup(n, 0)
+        rows = [g.out_mask(v) for v in range(n)]
+        classes = [list(c) for c in part.classes]
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            i = rng.randrange(3)
+            v = rng.choice(classes[i])
+            j = (i + rng.choice((1, 2))) % 3
+            own = sum(1 << u for u in classes[j] if u != v)
+            nxt = sum(1 << u for u in classes[(j + 1) % 3])
+            prv = sum(1 << u for u in classes[(j + 2) % 3])
+            rows[v] = (own | nxt) & ~(1 << v)
+            for u in range(n):
+                if u != v:
+                    rows[u] = (rows[u] | 1 << v) if (own | prv) >> u & 1 else rows[u] & ~(1 << v)
+        flip = rng.choice((0.0, 0.02, 0.05, 0.1))
+        for u in range(n):
+            for v in range(n):
+                if u != v and rng.random() < flip:
+                    rows[u] ^= 1 << v
+        perm = list(range(n))
+        rng.shuffle(perm)
+        relabelled = [0] * n
+        for u in range(n):
+            for v in range(n):
+                if rows[u] >> v & 1:
+                    relabelled[perm[u]] |= 1 << perm[v]
+        witness = [[perm[v] for v in c] for c in classes]
+        if n <= 12 and rng.random() < 0.3:
+            witness = None
+        yield Digraph(n, relabelled), witness, rng.random() < 0.3
+
+
+def _extremal_row(g, witness, require_degree):
+    try:
+        pk = extremal_c3_pack(g, 0.3, partition=witness, require_degree=require_degree)
+    except StageFailed as exc:
+        return ["failed", exc.stage, str(exc), exc.details]
+    except DomainError as exc:
+        return ["refused", str(exc)]
+    return ["packed", [[list(e.image), [e.pattern.out_mask(v) for v in range(3)]]
+                       for e in pk.elements]]
+
+
+# sha256 of the rows, computed while the stages still scanned combinations
+# with spans_copy: 939 hosts pack (306 of them take a parity triangle, 100
+# cover triangles, 289 balance triangles), 203 fail a stage (102 parity,
+# 71 cover, 27 balance, 3 finish) and 358 are refused
+_PINNED_EXTREMAL = (1500, "65c237567e2ab05cbc1999f355a7c5c8bb440a902d3268fc20bf11a00dad65f3")
+
+
+def test_extremal_pack_outputs_are_pinned():
+    digest = hashlib.sha256()
+    kinds = {"packed": 0, "failed": 0, "refused": 0}
+    for case in _damaged_blowups(_PINNED_EXTREMAL[0]):
+        row = _extremal_row(*case)
+        kinds[row[0]] += 1
+        digest.update(json.dumps(row, sort_keys=True).encode())
+    assert kinds == {"packed": 939, "failed": 203, "refused": 358}
+    assert digest.hexdigest() == _PINNED_EXTREMAL[1]
