@@ -770,8 +770,8 @@ def extremal_c3_pack(
         nonlocal cycles
         if cycles is None:
             cycles = copy_masks(g, _CYCLE)
-        found = [m for m in cycles if fits(m)]
-        return spans_copy(g, bits(min(found, key=key)), _CYCLE) if found else None
+        fitting = [m for m in cycles if fits(m)]
+        return spans_copy(g, bits(min(fitting, key=key)), _CYCLE) if fitting else None
 
     # stage 2: one triangle to equalize class sizes mod 3
     sizes = [len(c) for c in classes]
