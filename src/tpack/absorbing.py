@@ -66,19 +66,19 @@ class ConnectorCount:
     cap_hit: bool
 
 
-def _check_connector_query(g: Digraph, x: int, y: int, cap: int | None) -> None:
+def _check_endpoints(g: Digraph, x: int, y: int) -> None:
     if x == y:
         raise DomainError("connector endpoints must differ")
     if not (0 <= x < g.n and 0 <= y < g.n):
         raise DomainError("endpoint outside the vertex range")
-    if cap is not None and cap < 1:
-        raise DomainError(f"cap must be at least 1, got {cap}")
 
 
 def count_connectors(g: Digraph, pattern: Digraph, x: int, y: int,
                      cap: int | None = None, sample_limit: int = 20) -> ConnectorCount:
     """Exact count of (r-1)-sets X with both X u {x} and X u {y} spanning the pattern."""
-    _check_connector_query(g, x, y, cap)
+    _check_endpoints(g, x, y)
+    if cap is not None and cap < 1:
+        raise DomainError(f"cap must be at least 1, got {cap}")
     n, r = g.n, pattern.n
     others = [v for v in range(n) if v not in (x, y)]
     count = 0
@@ -134,15 +134,15 @@ def spans_two_cycles(g: Digraph, six) -> bool:
                for mask, _ in iter_copies(g, _C3, within, vs[0]))
 
 
-def count_connectors_2c3(g: Digraph, x: int, y: int, cap: int | None = None) -> int:
-    """5-sets X where X u {x} and X u {y} both split into two disjoint cycles,
-    counted up to cap.
+def count_connectors_2c3(g: Digraph, x: int, y: int) -> int:
+    """5-sets X where X u {x} and X u {y} both split into two disjoint cycles.
 
     X u {x} splits exactly when it is the union of two disjoint cyclic
     triangles, one through x, so each endpoint's sets X come from pairs of
-    cyclic-triangle masks that avoid the other endpoint.
+    cyclic-triangle masks that avoid the other endpoint.  Both sets are built
+    in full, so the count has no early exit.
     """
-    _check_connector_query(g, x, y, cap)
+    _check_endpoints(g, x, y)
     if g.n < 7:
         raise DomainError("need at least 7 vertices")
     cycles = copy_masks(g, _C3)
@@ -153,8 +153,7 @@ def count_connectors_2c3(g: Digraph, x: int, y: int, cap: int | None = None) -> 
         rest = [m for m in cycles if not m & ends]
         return {(m | o) ^ (1 << a) for m in through for o in rest if not m & o}
 
-    count = len(completions(x, y) & completions(y, x))
-    return count if cap is None else min(count, cap)
+    return len(completions(x, y) & completions(y, x))
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ from .core import (
     Tournament,
     at_least,
     bits,
-    copy_masks,
     mask_of,
     spans_copy,
 )
@@ -658,10 +657,28 @@ def _class_degrees(g: Digraph, v: int, cmask: int) -> tuple[int, int]:
     return g.d_out_to(v, cmask), g.d_in_from(v, cmask)
 
 
-def _lex(mask: int) -> tuple[int, ...]:
-    """Sort key that orders equal-size vertex sets as combinations() of a
-    sorted pool would."""
-    return tuple(bits(mask))
+def _first_cycle(g: Digraph, slots: Sequence[int]) -> Embedding | None:
+    """spans_copy's embedding on the lex-first cyclic triangle (a, b, c) with
+    a, b and c in the vertex masks slots[0], slots[1] and slots[2].
+
+    A vertex drawn from the same mask as the one before it must be larger, so
+    the triples come in the order of itertools.product over per-class
+    combinations of sorted classes.  The third vertex is a row-AND, and the
+    scan stops at the first triangle.
+    """
+    sa, sb, sc = slots
+    for a in bits(sa):
+        out_a, in_a = g.out_mask(a), g.in_mask(a)
+        for b in bits(sb & (out_a | in_a) & ~(sa & (2 << a) - 1)):
+            close = 0
+            if out_a >> b & 1:
+                close |= g.out_mask(b) & in_a
+            if in_a >> b & 1:
+                close |= g.in_mask(b) & out_a
+            close &= sc & ~(sb & (2 << b) - 1)
+            if close:
+                return spans_copy(g, (a, b, (close & -close).bit_length() - 1), _CYCLE)
+    return None
 
 
 def extremal_c3_pack(
@@ -760,19 +777,6 @@ def extremal_c3_pack(
             classes[target].sort()
             diagnostics["moved"].append((v, src, target))
 
-    cycles: set[int] | None = None
-
-    def least_cycle(fits, key=_lex) -> Embedding | None:
-        """spans_copy's embedding on the key-least cyclic-triangle mask that fits.
-
-        The masks are enumerated on first use; balanced hosts never get here.
-        """
-        nonlocal cycles
-        if cycles is None:
-            cycles = copy_masks(g, _CYCLE)
-        fitting = [m for m in cycles if fits(m)]
-        return spans_copy(g, bits(min(fitting, key=key)), _CYCLE) if fitting else None
-
     # stage 2: one triangle to equalize class sizes mod 3
     sizes = [len(c) for c in classes]
     if len({s % 3 for s in sizes}) > 1:
@@ -784,11 +788,7 @@ def extremal_c3_pack(
             residues = {(sizes[i] - counts[i]) % 3 for i in range(3)}
             if len(residues) != 1:
                 continue
-            # least in the product order of per-class combinations
-            found = least_cycle(
-                lambda m: tuple((m & cm).bit_count() for cm in masks) == counts,
-                key=lambda m: tuple(_lex(m & cm) for cm in masks),
-            )
+            found = _first_cycle(g, [masks[i] for i in range(3) for _ in range(counts[i])])
             if found is not None:
                 break
         if found is None:
@@ -827,8 +827,8 @@ def extremal_c3_pack(
         if v in removed_by_cover:
             continue
         idx = next(i for i, c in enumerate(classes) if v in c)
-        pool = mask_of(u for u in classes[idx] if u not in removed_by_cover)
-        emb = least_cycle(lambda m: m >> v & 1 and not m & ~pool)
+        pool = mask_of(u for u in classes[idx] if u != v and u not in removed_by_cover)
+        emb = _first_cycle(g, (1 << v, pool, pool))
         if emb is None:
             raise StageFailed(
                 "cover",
@@ -848,7 +848,7 @@ def extremal_c3_pack(
             break
         idx = max(range(3), key=lambda i: (sizes[i], -i))
         pool = mask_of(classes[idx])
-        emb = least_cycle(lambda m: not m & ~pool)
+        emb = _first_cycle(g, (pool, pool, pool))
         if emb is None:
             raise StageFailed(
                 "balance",

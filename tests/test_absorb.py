@@ -121,7 +121,6 @@ def test_spans_two_cycles_matches_the_ten_splits():
 def test_count_connectors_2c3():
     g = Digraph.complete(9)
     assert count_connectors_2c3(g, 0, 1) == math.comb(7, 5)
-    assert count_connectors_2c3(g, 0, 1, cap=4) == 4
     with pytest.raises(DomainError):
         count_connectors_2c3(Digraph.complete(6), 0, 1)
     with pytest.raises(DomainError):
@@ -152,7 +151,8 @@ def test_count_connectors_2c3_matches_the_five_set_scan():
         x, y = rng.sample(range(n), 2)
         cap = rng.choice((None, None, 1, 3, 20))
         want = five_set_connectors_2c3(g, x, y, cap)
-        assert count_connectors_2c3(g, x, y, cap) == want
+        got = count_connectors_2c3(g, x, y)
+        assert (got if cap is None else min(got, cap)) == want
         nonzero += want > 0
         capped += cap is not None and want == cap
     assert nonzero > 50 and capped > 10
@@ -164,8 +164,6 @@ def test_connector_counts_reject_bad_caps_and_endpoints():
     for cap in (0, -2):
         with pytest.raises(DomainError, match="cap"):
             count_connectors(g, t, 0, 1, cap=cap)
-        with pytest.raises(DomainError, match="cap"):
-            count_connectors_2c3(g, 0, 1, cap=cap)
     for host in (g, Digraph.empty(8)):
         for x, y in ((0, 8), (8, 0), (-1, 2), (2, -1)):
             with pytest.raises(DomainError):
