@@ -403,6 +403,8 @@ def _persist_counterexamples(report, out: str | None) -> None:
 def _cmd_verify(args) -> int:
     if args.check in ("krtotal", "c3total") and args.mode == "exhaustive":
         raise DomainError(f"{args.check} sweeps are sampling-only; drop --mode")
+    if args.check != "threshold" and args.tournament is not None:
+        raise DomainError(f"{args.check} takes no --tournament; only threshold does")
     if args.check == "threshold":
         pattern = parse_tournament_name(args.tournament or f"t{args.r}")
         report = sweep_semidegree(

@@ -139,9 +139,6 @@ class Digraph:
     def num_arcs(self) -> int:
         return self._m
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def arcs(self):
         """Yield arcs (u, v) in lexicographic order."""
         for u in range(self.n):

@@ -142,143 +142,79 @@ class SweepReport:
 # exhaustive complement enumeration
 
 
-def _partial_injections(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """All loop-free partial injections on n points, as (v, f(v)) arc tuples.
+def _complements(
+    n: int, options: list[list[int]], capped: int, cap: int
+) -> Iterator[Digraph]:
+    """Every host K_n minus C, where C takes vertex v's out-row from
+    ``options[v]`` (in order) and each vertex in the mask ``capped`` misses
+    at most ``cap`` (0 or 1) in-arcs.
 
-    These are exactly the complement digraphs with at most one missing arc
-    per vertex per direction.
+    ``hit`` holds the capped vertices that may miss no further in-arc; a
+    row entering it is refused.
     """
-    chosen: list[tuple[int, int]] = []
+    full = (1 << n) - 1
+    out = [0] * n
 
-    def place(v: int, used: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    def place(v: int, hit: int) -> Iterator[Digraph]:
         if v == n:
-            yield tuple(chosen)
+            yield Digraph(n, out)
             return
-        yield from place(v + 1, used)
-        for w in range(n):
-            if w != v and not (used >> w) & 1:
-                chosen.append((v, w))
-                yield from place(v + 1, used | (1 << w))
-                chosen.pop()
+        keep = full ^ (1 << v)
+        for row in options[v]:
+            if not row & hit:
+                out[v] = keep ^ row
+                yield from place(v + 1, hit | row & capped)
 
-    yield from place(0, 0)
+    yield from place(0, 0 if cap else capped)
+
+
+def _deficiency(n: int, threshold: int) -> int:
+    """Arcs n-1-threshold that each vertex may miss per direction (negative:
+    no host); more than one is refused."""
+    if n < 1:
+        raise DomainError("need at least one vertex")
+    slack = n - 1 - threshold
+    if slack > 1:
+        raise DomainError(
+            f"exhaustive enumeration needs deficiency at most 1 per direction, "
+            f"got {slack}; lower n or raise the threshold, or use random mode"
+        )
+    return slack
 
 
 def iter_min_semidegree_hosts(n: int, dmin: int) -> Iterator[Digraph]:
     """Every digraph on n vertices with min semidegree at least dmin.
 
     Feasible only when each vertex may miss at most one arc per direction
-    (dmin at least n-2); larger deficiencies are refused.
+    (dmin at least n-2); larger deficiencies are refused.  The complements
+    are the loop-free partial injections: each vertex misses no out-arc or
+    one, and every vertex is capped.
     """
-    if n < 1:
-        raise DomainError("need at least one vertex")
-    slack = n - 1 - dmin
+    slack = _deficiency(n, dmin)
     if slack < 0:
         return
-    if slack == 0:
-        yield Digraph.complete(n)
-        return
-    if slack > 1:
-        raise DomainError(
-            f"exhaustive enumeration needs deficiency at most 1 per direction, "
-            f"got {slack}; lower n or raise the threshold, or use random mode"
-        )
-    complete = Digraph.complete(n)
-    for arcs in _partial_injections(n):
-        yield complete.minus_arcs(arcs)
-
-
-def _row_masks(n: int, v: int, low: int, high: int) -> list[int]:
-    pool = [w for w in range(n) if w != v]
-    out = []
-    for mask in range(1 << len(pool)):
-        pc = mask.bit_count()
-        if low <= pc <= high:
-            real = 0
-            m = mask
-            while m:
-                b = m & -m
-                real |= 1 << pool[b.bit_length() - 1]
-                m ^= b
-            out.append(real)
-    return sorted(out)
-
-
-def _disjunction_complements(n: int, cap: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """All arc sets where every vertex has out-degree <= cap or in-degree <= cap.
-
-    Cases are split by the exact witness set W = vertices with out-degree
-    at most cap; rows outside W must exceed cap and keep in-degree at most
-    cap, which the backtracking prunes as soon as it is violated.
-    """
-    light = [_row_masks(n, v, 0, cap) for v in range(n)]
-    heavy = [_row_masks(n, v, cap + 1, n - 1) for v in range(n)]
-    indeg = [0] * n
-    rows: list[int] = []
-
-    for wmask in range(1 << n):
-
-        def place(v: int) -> Iterator[tuple[tuple[int, int], ...]]:
-            if v == n:
-                yield tuple(
-                    (u, w)
-                    for u, row in enumerate(rows)
-                    for w in range(n)
-                    if (row >> w) & 1
-                )
-                return
-            options = light[v] if (wmask >> v) & 1 else heavy[v]
-            for row in options:
-                ok = True
-                m = row
-                while m:
-                    b = m & -m
-                    w = b.bit_length() - 1
-                    indeg[w] += 1
-                    if not (wmask >> w) & 1 and indeg[w] > cap:
-                        # roll back this partial row
-                        indeg[w] -= 1
-                        mm = row & (b - 1)
-                        while mm:
-                            bb = mm & -mm
-                            indeg[bb.bit_length() - 1] -= 1
-                            mm ^= bb
-                        ok = False
-                        break
-                    m ^= b
-                if not ok:
-                    continue
-                rows.append(row)
-                yield from place(v + 1)
-                rows.pop()
-                m = row
-                while m:
-                    b = m & -m
-                    indeg[b.bit_length() - 1] -= 1
-                    m ^= b
-
-        yield from place(0)
+    rows = [[0] + [1 << w for w in range(n) if w != v] for v in range(n)]
+    yield from _complements(n, rows, (1 << n) - 1, slack)
 
 
 def iter_out_or_in_hosts(n: int, t: int) -> Iterator[Digraph]:
     """Every digraph where each vertex has out-degree >= t or in-degree >= t.
 
-    Same feasibility rule as iter_min_semidegree_hosts: the complement may
-    carry at most one arc per direction per vertex on the relevant side.
+    Same feasibility rule as iter_min_semidegree_hosts.  Cases are split by
+    the exact witness set W of vertices missing at most cap = n-1-t out-arcs:
+    rows in W are light (at most cap arcs), rows outside W heavy, and the
+    vertices outside W are capped.
     """
-    if n < 1:
-        raise DomainError("need at least one vertex")
-    cap = n - 1 - t
+    cap = _deficiency(n, t)
     if cap < 0:
         return
-    if cap > 1:
-        raise DomainError(
-            f"exhaustive enumeration needs deficiency at most 1 per direction, "
-            f"got {cap}; lower n or raise the threshold, or use random mode"
-        )
-    complete = Digraph.complete(n)
-    for arcs in _disjunction_complements(n, cap):
-        yield complete.minus_arcs(arcs)
+    full = (1 << n) - 1
+    rows = [[m for m in range(1 << n) if not m >> v & 1] for v in range(n)]
+    light = [[m for m in r if m.bit_count() <= cap] for r in rows]
+    heavy = [[m for m in r if m.bit_count() > cap] for r in rows]
+    for wmask in range(1 << n):
+        options = [light[v] if wmask >> v & 1 else heavy[v] for v in range(n)]
+        yield from _complements(n, options, full ^ wmask, cap)
 
 
 # ---------------------------------------------------------------------------

@@ -203,6 +203,15 @@ def test_verify_other_checks(tmp_path, capsys):
                            "--mode", "exhaustive")
         assert code == 1 and "sampling-only" in err
 
+    # only threshold sweeps read --tournament; the others must not ignore it
+    code, out, err = run(capsys, "verify", "outin", "--n", "3",
+                         "--mode", "exhaustive", "--tournament", "c3")
+    assert code == 1 and not out and "--tournament" in err
+    for check in ("tightness", "krtotal", "c3total"):
+        code, out, err = run(capsys, "verify", check, "--n", "3",
+                             "--tournament", "c3")
+        assert code == 1 and not out and "--tournament" in err
+
 
 def test_verify_counterexample_exit_code(tmp_path, capsys, monkeypatch):
     # unit-test the exit-code plumbing with an injected report

@@ -1,6 +1,9 @@
 import hashlib
+import inspect
+import itertools
 import json
 import math
+import time
 from collections import Counter
 
 import pytest
@@ -76,7 +79,7 @@ def test_enumeration_refuses_deep_deficiency():
 
 
 def test_out_or_in_host_counts_brute():
-    for n, t in ((3, 2), (4, 3)):
+    for n, t in ((3, 2), (4, 3), (3, 1), (4, 2)):
         hosts = list(iter_out_or_in_hosts(n, t))
         assert len(set(row_key(g) for g in hosts)) == len(hosts)
 
@@ -91,6 +94,34 @@ def test_out_or_in_host_counts_brute():
             if all(rows[v].bit_count() >= t or indeg[v] >= t for v in range(n)):
                 brute += 1
         assert len(hosts) == brute
+
+
+def test_host_enumeration_order_is_pinned():
+    # counterexample labels enum:i index this order; the hash was taken
+    # from the enumerators before they shared one complement generator
+    spaces = [iter_min_semidegree_hosts(n, n - 1 - d)
+              for n in range(1, 7) for d in (0, 1)]
+    spaces += [iter_out_or_in_hosts(n, n - 1 - d)
+               for n in range(1, 6) for d in (0, 1)]
+    spaces.append(itertools.islice(iter_out_or_in_hosts(6, 4), 100_000))
+    h = hashlib.sha256()
+    count = 0
+    for hosts in spaces:
+        for g in hosts:
+            h.update(repr(row_key(g)).encode())
+            count += 1
+    assert count == 216_097
+    assert h.hexdigest() == (
+        "4ea7a1eac6c9eb74f403c92db95e512569537fb43cce561b0e86701836d53347"
+    )
+
+
+def test_host_enumerators_are_lazy_generators():
+    assert inspect.isgeneratorfunction(iter_min_semidegree_hosts)
+    assert inspect.isgeneratorfunction(iter_out_or_in_hosts)
+    start = time.perf_counter()
+    assert next(iter_min_semidegree_hosts(40, 38)) == Digraph.complete(40)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_exhaustive_semidegree_sweep_n6():
