@@ -97,8 +97,8 @@ def test_out_or_in_host_counts_brute():
 
 
 def test_host_enumeration_order_is_pinned():
-    # counterexample labels enum:i index this order; the hash was taken
-    # from the enumerators before they shared one complement generator
+    # counterexample labels enum:i index this order, so any change to it
+    # must re-base this hash on purpose
     spaces = [iter_min_semidegree_hosts(n, n - 1 - d)
               for n in range(1, 7) for d in (0, 1)]
     spaces += [iter_out_or_in_hosts(n, n - 1 - d)
