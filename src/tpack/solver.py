@@ -1,14 +1,14 @@
 """Perfect and maximum packing search over fixed-order patterns.
 
-A perfect packing is first sought by a capped first-fit (_first_fit), which
-can only prove that one exists.  The exact search behind it is exact cover
-over candidate vertex sets: enumerate every r-set that spans one of the
-patterns, then backtrack on the lowest-index uncovered vertex.  It runs in
-the mirror labelling (vertex v becomes n-1-v), where that vertex is the
-highest uncovered bit and combination order is descending integer order.  A
-failed-subproblem memo keyed on the uncovered mask makes non-existence proofs
-cheap to exhaust, and a node budget turns runaway searches into a distinct
-verdict instead of a wrong answer.
+Both perfect-packing stages run one explicit-stack exact-cover loop
+(_search) that branches on the lowest uncovered vertex; they differ only in
+the branches they supply.  A capped first-fit (_first_fit) draws copies
+through that vertex lazily and can only prove that a packing exists.  The
+exact search behind it branches over every r-set that spans a pattern, in
+the mirror labelling (vertex v becomes n-1-v), where combination order is
+descending integer order.  A failed-subproblem memo keyed on the uncovered
+mask makes non-existence proofs cheap to exhaust, and a node budget turns
+runaway searches into a distinct verdict instead of a wrong answer.
 """
 
 from __future__ import annotations
@@ -140,6 +140,53 @@ def _candidate_embeddings(g: Digraph, fam: tuple[Digraph, ...]):
     return masks, embed
 
 
+def _search(full: int, branches, limit: int):
+    """Depth-first exact cover of the vertex mask full: (items, nodes), or
+    (None, nodes) when it fails or gives up.
+
+    Each node is an uncovered set; branches(uncovered) yields (mask, item)
+    for each way to extend it, and the loop covers mask, records item and
+    pushes the remainder as the next node.  A node whose branches run out is
+    popped and its parent takes its next one.  The loop runs on an explicit
+    stack, holds no memo and gives up once nodes > limit.
+    """
+    uncovered = full
+    frames = []  # per node: (its branches, uncovered there)
+    items = []  # the item taken at each node below the top one
+    nodes = 0
+    while uncovered:
+        nodes += 1
+        if nodes > limit:
+            return None, nodes
+        frames.append((branches(uncovered), uncovered))
+        while True:
+            steps, before = frames[-1]
+            for mask, item in steps:
+                break
+            else:
+                frames.pop()
+                if not frames:
+                    return None, nodes
+                items.pop()
+                continue
+            items.append(item)
+            uncovered = before ^ mask
+            break
+    return items, nodes
+
+
+def _by_vertex(n: int, masks: list[int]) -> list[list[int]]:
+    """The masks through each vertex below n, each list in the order of masks."""
+    by_vertex: list[list[int]] = [[] for _ in range(n)]
+    for m in masks:
+        rest = m
+        while rest:
+            low = rest & -rest
+            by_vertex[low.bit_length() - 1].append(m)
+            rest ^= low
+    return by_vertex
+
+
 class _BudgetHit(Exception):
     pass
 
@@ -148,106 +195,55 @@ class _Optimal(Exception):
     """The maximum search holds n // r disjoint sets, which nothing beats."""
 
 
-class _CoverSearch:
-    """Exact cover core shared by the perfect and maximum searches.
+def _largest(n: int, r: int, masks: list[int], budget: int):
+    """(best, exact, nodes): a largest set of pairwise-disjoint masks, whether
+    the search completed within budget, and the subproblems it expanded.
 
     Masks are mirrored, so the branch vertex, the lowest uncovered one in the
-    host's labels, is the highest uncovered bit.
+    host's labels, is the highest uncovered bit.  Each uncovered set is
+    solved once (memo).  best only ever grows, so stopping once it holds
+    n // r sets leaves the packing that the full search would end with.
     """
+    by_vertex = _by_vertex(n, masks)
+    memo: dict[int, tuple[int, ...]] = {}
+    best: list[int] = []
+    nodes = 0
 
-    def __init__(self, n: int, r: int, masks: list[int], budget: int):
-        self.n = n
-        self.r = r
-        by_vertex: list[list[int]] = [[] for _ in range(n)]
-        for m in masks:
-            rest = m
-            while rest:
-                low = rest & -rest
-                by_vertex[low.bit_length() - 1].append(m)
-                rest ^= low
-        self.by_vertex = by_vertex
-        self.budget = budget
-        self.nodes = 0
-        self.failed: set[int] = set()
-        self.memo: dict[int, tuple[int, ...]] = {}
-        self.best: list[int] = []
-
-    def _tick(self):
-        self.nodes += 1
-        if self.nodes > self.budget:
-            raise _BudgetHit
-
-    def perfect(self, uncovered: int) -> list[int] | None:
-        if uncovered == 0:
-            return []
-        if uncovered in self.failed:
-            return None
-        self._tick()
-        # each list runs from the masks of the lowest host vertices, which the
-        # search covers first, so a mask that still fits is likelier at its end
-        for w in bits(uncovered):
-            if not any(m & ~uncovered == 0 for m in reversed(self.by_vertex[w])):
-                self.failed.add(uncovered)
-                return None
-        v = uncovered.bit_length() - 1
-        for m in self.by_vertex[v]:
-            if m & ~uncovered:
-                continue
-            sub = self.perfect(uncovered ^ m)
-            if sub is not None:
-                sub.append(m)
-                return sub
-        self.failed.add(uncovered)
-        return None
-
-    def maximum(self, uncovered: int, path: list[int]) -> tuple[int, ...]:
-        hit = self.memo.get(uncovered)
+    def maximum(uncovered: int, path: list[int]) -> tuple[int, ...]:
+        nonlocal best, nodes
+        hit = memo.get(uncovered)
         if hit is None:
-            self._tick()
-            if uncovered.bit_count() < self.r:
-                hit = ()
-            else:
+            nodes += 1
+            if nodes > budget:
+                raise _BudgetHit
+            hit = ()
+            if uncovered.bit_count() >= r:
                 v = uncovered.bit_length() - 1
-                best: tuple[int, ...] = ()
-                for m in self.by_vertex[v]:
+                for m in by_vertex[v]:
                     if m & ~uncovered:
                         continue
                     path.append(m)
-                    sub = self.maximum(uncovered ^ m, path)
+                    sub = maximum(uncovered ^ m, path)
                     path.pop()
-                    if len(sub) + 1 > len(best):
-                        best = (m,) + sub
-                skip = self.maximum(uncovered ^ (1 << v), path)
-                if len(skip) > len(best):
-                    best = skip
-                hit = best
-            self.memo[uncovered] = hit
-        if len(path) + len(hit) > len(self.best):
-            self.best = path + list(hit)
-            if len(self.best) == self.n // self.r:
+                    if len(sub) + 1 > len(hit):
+                        hit = (m,) + sub
+                skip = maximum(uncovered ^ (1 << v), path)
+                if len(skip) > len(hit):
+                    hit = skip
+            memo[uncovered] = hit
+        if len(path) + len(hit) > len(best):
+            best = path + list(hit)
+            if len(best) == n // r:
                 raise _Optimal
         return hit
 
-    def largest(self) -> bool:
-        """Fill best with a maximum packing; False when the budget ran out first.
-
-        best only ever grows, so stopping once it is as large as it can be
-        leaves the packing that the full search would end with.
-        """
-        try:
-            self.maximum((1 << self.n) - 1, [])
-        except _BudgetHit:
-            return False
-        except _Optimal:
-            pass
-        return True
-
-
-def _precheck(g: Digraph, fam: tuple[Digraph, ...], need_divisible: bool) -> int:
-    r = fam[0].n
-    if need_divisible and g.n % r:
-        raise DomainError(f"pattern order {r} does not divide host order {g.n}")
-    return r
+    try:
+        maximum((1 << n) - 1, [])
+    except _BudgetHit:
+        return best, False, nodes
+    except _Optimal:
+        pass
+    return best, True, nodes
 
 
 def find_perfect_packing(g: Digraph, pattern: Digraph,
@@ -261,47 +257,33 @@ _FIRST_FIT_SLACK = 32
 
 
 def _copies_through(g: Digraph, fam: tuple[Digraph, ...], within: int, a: int):
-    """(mask, pattern, image) for each family copy through a inside within."""
+    """(mask, (pattern, image)) for the first family copy through a inside
+    within on each vertex set."""
+    seen: set[int] = set()
     for pat in fam:
         for mask, image in iter_copies(g, pat, within, a):
-            yield mask, pat, image
+            if mask not in seen:
+                seen.add(mask)
+                yield mask, (pat, image)
 
 
 def _first_fit(g: Digraph, fam: tuple[Digraph, ...], budget: int) -> PackCertificate | None:
     """Perfect packing by depth-first first-fit, or None once it gives up.
 
-    Each node covers the lowest uncovered vertex with the next untried copy
-    through it inside the uncovered set, drawn lazily from iter_copies; a node
-    whose copies run out is backtracked.  It gives up after n/r +
-    _FIRST_FIT_SLACK nodes (never more than budget), so None proves nothing.
+    Each node covers the lowest uncovered vertex with the next vertex set
+    through it inside the uncovered set, drawn lazily by _copies_through; a
+    node whose copies run out is backtracked (_search).  It gives up after
+    n/r + _FIRST_FIT_SLACK nodes (never more than budget), so None proves
+    nothing.
     """
-    uncovered = (1 << g.n) - 1
     cap = min(g.n // fam[0].n + _FIRST_FIT_SLACK, budget)
-    frames = []  # per node: (its copies, uncovered there, masks tried there)
-    chosen: list[Embedding] = []  # the copy taken at each node below the top one
-    nodes = 0
-    while uncovered:
-        if nodes >= cap:
-            return None
-        nodes += 1
-        a = (uncovered & -uncovered).bit_length() - 1
-        frames.append((_copies_through(g, fam, uncovered, a), uncovered, set()))
-        while True:
-            copies, before, tried = frames[-1]
-            for mask, pat, image in copies:
-                if mask not in tried:
-                    break
-            else:
-                frames.pop()
-                if not frames:
-                    return None
-                chosen.pop()
-                continue
-            tried.add(mask)
-            chosen.append(Embedding(pat, image))
-            uncovered = before ^ mask
-            break
-    return PackCertificate(PACKED, Packing(g.n, tuple(chosen)), nodes)
+    chosen, nodes = _search(
+        (1 << g.n) - 1,
+        lambda u: _copies_through(g, fam, u, (u & -u).bit_length() - 1), cap)
+    if chosen is None:
+        return None
+    elements = tuple([Embedding(pat, image) for pat, image in chosen])
+    return PackCertificate(PACKED, Packing(g.n, elements), nodes)
 
 
 def find_perfect_family_packing(g: Digraph, family,
@@ -315,33 +297,42 @@ def find_perfect_family_packing(g: Digraph, family,
     search's own.
     """
     fam = normalize_patterns(family)
-    r = _precheck(g, fam, need_divisible=True)
+    if g.n % fam[0].n:
+        raise DomainError(f"pattern order {fam[0].n} does not divide host order {g.n}")
     quick = _first_fit(g, fam, budget)
     if quick is not None:
         return quick
     masks, embed = _candidate_embeddings(g, fam)
-    search = _CoverSearch(g.n, r, masks, budget)
-    full = (1 << g.n) - 1
-    try:
-        chosen = search.perfect(full)
-    except _BudgetHit:
-        return PackCertificate(BUDGET_EXCEEDED, None, search.nodes)
+    by_vertex = _by_vertex(g.n, masks)
+    failed: set[int] = set()  # uncovered sets shown to have no exact cover
+
+    def branches(uncovered: int):
+        # each list runs from the masks of the lowest host vertices, which the
+        # search covers first, so a mask that still fits is likelier at its end
+        for w in bits(uncovered):
+            if not any(m & ~uncovered == 0 for m in reversed(by_vertex[w])):
+                failed.add(uncovered)
+                return
+        for m in by_vertex[uncovered.bit_length() - 1]:
+            if m & ~uncovered == 0 and uncovered ^ m not in failed:
+                yield m, m
+        failed.add(uncovered)
+
+    chosen, nodes = _search((1 << g.n) - 1, branches, budget)
+    if nodes > budget:
+        return PackCertificate(BUDGET_EXCEEDED, None, nodes)
     if chosen is None:
-        return PackCertificate(EXHAUSTED_NONE, None, search.nodes)
-    elements = tuple(embed(m) for m in reversed(chosen))
-    return PackCertificate(PACKED, Packing(g.n, elements), search.nodes)
+        return PackCertificate(EXHAUSTED_NONE, None, nodes)
+    return PackCertificate(PACKED, Packing(g.n, tuple(embed(m) for m in chosen)), nodes)
 
 
 def find_max_packing(g: Digraph, pattern_or_family,
                      budget: int = DEFAULT_BUDGET) -> MaxPackingResult:
     """Maximum-cardinality packing; exact flag set when the search completed."""
     fam = normalize_patterns(pattern_or_family)
-    r = _precheck(g, fam, need_divisible=False)
     masks, embed = _candidate_embeddings(g, fam)
-    search = _CoverSearch(g.n, r, masks, budget)
-    exact = search.largest()
-    elements = tuple(embed(m) for m in search.best)
-    return MaxPackingResult(Packing(g.n, elements), exact, search.nodes)
+    best, exact, nodes = _largest(g.n, fam[0].n, masks, budget)
+    return MaxPackingResult(Packing(g.n, tuple(embed(m) for m in best)), exact, nodes)
 
 
 def max_disjoint_sets(n: int, masks, budget: int = DEFAULT_BUDGET) -> tuple[list[int], bool]:
@@ -362,9 +353,8 @@ def max_disjoint_sets(n: int, masks, budget: int = DEFAULT_BUDGET) -> tuple[list
     r = sizes.pop()
     if r == 0:
         raise DomainError("empty sets cannot form a matching")
-    search = _CoverSearch(n, r, [_mirror(n, m) for m in mask_list], budget)
-    exact = search.largest()
-    return [_mirror(n, m) for m in search.best], exact
+    best, exact, _ = _largest(n, r, [_mirror(n, m) for m in mask_list], budget)
+    return [_mirror(n, m) for m in best], exact
 
 
 def verify_packing(g: Digraph, pattern_or_family, packing: Packing,

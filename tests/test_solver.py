@@ -16,6 +16,7 @@ from tpack.core import (
     ceil_frac,
     k3_minus_pattern,
     copy_masks,
+    iter_copies,
     mask_of,
     spans_copy,
 )
@@ -76,6 +77,14 @@ def test_budget_verdict():
     cert = find_perfect_packing(Digraph.complete(15), C3, budget=3)
     assert cert.verdict == BUDGET_EXCEEDED
     assert cert.packing is None
+    # the search gives up on the node past its budget, so it reports budget + 1
+    g = Digraph.complete(15)
+    for budget in (0, 1, 3):
+        cert = find_perfect_packing(g, C3, budget=budget)
+        assert (cert.verdict, cert.nodes) == (BUDGET_EXCEEDED, budget + 1)
+    cert = find_perfect_packing(g, C3, budget=5)
+    assert (cert.verdict, cert.nodes) == (PACKED, 5)
+    assert find_max_packing(g, C3, budget=3).nodes == 4
 
 
 def test_family_widens_the_search():
@@ -440,6 +449,23 @@ def test_disjoint_cyclic_triangles_pack_without_recursion():
     cert = find_perfect_packing(g, C3)
     assert cert.verdict == PACKED and cert.nodes == k
     assert verify_packing(g, C3, cert.packing, require_perfect=True)
+    # first-fit takes 0->1->2->0 first in each block and must back out of it,
+    # so it passes its cap and the exact search has to go 1,000 levels deep
+    block = [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0), (2, 5), (5, 1)]
+    k = 500
+    g = Digraph.from_arcs(6 * k, [(6 * i + a, 6 * i + b) for i in range(k) for a, b in block])
+    cert = find_perfect_packing(g, C3)
+    assert cert.verdict == PACKED
+    assert verify_packing(g, C3, cert.packing, require_perfect=True)
+
+
+@pytest.mark.parametrize("family", [(T3,), (C3,), (T3, C3)], ids=["t3", "c3", "t3+c3"])
+def test_copies_through_yields_each_vertex_set_once(family):
+    for g in (Digraph.complete(6), random_digraph(9, 17, density=0.7)):
+        full = (1 << g.n) - 1
+        masks = [mask for mask, _ in solver._copies_through(g, family, full, 0)]
+        assert len(masks) == len(set(masks)) > 0
+        assert set(masks) == {mask for pat in family for mask, _ in iter_copies(g, pat, full, 0)}
 
 
 def test_mirror_host_in_rows_are_the_transpose(monkeypatch):
