@@ -344,6 +344,17 @@ def test_solver_verdicts_are_pinned(kind):
     assert _sha_rows(rows) == _PINNED_VERDICTS[kind]
 
 
+# the prove-none verdicts alone, with no node counts: they must hold through
+# any change to which stage reaches a verdict or how many nodes it takes
+_PINNED_PROVE_NONE_VERDICTS = (16, "8d26d9af1010b59ec1459e871318961135059211e9de2c1d25a918b4c1ac9cf2")
+
+
+def test_prove_none_verdicts_are_pinned_without_nodes():
+    rows = ([find_perfect_family_packing(g, family).verdict]
+            for g, family in _pinned_perfect_cases("prove-none"))
+    assert _sha_rows(rows) == _PINNED_PROVE_NONE_VERDICTS
+
+
 def test_max_disjoint_sets_exact_flag():
     masks = [0b0011, 0b1100, 0b0110]
     got, complete = max_disjoint_sets(4, masks, budget=10**6)
