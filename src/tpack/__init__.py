@@ -52,6 +52,7 @@ from .solver import (
     DEFAULT_BUDGET,
     EXHAUSTED_NONE,
     MaxPackingResult,
+    Obstruction,
     PACKED,
     PackCertificate,
     Packing,
@@ -60,6 +61,7 @@ from .solver import (
     find_perfect_packing,
     max_disjoint_sets,
     normalize_patterns,
+    validate_obstruction,
     verify_packing,
 )
 from .t3local import (

@@ -207,6 +207,7 @@ def _cmd_solve(args) -> int:
         out = {
             "verdict": cert.verdict,
             "nodes": cert.nodes,
+            "obstruction": None if cert.obstruction is None else cert.obstruction.to_dict(),
             "packing": _packing_json(cert.packing),
         }
     out["time"] = round(time.perf_counter() - start, 6)

@@ -42,9 +42,11 @@ from .solver import (
     DEFAULT_BUDGET,
     EXHAUSTED_NONE,
     PACKED,
+    Obstruction,
     _first_fit,
     find_perfect_family_packing,
     normalize_patterns,
+    validate_obstruction,
     verify_packing,
 )
 from .t3local import SwapNotFound, t3_pack
@@ -77,13 +79,19 @@ SCOPE_CONJECTURED = "conjectured"
 
 @dataclass(frozen=True)
 class Counterexample:
-    """A host that defeated the sweep's claim, with everything needed to replay."""
+    """A host that defeated the sweep's claim, with everything needed to
+    replay: the solver's obstruction, when its barrier stage found one."""
 
     edge_list: str
     verdict: str
     nodes: int
     label: str
     patterns: tuple[str, ...]
+    obstruction: Obstruction | None = None
+
+
+def _obstruction_dict(obs: Obstruction | None) -> dict | None:
+    return None if obs is None else obs.to_dict()
 
 
 @dataclass(frozen=True)
@@ -128,6 +136,7 @@ class SweepReport:
                     "nodes": c.nodes,
                     "label": c.label,
                     "patterns": list(c.patterns),
+                    "obstruction": _obstruction_dict(c.obstruction),
                 }
                 for c in self.counterexamples
             ],
@@ -325,6 +334,7 @@ def _sweep(
                 nodes=cert.nodes,
                 label=label,
                 patterns=(digraph_to_text(p),),
+                obstruction=cert.obstruction,
             )
             if not replay_counterexample(cex, budget):
                 raise InvariantViolation("counterexample did not replay")
@@ -451,9 +461,13 @@ def sweep_total_degree_c3(
 
 
 def replay_counterexample(cex: Counterexample, budget: int = DEFAULT_BUDGET) -> bool:
-    """Reload a persisted counterexample and confirm the non-existence verdict."""
+    """Reload a persisted counterexample and confirm the non-existence verdict:
+    by validate_obstruction when it carries an obstruction, else by solving
+    it again."""
     g = load_digraph_text(cex.edge_list)
     family = [load_digraph_text(p) for p in cex.patterns]
+    if cex.obstruction is not None:
+        return validate_obstruction(g, family, cex.obstruction)
     cert = find_perfect_family_packing(g, family, budget)
     return cert.verdict == cex.verdict
 
@@ -468,7 +482,8 @@ class TightnessEntry:
     statistic: str
     expected: int
     actual: int
-    checks: tuple[tuple[str, str, int], ...]  # (pattern name, verdict, nodes)
+    # (pattern name, verdict, nodes, obstruction)
+    checks: tuple[tuple[str, str, int, Obstruction | None], ...]
 
 
 @dataclass(frozen=True)
@@ -490,8 +505,9 @@ class TightnessReport:
                     "expected": e.expected,
                     "actual": e.actual,
                     "checks": [
-                        {"pattern": p, "verdict": v, "nodes": k}
-                        for p, v, k in e.checks
+                        {"pattern": p, "verdict": v, "nodes": k,
+                         "obstruction": _obstruction_dict(obs)}
+                        for p, v, k, obs in e.checks
                     ],
                 }
                 for e in self.entries
@@ -508,8 +524,9 @@ _STATISTICS = {
 
 def tightness_suite(r: int, n: int, budget: int = DEFAULT_BUDGET) -> TightnessReport:
     """Build each extremal family applicable at (r, n), assert its advertised
-    degree statistic exactly, and prove the advertised non-packability by
-    exhaustive search.  Any mismatch raises; success returns the report."""
+    degree statistic exactly, and prove the advertised non-packability with
+    the solver (by a barrier or by exhaustive search).  Any mismatch raises;
+    success returns the report."""
     if r < 2:
         raise DomainError("pattern order must be at least 2")
     if n < r or n % r:
@@ -555,6 +572,6 @@ def tightness_suite(r: int, n: int, budget: int = DEFAULT_BUDGET) -> TightnessRe
                 raise InvariantViolation(
                     f"{family}: expected {verdict} for {name}, solver said {cert.verdict}"
                 )
-            checks.append((name, cert.verdict, cert.nodes))
+            checks.append((name, cert.verdict, cert.nodes, cert.obstruction))
         entries.append(TightnessEntry(family, statistic, expected, actual, tuple(checks)))
     return TightnessReport(r, n, tuple(entries))

@@ -23,11 +23,17 @@ from tpack.constructions import (
     make_c3_blowup,
     make_k3minus_example,
     make_near_independent_extremal,
+    make_near_tournament_extremal,
     make_source_counterexample,
     random_digraph_min_semidegree,
     random_digraph_out_or_in,
 )
-from tpack.solver import find_max_packing, find_perfect_packing, verify_packing
+from tpack.solver import (
+    find_max_packing,
+    find_perfect_packing,
+    validate_obstruction,
+    verify_packing,
+)
 from tpack.t3local import t3_pack
 from tpack.turan import count_copies
 from tpack.complexes import (
@@ -120,12 +126,25 @@ def test_criterion_02_exhaustive_tightness(capsys):
     instances.append((hole, Tournament.cyclic_triangle()))
     instances.append((make_source_counterexample(6), Tournament.cyclic_triangle()))
     instances.append((make_k3minus_example(6), k3_minus_pattern()))
+    # n = 63: every r = 3 family, k3-minus included, at (n - 3) / 2 = 30
+    instances.append((make_c3_blowup(63, 1)[0], Tournament.cyclic_triangle()))
+    wide = make_near_independent_extremal(63, 3)
+    instances.append((wide, Tournament.transitive(3)))
+    instances.append((wide, Tournament.cyclic_triangle()))
+    instances.append((make_near_tournament_extremal(63, 3), Digraph.complete(3)))
+    instances.append((make_source_counterexample(63), Tournament.cyclic_triangle()))
+    instances.append((make_k3minus_example(30), k3_minus_pattern()))
     with _criterion(2, "solver proves the extremal hosts unpackable", 60.0 * 5, capsys):
         for g, pattern in instances:
             start = time.perf_counter()
             cert = find_perfect_packing(g, pattern)
             assert cert.verdict == "exhausted-none"
             assert time.perf_counter() - start < 60.0
+            if g.n == 63:
+                assert cert.obstruction is not None
+            # the validator tries every r-set in every order: kept to n <= 45
+            elif cert.obstruction is not None:
+                assert validate_obstruction(g, pattern, cert.obstruction)
 
 
 def test_criterion_03_two_thirds_threshold_sweeps(capsys):

@@ -6,6 +6,7 @@ from tpack.cli import main
 from tpack.core import Tournament, digraph_to_text, load_digraph
 from tpack.constructions import make_c3_blowup, make_source_counterexample
 from tpack.harness import Counterexample, SweepReport
+from tpack.solver import Obstruction, validate_obstruction
 
 
 def run(capsys, *argv):
@@ -54,9 +55,15 @@ def test_solve_perfect_and_max(tmp_path, capsys):
 
 
 def test_solve_family_widens_search(tmp_path, capsys):
-    path = write_graph(tmp_path, make_c3_blowup(9, 1)[0])
+    g = make_c3_blowup(9, 1)[0]
+    path = write_graph(tmp_path, g)
     code, out, _ = run(capsys, "solve", "--graph", path, "--tournament", "c3")
-    assert json.loads(out)["verdict"] == "exhausted-none"
+    doc = json.loads(out)
+    assert doc["verdict"] == "exhausted-none" and doc["nodes"] == 0
+    obs = doc["obstruction"]
+    assert (obs["kind"], obs["modulus"]) == ("divisibility", 3)
+    assert validate_obstruction(g, Tournament.cyclic_triangle(),
+                                Obstruction(obs["kind"], tuple(obs["weights"]), 3))
     code, out, _ = run(capsys, "solve", "--graph", path, "--family", "t3,c3")
     assert json.loads(out)["verdict"] == "packed"
 

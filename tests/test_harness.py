@@ -18,7 +18,7 @@ from tpack.core import (
     min_semidegree,
 )
 from tpack.constructions import make_source_counterexample
-from tpack.solver import EXHAUSTED_NONE, PackCertificate
+from tpack.solver import EXHAUSTED_NONE, Obstruction, PackCertificate, validate_obstruction
 from tpack.t3local import SwapNotFound
 from tpack.harness import (
     Counterexample,
@@ -228,7 +228,9 @@ def test_canonical_reports_are_pinned():
     }
     for want, report in reports.items():
         assert _sha(report.to_json()) == want, report.kind
-    for want, (r, n) in (("a2fc9d2337fdc760", (3, 15)), ("182b563206a6a5a0", (4, 8))):
+    # every exhausted-none check carries the barrier stage's obstruction and
+    # 0 nodes; before that stage these were a2fc9d2337fdc760 and 182b563206a6a5a0
+    for want, (r, n) in (("9f3453f0a5238e55", (3, 15)), ("bfcd989240c3d3ca", (4, 8))):
         doc = tightness_suite(r, n).to_dict()
         assert _sha(json.dumps(doc, sort_keys=True)) == want, (r, n)
 
@@ -284,6 +286,7 @@ def test_sweep_counterexample_branch(monkeypatch):
     assert cex.nodes == 17
     assert cex.edge_list == digraph_to_text(hosts[3])
     assert json.loads(rep.to_json())["counterexamples"][0]["label"] == "sample:3"
+    assert json.loads(rep.to_json())["counterexamples"][0]["obstruction"] is None
     assert not lies["left"]  # the sweep replayed the counterexample
     monkeypatch.setattr(harness, "find_perfect_family_packing", real_solve)
     assert not replay_counterexample(cex)  # the host really packs
@@ -377,6 +380,35 @@ def test_tightness_families():
     assert "source" not in fams48  # the source host only speaks to cycles
     assert "near-independent" in fams48
 
+    # all five r = 3 families, each non-packability proved by a barrier
+    tr63 = tightness_suite(3, 63)
+    assert [e.family for e in tr63.entries] == [
+        "near-independent", "near-tournament", "shifted-blow-up", "source",
+        "k3-minus-extremal"]
+    for entry in tr63.entries:
+        for name, verdict, nodes, obs in entry.checks:
+            assert (obs is not None) == (verdict == "exhausted-none")
+
+
+def test_tightness_obstructions_validate(monkeypatch):
+    solved = []
+    real = harness.find_perfect_family_packing
+
+    def solve(g, family, budget):
+        solved.append((g, family, real(g, family, budget)))
+        return solved[-1][2]
+
+    monkeypatch.setattr(harness, "find_perfect_family_packing", solve)
+    # validate_obstruction tries every r-set in every order: kept to n <= 45
+    for r, n in ((3, 9), (3, 39), (3, 45), (4, 16), (5, 10)):
+        tightness_suite(r, n)
+    kinds = set()
+    for g, family, cert in solved:
+        if cert.verdict == EXHAUSTED_NONE:
+            assert cert.nodes == 0 and validate_obstruction(g, family, cert.obstruction)
+            kinds.add((cert.obstruction.kind, cert.obstruction.modulus))
+    assert kinds == {("space", None), ("divisibility", 2), ("divisibility", 3)}
+
 
 def test_tightness_entry_contents():
     tr = tightness_suite(3, 9)
@@ -384,9 +416,9 @@ def test_tightness_entry_contents():
     near = by_family["near-independent"]
     assert near.statistic == "min-semidegree"
     assert near.expected == 9 - 3 - 1
-    assert all(verdict == "exhausted-none" for _, verdict, _ in near.checks)
+    assert all(verdict == "exhausted-none" for _, verdict, _, _ in near.checks)
     shifted = by_family["shifted-blow-up"]
-    verdicts = {name: verdict for name, verdict, _ in shifted.checks}
+    verdicts = {name: verdict for name, verdict, _, _ in shifted.checks}
     assert verdicts["c3"] == "exhausted-none"
     assert verdicts["t3+c3"] == "packed"
 
@@ -404,3 +436,25 @@ def test_replay_confirms_and_rejects():
         nodes=0, label="manual", patterns=(c3_text,),
     )
     assert not replay_counterexample(fake)
+
+
+def test_replay_checks_an_obstruction_without_the_solver(monkeypatch):
+    src = make_source_counterexample(9)
+    c3 = Tournament.cyclic_triangle()
+    obs = harness.find_perfect_family_packing(src, [c3]).obstruction
+    assert obs is not None
+
+    def no_solver(*args):
+        raise AssertionError("replay ran the solver")
+
+    monkeypatch.setattr(harness, "find_perfect_family_packing", no_solver)
+    cex = Counterexample(
+        edge_list=digraph_to_text(src), verdict="exhausted-none", nodes=0,
+        label="manual", patterns=(digraph_to_text(c3),), obstruction=obs,
+    )
+    assert replay_counterexample(cex)
+    moved = obs.weights[1:] + obs.weights[:1]
+    assert not replay_counterexample(
+        Counterexample(cex.edge_list, cex.verdict, 0, "manual", cex.patterns,
+                       Obstruction(obs.kind, moved, obs.modulus)))
+

@@ -13,6 +13,7 @@ from tpack.core import (
     Embedding,
     Tournament,
     all_tournaments,
+    bits,
     ceil_frac,
     k3_minus_pattern,
     copy_masks,
@@ -36,6 +37,7 @@ from tpack.solver import (
     find_perfect_packing,
     max_disjoint_sets,
     normalize_patterns,
+    validate_obstruction,
     verify_packing,
 )
 from tpack.constructions import (
@@ -256,12 +258,16 @@ def _pinned_max_cases():
 
 
 def _pinned_outputs(kind):
-    """Verdicts, node counts and packings as JSON rows, pinned below by sha256."""
+    """Verdicts, node counts, packings and obstructions as JSON rows, pinned
+    below by sha256."""
     if kind in ("prove-none", "semidegree"):
         for g, family in _pinned_perfect_cases(kind):
             cert = find_perfect_family_packing(g, family)
-            yield [cert.verdict, cert.nodes,
+            row = [cert.verdict, cert.nodes,
                    None if cert.packing is None else _packing_rows(cert.packing)]
+            if cert.obstruction is not None:
+                row.append(cert.obstruction.to_dict())
+            yield row
     elif kind == "max-packing":
         for g, family in _pinned_max_cases():
             res = find_max_packing(g, family)
@@ -289,12 +295,14 @@ def _sha_rows(rows):
 
 # the packings and the node counts of packed rows follow the first-fit stage,
 # so these hashes move whenever it picks other copies; the verdicts below do not.
+# Every exhausted-none prove-none row carries the barrier stage's obstruction
+# and 0 nodes; _PINNED_EXACT_SEARCH pins the exact search's own rows.
 # max-packing rows carry node counts, which move with any change to when the
 # maximum search stops; its exact flags and packings are pinned apart below
 _PINNED_SOLVER = {
     "disjoint-sets": (160, "816cb4d4ae57c7626fbabd4409b87d9748fa3cffbdce7a96dbefa7cc6e0da960"),
     "max-packing": (65, "1183fe874102b7156bde7ea04553bec42c1bfb62c9cf3f185ee5af9a824f80fb"),
-    "prove-none": (16, "864d867df3eefa4245bb28794b0327809c71e532306b618ed5bdfe4d63878404"),
+    "prove-none": (16, "af5c2367dbfb0ef1dff99acc1db78c69bb8f8ac44d83bac505fe543857b9bba0"),
     "semidegree": (16, "5e4b008b5b9e41b0aa747514c552c1c52c4fd8ce51266fc12e673a5faa065b95"),
 }
 
@@ -324,11 +332,11 @@ def test_max_packing_stops_once_it_holds_n_over_r_copies():
     assert exact and len(chosen) == 10
 
 
-# verdicts, plus the node count of every verdict but packed, which only the
-# exact search gives; these must not move with any change to the stages,
-# and the first-fit stage must give up wherever no packing exists
+# verdicts, plus the node count of every verdict but packed, which the
+# barrier stage (0 nodes) or the exact search gives; the first-fit stage must
+# give up wherever no packing exists
 _PINNED_VERDICTS = {
-    "prove-none": (16, "693b05adc90dc60c6f9fe8b140b9381f172928dafca10b8fee372fa6141408e0"),
+    "prove-none": (16, "acee105bb3a1aea5f49c1020c74ef5c96be221149a3c1f034fd4ede68e9a3ae8"),
     "semidegree": (16, "9f54d11d8e44ba20024782683d235cedc2384490c9153ad4232a9803879416c8"),
 }
 
@@ -353,6 +361,112 @@ def test_prove_none_verdicts_are_pinned_without_nodes():
     rows = ([find_perfect_family_packing(g, family).verdict]
             for g, family in _pinned_perfect_cases("prove-none"))
     assert _sha_rows(rows) == _PINNED_PROVE_NONE_VERDICTS
+
+
+# the prove-none rows of _PINNED_SOLVER and _PINNED_VERDICTS as the exact
+# search alone gives them, computed before the barrier stage existed: its node
+# counts must not move with a change to the other stages or the witness prune
+_PINNED_EXACT_SEARCH = {
+    "outputs": (16, "864d867df3eefa4245bb28794b0327809c71e532306b618ed5bdfe4d63878404"),
+    "verdicts": (16, "693b05adc90dc60c6f9fe8b140b9381f172928dafca10b8fee372fa6141408e0"),
+}
+
+
+def test_exact_search_pins_hold_without_the_barrier_stage(monkeypatch):
+    monkeypatch.setattr(solver, "_barrier", lambda *args: None)
+    assert _sha_rows(_pinned_outputs("prove-none")) == _PINNED_EXACT_SEARCH["outputs"]
+    rows = []
+    for g, family in _pinned_perfect_cases("prove-none"):
+        cert = find_perfect_family_packing(g, family)
+        assert cert.obstruction is None
+        rows.append([cert.verdict] if cert.found else [cert.verdict, cert.nodes])
+    assert _sha_rows(rows) == _PINNED_EXACT_SEARCH["verdicts"]
+
+
+def test_pinned_prove_none_obstructions_validate():
+    kinds = set()
+    for g, family in _pinned_perfect_cases("prove-none"):
+        cert = find_perfect_family_packing(g, family)
+        if cert.verdict == EXHAUSTED_NONE:
+            assert cert.nodes == 0 and validate_obstruction(g, family, cert.obstruction)
+            kinds.add((cert.obstruction.kind, cert.obstruction.modulus))
+    assert kinds == {("space", None), ("divisibility", 3)}
+
+
+def _with_weights(obs, weights):
+    return solver.Obstruction(obs.kind, tuple(weights), obs.modulus)
+
+
+def test_validate_obstruction_rejects_damaged_certificates():
+    g = make_near_independent_extremal(15, 3)
+    obs = find_perfect_packing(g, T3).obstruction
+    assert obs.kind == "space" and validate_obstruction(g, T3, obs)
+    inside = [v for v in range(15) if obs.weights[v]]
+    # moving any vertex of S out and another vertex in puts two of S in one copy
+    for out in inside:
+        for into in set(range(15)) - set(inside):
+            w = list(obs.weights)
+            w[out], w[into] = 0, 1
+            assert not validate_obstruction(g, T3, _with_weights(obs, w))
+    assert not validate_obstruction(g, T3, _with_weights(obs, [0 if v == inside[0] else x
+                                                               for v, x in enumerate(obs.weights)]))
+
+    g = make_k3minus_example(6)
+    pattern = k3_minus_pattern()
+    obs = find_perfect_packing(g, pattern).obstruction
+    assert (obs.kind, obs.modulus) == ("divisibility", 3)
+    assert validate_obstruction(g, pattern, obs)
+    # every vertex lies in a copy, so changing any one weight breaks that copy
+    for v in range(g.n):
+        for value in set(range(3)) - {obs.weights[v]}:
+            w = list(obs.weights)
+            w[v] = value
+            assert not validate_obstruction(g, pattern, _with_weights(obs, w))
+    for bad in (solver.Obstruction("divisibility", obs.weights, 1),
+                solver.Obstruction("space", obs.weights, None),
+                solver.Obstruction("parity", obs.weights, 3),
+                solver.Obstruction("divisibility", obs.weights[1:], 3)):
+        assert not validate_obstruction(g, pattern, bad)
+
+
+def _gf_coords(x, n):
+    return [solver._gf_value(x, i) for i in range(n)]
+
+
+def _gf_planes(values, p):
+    return tuple(sum(1 << i for i, v in enumerate(values) if v == k) for k in range(1, p))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_gf_axpy_matches_coordinatewise_arithmetic(p):
+    rng = random.Random(p)
+    for _ in range(200):
+        x, y = ([rng.randrange(p) for _ in range(9)] for _ in range(2))
+        c = rng.randrange(1, p)
+        got = solver._gf_axpy(_gf_planes(x, p), _gf_planes(y, p), c, p)
+        assert _gf_coords(got, 9) == [(a + c * b) % p for a, b in zip(x, y)]
+
+
+@pytest.mark.parametrize("p, n", [(2, 6), (3, 6), (5, 5)])
+def test_divisibility_barrier_exists_exactly_when_some_weighting_does(p, n):
+    rng = random.Random(f"gf{p}")
+    all_weights = list(itertools.product(range(p), repeat=n))
+    seen = set()
+    for trial in range(60):
+        r = rng.choice([2, 3])
+        sets = list(itertools.combinations(range(n), r))
+        masks = sorted({mask_of(c) for c in rng.sample(sets, rng.randint(1, len(sets)))},
+                       reverse=True)
+        def fits(w):
+            return (all(sum(w[v] for v in bits(m)) % p == 0 for m in masks)
+                    and sum(w) % p != 0)
+        got = solver._divisibility_barrier(n, masks, p)
+        exists = any(fits(w) for w in all_weights)
+        assert (got is not None) == exists
+        if got is not None:
+            assert fits(_gf_coords(got, n))
+        seen.add(exists)
+    assert seen == {True, False}
 
 
 def test_max_disjoint_sets_exact_flag():
@@ -402,6 +516,8 @@ def test_perfect_verdict_matches_brute_force(family):
                 cert = find_perfect_family_packing(g, family)
                 assert cert.verdict == (PACKED if brute_has_perfect_packing(g, family)
                                         else EXHAUSTED_NONE)
+                if cert.obstruction is not None:
+                    assert validate_obstruction(g, family, cert.obstruction)
                 if cert.found:
                     assert verify_packing(g, family, cert.packing, require_perfect=True)
                 # the first-fit stage alone may give up, but never packs where
