@@ -1,14 +1,19 @@
 """Perfect and maximum packing search over fixed-order patterns.
 
-Both perfect-packing stages run one explicit-stack exact-cover loop
+Both perfect-packing search stages run one explicit-stack exact-cover loop
 (_search) that branches on the lowest uncovered vertex; they differ only in
 the branches they supply.  A capped first-fit (_first_fit) draws copies
-through that vertex lazily and can only prove that a packing exists.  The
-exact search behind it branches over every r-set that spans a pattern, in
-the mirror labelling (vertex v becomes n-1-v), where combination order is
-descending integer order.  A failed-subproblem memo keyed on the uncovered
-mask makes non-existence proofs cheap to exhaust, and a node budget turns
-runaway searches into a distinct verdict instead of a wrong answer.
+through that vertex lazily and can only prove that a packing exists.  When
+it gives up, every r-set that spans a pattern is enumerated, in the mirror
+labelling (vertex v becomes n-1-v), where combination order is descending
+integer order.  The barrier stage (_barrier) looks among those sets for a
+space or divisibility barrier, the dense obstructions of Keevash and
+Mycroft's hypergraph matching theory; one proves that no packing exists and
+comes back as an Obstruction, which validate_obstruction re-checks from the
+raw adjacency.  Failing that, the exact search branches over the sets.  A
+failed-subproblem memo keyed on the uncovered mask makes its non-existence
+proofs cheap to exhaust, and a node budget turns runaway searches into a
+distinct verdict instead of a wrong answer.
 """
 
 from __future__ import annotations
@@ -410,18 +415,14 @@ def _divisibility_barrier(n: int, masks: list[int], p: int) -> tuple[int, ...] |
     return tuple(w)
 
 
-def _primes_upto(r: int) -> list[int]:
-    return [p for p in range(2, r + 1) if all(p % q for q in range(2, p))]
-
-
 def _barrier(n: int, r: int, masks: list[int], near: list[int]) -> Obstruction | None:
     """A space or GF(p) divisibility barrier (p a prime up to r) against any
     perfect packing by the mirrored masks, with weights in host labels."""
     s = _space_barrier(n, r, near)
     if s is not None:
         return Obstruction(SPACE, tuple(s >> (n - 1 - v) & 1 for v in range(n)), None)
-    for p in _primes_upto(r):
-        w = _divisibility_barrier(n, masks, p)
+    for p in range(2, r + 1):
+        w = _divisibility_barrier(n, masks, p) if all(p % q for q in range(2, p)) else None
         if w is not None:
             return Obstruction(DIVISIBILITY,
                                tuple(_gf_value(w, n - 1 - v) for v in range(n)), p)
