@@ -179,11 +179,12 @@ def _search(full: int, branches, limit: int):
     """Depth-first exact cover of the vertex mask full: (items, nodes), or
     (None, nodes) when it fails or gives up.
 
-    Each node is an uncovered set; branches(uncovered) yields (mask, item)
-    for each way to extend it, and the loop covers mask, records item and
-    pushes the remainder as the next node.  A node whose branches run out is
-    popped and its parent takes its next one.  The loop runs on an explicit
-    stack, holds no memo and gives up once nodes > limit.
+    Each node is an uncovered set; branches(uncovered, last) yields
+    (mask, item) for each way to extend it, where last is the item taken to
+    reach the node (None at the root), and the loop covers mask, records item
+    and pushes the remainder as the next node.  A node whose branches run out
+    is popped and its parent takes its next one.  The loop runs on an
+    explicit stack, holds no memo and gives up once nodes > limit.
     """
     uncovered = full
     frames = []  # per node: (its branches, uncovered there)
@@ -193,7 +194,7 @@ def _search(full: int, branches, limit: int):
         nodes += 1
         if nodes > limit:
             return None, nodes
-        frames.append((branches(uncovered), uncovered))
+        frames.append((branches(uncovered, items[-1] if items else None), uncovered))
         while True:
             steps, before = frames[-1]
             for mask, item in steps:
@@ -314,7 +315,7 @@ def _first_fit(g: Digraph, fam: tuple[Digraph, ...], budget: int) -> PackCertifi
     cap = min(g.n // fam[0].n + _FIRST_FIT_SLACK, budget)
     chosen, nodes = _search(
         (1 << g.n) - 1,
-        lambda u: _copies_through(g, fam, u, (u & -u).bit_length() - 1), cap)
+        lambda u, _: _copies_through(g, fam, u, (u & -u).bit_length() - 1), cap)
     if chosen is None:
         return None
     elements = tuple([Embedding(pat, image) for pat, image in chosen])
@@ -348,6 +349,8 @@ def _gf_value(x: tuple[int, ...], i: int) -> int:
 
 def _gf_axpy(x: tuple[int, ...], y: tuple[int, ...], c: int, p: int) -> tuple[int, ...]:
     """x + c*y over GF(p), for c not 0 mod p."""
+    # the general path gives the same result for p = 2 and p = 3, but with
+    # either case taken out prove-none's op_p50_ms rose by 24-40% (BENCH_11.json)
     if p == 2:
         return (x[0] ^ y[0],)
     if p == 3:
@@ -457,13 +460,16 @@ def find_perfect_family_packing(g: Digraph, family,
     if obstruction is not None:
         return PackCertificate(EXHAUSTED_NONE, None, 0, obstruction)
     failed: set[int] = set()  # uncovered sets shown to have no exact cover
-    # the vertices the next node's witness prune checks: all of them at the
-    # root; below it, only those sharing a mask with the one just covered can
-    # have lost their last fitting mask, since the parent's prune passed
-    scan = (1 << g.n) - 1
 
-    def branches(uncovered: int):
-        nonlocal scan
+    def branches(uncovered: int, last: int | None):
+        # the witness prune checks every vertex at the root; below it, only
+        # those sharing a mask with last, the one just covered, can have lost
+        # their last fitting mask, since the parent's prune passed
+        scan = uncovered
+        if last is not None:
+            scan = 0
+            for v in bits(last):
+                scan |= near[v]
         # each list runs from the masks of the lowest host vertices, which the
         # search covers first, so a mask that still fits is likelier at its end
         for w in bits(uncovered & scan):
@@ -472,10 +478,6 @@ def find_perfect_family_packing(g: Digraph, family,
                 return
         for m in by_vertex[uncovered.bit_length() - 1]:
             if m & ~uncovered == 0 and uncovered ^ m not in failed:
-                # _search enters this child next, so its prune reads this scan
-                scan = 0
-                for v in bits(m):
-                    scan |= near[v]
                 yield m, m
         failed.add(uncovered)
 
