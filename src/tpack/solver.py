@@ -1,19 +1,20 @@
 """Perfect and maximum packing search over fixed-order patterns.
 
-Both perfect-packing search stages run one explicit-stack exact-cover loop
-(_search) that branches on the lowest uncovered vertex; they differ only in
-the branches they supply.  A capped first-fit (_first_fit) draws copies
-through that vertex lazily and can only prove that a packing exists.  When
+Every search stage runs one explicit-stack exact-cover loop (_search) that
+branches on the lowest uncovered vertex; the stages differ only in the
+branches they supply.  A capped first-fit (_first_fit) draws copies through
+that vertex lazily and can only prove that a perfect packing exists.  When
 it gives up, every r-set that spans a pattern is enumerated, in the mirror
 labelling (vertex v becomes n-1-v), where combination order is descending
 integer order.  The barrier stage (_barrier) looks among those sets for a
 space or divisibility barrier, the dense obstructions of Keevash and
 Mycroft's hypergraph matching theory; one proves that no packing exists and
 comes back as an Obstruction, which validate_obstruction re-checks from the
-raw adjacency.  Failing that, the exact search branches over the sets.  A
-failed-subproblem memo keyed on the uncovered mask makes its non-existence
-proofs cheap to exhaust, and a node budget turns runaway searches into a
-distinct verdict instead of a wrong answer.
+raw adjacency.  Failing that, the exact search (_cover) branches over the
+sets.  A failed-subproblem memo keyed on the uncovered mask makes its
+non-existence proofs cheap to exhaust, and a node budget turns runaway
+searches into a distinct verdict instead of a wrong answer.  The maximum
+search (_max_cover) asks it for covers of all but d vertices, d growing.
 """
 
 from __future__ import annotations
@@ -113,6 +114,10 @@ class PackCertificate:
 
 @dataclass(frozen=True)
 class MaxPackingResult:
+    """exact: no packing is larger; nodes: search nodes over all levels.  Once
+    the budget runs out, exact is False, nodes is budget + 1 and packing is
+    greedy: the first fitting copy through each lowest uncovered vertex."""
+
     packing: Packing
     exact: bool
     nodes: int
@@ -211,75 +216,68 @@ def _search(full: int, branches, limit: int):
     return items, nodes
 
 
-def _by_vertex(n: int, masks: list[int]) -> list[list[int]]:
-    """The masks through each vertex below n, each list in the order of masks."""
+def _index(n: int, masks: list[int]) -> tuple[list[list[int]], list[int]]:
+    """(by_vertex, near): the masks through each vertex below n, each list in
+    the order of masks, and near[v], the union of the masks through v."""
     by_vertex: list[list[int]] = [[] for _ in range(n)]
+    near = [0] * n
     for m in masks:
         rest = m
         while rest:
             low = rest & -rest
-            by_vertex[low.bit_length() - 1].append(m)
+            v = low.bit_length() - 1
+            by_vertex[v].append(m)
+            near[v] |= m
             rest ^= low
-    return by_vertex
+    return by_vertex, near
 
 
-class _BudgetHit(Exception):
-    pass
+def _cover(n: int, by_vertex: list[list[int]], near: list[int], d: int, limit: int):
+    """_search for disjoint masks that cover the n mirrored host vertices but
+    at most d: (items, nodes), items holding None for each skipped vertex.
 
-
-class _Optimal(Exception):
-    """The maximum search holds n // r disjoint sets, which nothing beats."""
-
-
-def _largest(n: int, r: int, masks: list[int], budget: int):
-    """(best, exact, nodes): a largest set of pairwise-disjoint masks, whether
-    the search completed within budget, and the subproblems it expanded.
-
-    Masks are mirrored, so the branch vertex, the lowest uncovered one in the
-    host's labels, is the highest uncovered bit.  Each uncovered set is
-    solved once (memo).  best only ever grows, so stopping once it holds
-    n // r sets leaves the packing that the full search would end with.
+    The d skips are token bits below the host bits, which are shifted left by
+    d.  A node branches on its lowest host vertex: each fitting mask in
+    by_vertex order, then a skip, which covers it and the highest token left;
+    once only tokens are left, one branch covers them all.  The witness prune
+    fails a node where more host vertices lie in no fitting mask than tokens
+    are left; with as many tokens left as host vertices it cannot fire and is
+    skipped.  At d = 0, below the root, only the vertices near the mask just
+    covered can have lost their last fitting mask, so only those are scanned.
     """
-    by_vertex = _by_vertex(n, masks)
-    memo: dict[int, tuple[int, ...]] = {}
-    best: list[int] = []
-    nodes = 0
+    tokens = (1 << d) - 1
+    failed: set[int] = set()  # uncovered sets shown to have no cover
 
-    def maximum(uncovered: int, path: list[int]) -> tuple[int, ...]:
-        nonlocal best, nodes
-        hit = memo.get(uncovered)
-        if hit is None:
-            nodes += 1
-            if nodes > budget:
-                raise _BudgetHit
-            hit = ()
-            if uncovered.bit_count() >= r:
-                v = uncovered.bit_length() - 1
-                for m in by_vertex[v]:
-                    if m & ~uncovered:
-                        continue
-                    path.append(m)
-                    sub = maximum(uncovered ^ m, path)
-                    path.pop()
-                    if len(sub) + 1 > len(hit):
-                        hit = (m,) + sub
-                skip = maximum(uncovered ^ (1 << v), path)
-                if len(skip) > len(hit):
-                    hit = skip
-            memo[uncovered] = hit
-        if len(path) + len(hit) > len(best):
-            best = path + list(hit)
-            if len(best) == n // r:
-                raise _Optimal
-        return hit
+    def branches(uncovered: int, last: int | None):
+        host, left = uncovered >> d, uncovered & tokens
+        if not host:
+            yield left, None
+            return
+        spare = left.bit_count()
+        scan = host if spare < host.bit_count() else 0
+        if last is not None and not d:
+            scan = 0
+            for v in bits(last):
+                scan |= near[v]
+        # each list runs from the masks of the lowest host vertices, which the
+        # search covers first, so a mask that still fits is likelier at its end
+        for w in bits(host & scan):
+            if not any(m & ~host == 0 for m in reversed(by_vertex[w])):
+                spare -= 1
+                if spare < 0:
+                    failed.add(uncovered)
+                    return
+        v = host.bit_length() - 1
+        for m in by_vertex[v]:
+            if m & ~host == 0 and uncovered ^ m << d not in failed:
+                yield m << d, m
+        if left:
+            skip = 1 << (v + d) | 1 << (left.bit_length() - 1)
+            if uncovered ^ skip not in failed:
+                yield skip, None
+        failed.add(uncovered)
 
-    try:
-        maximum((1 << n) - 1, [])
-    except _BudgetHit:
-        return best, False, nodes
-    except _Optimal:
-        pass
-    return best, True, nodes
+    return _search((1 << (n + d)) - 1, branches, limit)
 
 
 def find_perfect_packing(g: Digraph, pattern: Digraph,
@@ -451,37 +449,11 @@ def find_perfect_family_packing(g: Digraph, family,
     if quick is not None:
         return quick
     masks, embed = _candidate_embeddings(g, fam)
-    by_vertex = _by_vertex(g.n, masks)
-    near = [0] * g.n  # near[v]: the vertices that share a mask with v
-    for v, through in enumerate(by_vertex):
-        for m in through:
-            near[v] |= m
+    by_vertex, near = _index(g.n, masks)
     obstruction = _barrier(g.n, fam[0].n, masks, near)
     if obstruction is not None:
         return PackCertificate(EXHAUSTED_NONE, None, 0, obstruction)
-    failed: set[int] = set()  # uncovered sets shown to have no exact cover
-
-    def branches(uncovered: int, last: int | None):
-        # the witness prune checks every vertex at the root; below it, only
-        # those sharing a mask with last, the one just covered, can have lost
-        # their last fitting mask, since the parent's prune passed
-        scan = uncovered
-        if last is not None:
-            scan = 0
-            for v in bits(last):
-                scan |= near[v]
-        # each list runs from the masks of the lowest host vertices, which the
-        # search covers first, so a mask that still fits is likelier at its end
-        for w in bits(uncovered & scan):
-            if not any(m & ~uncovered == 0 for m in reversed(by_vertex[w])):
-                failed.add(uncovered)
-                return
-        for m in by_vertex[uncovered.bit_length() - 1]:
-            if m & ~uncovered == 0 and uncovered ^ m not in failed:
-                yield m, m
-        failed.add(uncovered)
-
-    chosen, nodes = _search((1 << g.n) - 1, branches, budget)
+    chosen, nodes = _cover(g.n, by_vertex, near, 0, budget)
     if nodes > budget:
         return PackCertificate(BUDGET_EXCEEDED, None, nodes)
     if chosen is None:
@@ -489,19 +461,45 @@ def find_perfect_family_packing(g: Digraph, family,
     return PackCertificate(PACKED, Packing(g.n, tuple(embed(m) for m in chosen)), nodes)
 
 
+def _max_cover(n: int, r: int, masks: list[int], budget: int) -> tuple[list[int], bool, int]:
+    """(chosen, exact, nodes): a largest set of disjoint mirrored r-masks,
+    whether it is proven largest within budget, and the nodes spent.
+
+    _cover runs at d = d0, d0 + r, ... and the first d that succeeds gives
+    the first maximum packing in branch order.  d0 is n mod r, or, when a
+    space barrier S exists, n - r * ((n - |S|) // (r - 1)): each copy uses
+    r - 1 vertices outside S.  The levels share the budget; once it is spent,
+    chosen comes from _cover at d = n, which never backtracks (greedy).
+    """
+    by_vertex, near = _index(n, masks)
+    s = _space_barrier(n, r, near)
+    d = n % r if s is None else n - r * ((n - s.bit_count()) // (r - 1))
+    nodes = 0
+    while True:
+        chosen, spent = _cover(n, by_vertex, near, d, budget - nodes)
+        nodes += spent
+        if nodes > budget:
+            chosen, _ = _cover(n, by_vertex, near, n, n + 1)
+        if chosen is not None:
+            return [m for m in chosen if m is not None], nodes <= budget, nodes
+        d += r
+
+
 def find_max_packing(g: Digraph, pattern_or_family,
                      budget: int = DEFAULT_BUDGET) -> MaxPackingResult:
-    """Maximum-cardinality packing; exact flag set when the search completed."""
+    """Maximum-cardinality packing, proven maximum within budget or greedy
+    (MaxPackingResult)."""
     fam = normalize_patterns(pattern_or_family)
     masks, embed = _candidate_embeddings(g, fam)
-    best, exact, nodes = _largest(g.n, fam[0].n, masks, budget)
-    return MaxPackingResult(Packing(g.n, tuple(embed(m) for m in best)), exact, nodes)
+    chosen, exact, nodes = _max_cover(g.n, fam[0].n, masks, budget)
+    return MaxPackingResult(Packing(g.n, tuple(embed(m) for m in chosen)), exact, nodes)
 
 
 def max_disjoint_sets(n: int, masks, budget: int = DEFAULT_BUDGET) -> tuple[list[int], bool]:
     """Maximum pairwise-disjoint subfamily of equal-size vertex masks.
 
-    Returns the chosen masks and whether the search completed within budget.
+    Returns the chosen masks and whether they are proven maximum within
+    budget; otherwise they are greedy, as in find_max_packing.
     """
     mask_list = list(masks)
     outside = ~((1 << n) - 1)
@@ -516,8 +514,8 @@ def max_disjoint_sets(n: int, masks, budget: int = DEFAULT_BUDGET) -> tuple[list
     r = sizes.pop()
     if r == 0:
         raise DomainError("empty sets cannot form a matching")
-    best, exact, _ = _largest(n, r, [_mirror(n, m) for m in mask_list], budget)
-    return [_mirror(n, m) for m in best], exact
+    chosen, exact, _ = _max_cover(n, r, [_mirror(n, m) for m in mask_list], budget)
+    return [_mirror(n, m) for m in chosen], exact
 
 
 def verify_packing(g: Digraph, pattern_or_family, packing: Packing,

@@ -86,7 +86,14 @@ def test_budget_verdict():
         assert (cert.verdict, cert.nodes) == (BUDGET_EXCEEDED, budget + 1)
     cert = find_perfect_packing(g, C3, budget=5)
     assert (cert.verdict, cert.nodes) == (PACKED, 5)
-    assert find_max_packing(g, C3, budget=3).nodes == 4
+    # the maximum search charges the budget the same way and then falls back
+    # to the greedy packing, which it does not prove largest
+    res = find_max_packing(g, C3, budget=3)
+    assert (res.nodes, res.exact) == (4, False)
+    assert verify_packing(g, C3, res.packing)
+    chosen, exact = max_disjoint_sets(15, copy_masks(g, C3), budget=2)
+    assert not exact and chosen
+    assert all(not a & b for a, b in itertools.combinations(chosen, 2))
 
 
 def test_family_widens_the_search():
@@ -297,11 +304,12 @@ def _sha_rows(rows):
 # so these hashes move whenever it picks other copies; the verdicts below do not.
 # Every exhausted-none prove-none row carries the barrier stage's obstruction
 # and 0 nodes; _PINNED_EXACT_SEARCH pins the exact search's own rows.
-# max-packing rows carry node counts, which move with any change to when the
-# maximum search stops; its exact flags and packings are pinned apart below
+# max-packing rows carry node counts, which move with any change to the levels
+# or the prune of the maximum search; its exact flags and packings are pinned
+# apart below
 _PINNED_SOLVER = {
     "disjoint-sets": (160, "816cb4d4ae57c7626fbabd4409b87d9748fa3cffbdce7a96dbefa7cc6e0da960"),
-    "max-packing": (65, "1183fe874102b7156bde7ea04553bec42c1bfb62c9cf3f185ee5af9a824f80fb"),
+    "max-packing": (65, "c852da2d080551378367255f06eb8c5d96fd58f81410c2102e561aff0403aed1"),
     "prove-none": (16, "af5c2367dbfb0ef1dff99acc1db78c69bb8f8ac44d83bac505fe543857b9bba0"),
     "semidegree": (16, "5e4b008b5b9e41b0aa747514c552c1c52c4fd8ce51266fc12e673a5faa065b95"),
 }
@@ -330,6 +338,30 @@ def test_max_packing_stops_once_it_holds_n_over_r_copies():
     assert verify_packing(g, C3, res.packing)
     chosen, exact = max_disjoint_sets(30, copy_masks(g, C3), budget=20_000)
     assert exact and len(chosen) == 10
+
+
+@pytest.mark.parametrize("independent", [range(8), range(4, 12)], ids=["low", "high"])
+def test_max_packing_reaches_the_space_barrier_bound(independent):
+    # 8 of the 12 vertices are independent and every other arc runs both
+    # ways: each t3 copy uses at most one of the 8, so at most (12 - 8) // 2
+    # copies fit.  With the 8 on top the greedy packing takes 0, 1, 2 first
+    # and holds only one copy, so a search that starts at too many skips
+    # returns that one
+    n = 12
+    g = Digraph.from_arcs(n, [(u, v) for u in range(n) for v in range(n)
+                              if u != v and not (u in independent and v in independent)])
+    res = find_max_packing(g, T3)
+    assert res.exact and len(res.packing) == 2
+    assert verify_packing(g, T3, res.packing)
+
+
+@pytest.mark.parametrize("n", [15, 18, 21, 24, 27])
+def test_max_packing_on_near_independent_hosts_takes_few_nodes(n):
+    g = make_near_independent_extremal(n, 3)
+    res = find_max_packing(g, T3)
+    assert res.exact and len(res.packing) == n // 3 - 1
+    assert res.nodes <= 20
+    assert verify_packing(g, T3, res.packing)
 
 
 # verdicts, plus the node count of every verdict but packed, which the
@@ -576,6 +608,8 @@ def test_disjoint_cyclic_triangles_pack_without_recursion():
     cert = find_perfect_packing(g, C3)
     assert cert.verdict == PACKED and cert.nodes == k
     assert verify_packing(g, C3, cert.packing, require_perfect=True)
+    res = find_max_packing(g, C3)
+    assert res.exact and len(res.packing) == k
     # first-fit takes 0->1->2->0 first in each block and must back out of it,
     # so it passes its cap and the exact search has to go 1,000 levels deep
     block = [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0), (2, 5), (5, 1)]
