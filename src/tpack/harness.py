@@ -158,23 +158,38 @@ def _complements(
     ``options[v]`` (in order) and each vertex in the mask ``capped`` misses
     at most ``cap`` (0 or 1) in-arcs.
 
-    ``hit`` holds the capped vertices that may miss no further in-arc; a
-    row entering it is refused.
+    Depth-first on an explicit stack: ``nxt[v]`` indexes v's next option,
+    ``put[v]`` is the row placed at v, and ``hit[v]`` the capped vertices
+    that may miss no further in-arc; a row entering it is refused.  Swapping
+    v's row flips bit v of the in-rows named by the old row XOR the new one.
     """
     full = (1 << n) - 1
-    out = [0] * n
-
-    def place(v: int, hit: int) -> Iterator[Digraph]:
+    out = [full ^ (1 << v) for v in range(n)]
+    in_rows, nxt, put = out[:], [0] * n, [0] * n
+    hit = [0 if cap else capped] + [0] * n
+    v = 0
+    while v >= 0:
         if v == n:
-            yield Digraph(n, out)
-            return
-        keep = full ^ (1 << v)
-        for row in options[v]:
-            if not row & hit:
-                out[v] = keep ^ row
-                yield from place(v + 1, hit | row & capped)
-
-    yield from place(0, 0 if cap else capped)
+            yield Digraph._from_rows(n, out, in_rows)
+            v -= 1
+            continue
+        opts, i, bit = options[v], nxt[v], 1 << v
+        while i < len(opts) and opts[i] & hit[v]:
+            i += 1
+        row = opts[i] if i < len(opts) else 0
+        flip, put[v] = put[v] ^ row, row
+        while flip:
+            low = flip & -flip
+            in_rows[low.bit_length() - 1] ^= bit
+            flip ^= low
+        if i == len(opts):
+            nxt[v] = 0
+            v -= 1
+        else:
+            nxt[v] = i + 1
+            out[v] = full ^ bit ^ row
+            hit[v + 1] = hit[v] | row & capped
+            v += 1
 
 
 def _deficiency(n: int, threshold: int) -> int:
@@ -405,7 +420,7 @@ def sweep_out_or_in(
             packing, _ = t3_pack(g, budget)
         except SwapNotFound:
             return False
-        if not verify_packing(g, Tournament.transitive(3), packing, require_perfect=True):
+        if not verify_packing(g, _T3_FAMILY, packing, require_perfect=True):
             raise InvariantViolation("local-search packing failed verification")
         return True
 

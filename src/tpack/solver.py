@@ -124,11 +124,12 @@ class MaxPackingResult:
 
 
 def normalize_patterns(pattern_or_family) -> tuple[Digraph, ...]:
-    """Deduplicated patterns of one common order, in canonical row order."""
-    if isinstance(pattern_or_family, Digraph):
-        fam = [pattern_or_family]
-    else:
-        fam = list(pattern_or_family)
+    """Deduplicated patterns of one common order, in canonical row order; a
+    1-tuple of one digraph with a vertex is so already and comes back as is."""
+    fam = pattern_or_family
+    if type(fam) is tuple and len(fam) == 1 and isinstance(fam[0], Digraph) and fam[0].n:
+        return fam
+    fam = [fam] if isinstance(fam, Digraph) else list(fam)
     if not fam:
         raise DomainError("empty pattern family")
     for p in fam:
@@ -520,25 +521,34 @@ def max_disjoint_sets(n: int, masks, budget: int = DEFAULT_BUDGET) -> tuple[list
 
 def verify_packing(g: Digraph, pattern_or_family, packing: Packing,
                    require_perfect: bool = False) -> bool:
-    """Disjointness, arc validity, pattern membership, and optional coverage."""
+    """Disjointness, arc validity, pattern membership, and optional coverage.
+
+    Shares no code with the solver's copy searches: each image is checked
+    on g's raw out-rows for range, injectivity and its pattern's arcs.  A
+    pattern is in the family when its out-rows equal a member's.
+    """
     fam = normalize_patterns(pattern_or_family)
-    keys = {tuple(p.out_mask(v) for v in range(p.n)) for p in fam}
-    if packing.n != g.n:
+    arcs = {p._out: tuple(p.arcs()) for p in fam}
+    n, out = g.n, g._out
+    if packing.n != n:
         return False
     seen = 0
     for e in packing.elements:
-        pkey = tuple(e.pattern.out_mask(v) for v in range(e.pattern.n))
-        if pkey not in keys:
+        pat_arcs, image = arcs.get(e.pattern._out), e.image
+        if pat_arcs is None:
             return False
-        if not e.is_valid(g):
+        em = 0
+        for v in image:
+            if not 0 <= v < n:
+                return False
+            em |= 1 << v
+        if em.bit_count() != e.pattern.n or em & seen:
             return False
-        em = e.vertex_mask
-        if em & seen:
-            return False
+        for a, b in pat_arcs:
+            if not out[image[a]] >> image[b] & 1:
+                return False
         seen |= em
-    if require_perfect and seen != (1 << g.n) - 1:
-        return False
-    return True
+    return not require_perfect or seen == (1 << n) - 1
 
 
 def validate_obstruction(g: Digraph, pattern_or_family, obs: Obstruction) -> bool:

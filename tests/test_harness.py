@@ -124,6 +124,29 @@ def test_host_enumerators_are_lazy_generators():
     assert time.perf_counter() - start < 1.0
 
 
+def test_enumerated_hosts_match_checked_construction():
+    # the enumerator keeps the in-rows itself and builds hosts with
+    # Digraph._from_rows, which checks nothing; the pinned order hash reads
+    # only out-rows, so compare every host with the checked constructor
+    count = 0
+    for n in range(1, 6):
+        for d in (0, 1):
+            for space in (iter_min_semidegree_hosts, iter_out_or_in_hosts):
+                for g in space(n, n - 1 - d):
+                    ref = Digraph(n, [g.out_mask(v) for v in range(n)])
+                    assert (g._out, g._in, g.num_arcs) == (ref._out, ref._in, ref.num_arcs)
+                    count += 1
+    assert count == 109_496
+
+
+def test_large_semidegree_space_yields_without_recursion():
+    n = 1100
+    g = next(iter_min_semidegree_hosts(n, n - 1))
+    complete = tuple(((1 << n) - 1) ^ (1 << v) for v in range(n))
+    assert (g.n, g._out) == (n, complete)
+    assert g._in == Digraph(n, g._out)._in
+
+
 def test_exhaustive_semidegree_sweep_n6():
     for pattern in (Tournament.transitive(3), Tournament.cyclic_triangle()):
         rep = sweep_semidegree(3, pattern, 6, mode="exhaustive")

@@ -138,6 +138,121 @@ def test_normalize_patterns_dedups():
         normalize_patterns([T3, Tournament.transitive(4)])
 
 
+def test_normalize_patterns_edge_cases():
+    # a normalized 1-tuple comes back as it is
+    fam = (T3,)
+    assert normalize_patterns(fam) is fam
+    # a 1-tuple is still checked
+    for bad in ((object(),), (Digraph.empty(0),), ("t3",)):
+        with pytest.raises(DomainError):
+            normalize_patterns(bad)
+    # other inputs are deduplicated into canonical row order
+    canonical = tuple(sorted([T3, C3], key=lambda p: p._out))
+    assert normalize_patterns([C3, T3]) == canonical
+    assert normalize_patterns((C3, T3, C3)) == canonical
+    assert normalize_patterns([T3]) == (T3,)
+    assert normalize_patterns(T3) == (T3,)
+    assert normalize_patterns((T3, Digraph(3, T3._out))) == (T3,)
+    assert normalize_patterns(iter([C3, C3])) == (C3,)
+
+
+def reference_verify_packing(g, pattern_or_family, packing, require_perfect=False):
+    """verify_packing as it was when it checked each element with
+    Embedding.is_valid; kept as the reference for the raw-row version."""
+    fam = normalize_patterns(pattern_or_family)
+    keys = {tuple(p.out_mask(v) for v in range(p.n)) for p in fam}
+    if packing.n != g.n:
+        return False
+    seen = 0
+    for e in packing.elements:
+        pkey = tuple(e.pattern.out_mask(v) for v in range(e.pattern.n))
+        if pkey not in keys:
+            return False
+        if not e.is_valid(g):
+            return False
+        em = e.vertex_mask
+        if em & seen:
+            return False
+        seen |= em
+    if require_perfect and seen != (1 << g.n) - 1:
+        return False
+    return True
+
+
+def unchecked_packing(n, elements):
+    """A Packing built without its own overlap and range checks, as a
+    corrupted payload could arrive."""
+    packing = object.__new__(Packing)
+    object.__setattr__(packing, "n", n)
+    object.__setattr__(packing, "elements", tuple(elements))
+    return packing
+
+
+def verify_cases(g, family, packing):
+    """(host, family, packing, require_perfect, expected verdict) for a valid
+    perfect packing and each kind of corruption of it."""
+    n, elems = g.n, packing.elements
+    first = elems[0]
+    pat, image = first.pattern, first.image
+    rest = elems[1:]
+    # no arcs, so only pattern membership can reject it
+    other = Digraph.empty(pat.n)
+
+    def with_first(e):
+        return unchecked_packing(n, (e,) + rest)
+
+    a, b = next(pat.arcs())
+    # a plain Digraph with the rows of the element's pattern (a Tournament,
+    # unless the family holds none)
+    twin = Digraph(pat.n, pat._out)
+    return [
+        (g, family, packing, True, True),
+        (g, family, packing, False, True),
+        # a pattern outside the family, as the element's or as the family
+        (g, family, with_first(Embedding(other, image)), False, False),
+        (g, [other], packing, False, False),
+        # equal rows make the same pattern, whatever the class
+        (g, family, with_first(Embedding(twin, image)), True, True),
+        (g, [Digraph(p.n, p._out) for p in normalize_patterns(family)], packing, True, True),
+        # a repeated vertex in place of another; one appended past the
+        # pattern's order passes, as the reference counts distinct vertices
+        (g, family, with_first(Embedding(pat, (image[0],) + image[:-1])), False, False),
+        (g, family, with_first(Embedding(pat, image + (image[0],))), True, True),
+        (g, family, with_first(Embedding(pat, image[:-1])), False, False),
+        # a vertex out of range, above and below
+        (g, family, with_first(Embedding(pat, image[:-1] + (n,))), False, False),
+        (g, family, with_first(Embedding(pat, (-1,) + image[1:])), False, False),
+        # a host arc the packing uses is missing
+        (g.minus_arcs([(image[a], image[b])]), family, packing, False, False),
+        # the packing claims another host order
+        (g, family, unchecked_packing(n + pat.n, elems), False, False),
+        (g, family, unchecked_packing(n - pat.n, rest), False, False),
+        # two elements overlap
+        (g, family, unchecked_packing(n, elems + (first,)), False, False),
+        # not perfect: fails only when coverage is asked for
+        (g, family, unchecked_packing(n, rest), False, True),
+        (g, family, unchecked_packing(n, rest), True, False),
+        (g, family, unchecked_packing(n, ()), True, False),
+    ]
+
+
+def test_verify_packing_matches_the_is_valid_reference():
+    checked = 0
+    for family, n in (([T3], 9), ([C3], 12), ([Tournament.transitive(4)], 12),
+                      ([T3, C3], 9), ([k3_minus_pattern()], 9)):
+        r = family[0].n
+        for seed in range(4):
+            g = random_digraph_min_semidegree(n, ceil_frac((r - 1) * n, r), seed)
+            cert = find_perfect_family_packing(g, family)
+            assert cert.verdict == PACKED
+            for host, fam, packing, perfect, want in verify_cases(g, family, cert.packing):
+                got = verify_packing(host, fam, packing, require_perfect=perfect)
+                ref = reference_verify_packing(host, fam, packing, require_perfect=perfect)
+                assert got == ref == want
+                checked += 1
+    assert checked == 5 * 4 * 18
+
+
 def brute_max_triples(g, family):
     """Maximum number of disjoint pattern-spanning triples, by recursion."""
     spanning = [
