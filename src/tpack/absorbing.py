@@ -255,22 +255,27 @@ def build_absorbing_family(g: Digraph, pattern_or_family, xi: float, samples: in
 
 
 def _bipartite_match(num_left: int, adj: list[list[int]]) -> list[int] | None:
-    """Perfect matching of all left vertices into distinct right vertices, or None."""
+    """Perfect matching of all left vertices into distinct right vertices, or None:
+    augmenting paths are searched depth-first, in adj order, on an explicit stack."""
     match_right: dict[int, int] = {}
-
-    def augment(u: int, seen: set[int]) -> bool:
-        for v in adj[u]:
-            if v in seen:
-                continue
-            seen.add(v)
-            if v not in match_right or augment(match_right[v], seen):
-                match_right[v] = u
-                return True
-        return False
-
-    for u in range(num_left):
-        if not augment(u, set()):
+    for root in range(num_left):
+        seen: set[int] = set()
+        # each frame: [left vertex, its untried right vertices, the one taken]
+        path = [[root, iter(adj[root]), None]]
+        while path:
+            frame = path[-1]
+            v = frame[2] = next((x for x in frame[1] if x not in seen), None)
+            if v is None:
+                path.pop()
+            elif v not in match_right:
+                break
+            else:
+                seen.add(v)
+                path.append([match_right[v], iter(adj[match_right[v]]), None])
+        else:
             return None
+        for u, _, v in path:
+            match_right[v] = u
     out = [-1] * num_left
     for v, u in match_right.items():
         out[u] = v

@@ -212,12 +212,13 @@ def iter_min_semidegree_hosts(n: int, dmin: int) -> Iterator[Digraph]:
     Feasible only when each vertex may miss at most one arc per direction
     (dmin at least n-2); larger deficiencies are refused.  The complements
     are the loop-free partial injections: each vertex misses no out-arc or
-    one, and every vertex is capped.
+    one, and every vertex is capped.  At deficiency 0 only the empty row is
+    offered, since every other one would be refused.
     """
     slack = _deficiency(n, dmin)
     if slack < 0:
         return
-    rows = [[0] + [1 << w for w in range(n) if w != v] for v in range(n)]
+    rows = [[0] + [1 << w for w in range(n) if w != v] if slack else [0] for v in range(n)]
     yield from _complements(n, rows, (1 << n) - 1, slack)
 
 

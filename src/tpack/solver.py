@@ -8,13 +8,15 @@ it gives up, every r-set that spans a pattern is enumerated, in the mirror
 labelling (vertex v becomes n-1-v), where combination order is descending
 integer order.  The barrier stage (_barrier) looks among those sets for a
 space or divisibility barrier, the dense obstructions of Keevash and
-Mycroft's hypergraph matching theory; one proves that no packing exists and
-comes back as an Obstruction, which validate_obstruction re-checks from the
-raw adjacency.  Failing that, the exact search (_cover) branches over the
-sets.  A failed-subproblem memo keyed on the uncovered mask makes its
-non-existence proofs cheap to exhaust, and a node budget turns runaway
-searches into a distinct verdict instead of a wrong answer.  The maximum
-search (_max_cover) asks it for covers of all but d vertices, d growing.
+Mycroft's hypergraph matching theory, the latter by eliminating the sets'
+incidence columns, one per vertex, over GF(p); a barrier proves that no
+packing exists and comes back as an Obstruction, which validate_obstruction
+re-checks from the raw adjacency.  Failing that, the exact search (_cover)
+branches over the sets.  A failed-subproblem memo keyed on the uncovered
+mask makes its non-existence proofs cheap to exhaust, and a node budget
+turns runaway searches into a distinct verdict instead of a wrong answer.
+The maximum search (_max_cover) asks it for covers of all but d vertices,
+d growing.
 """
 
 from __future__ import annotations
@@ -348,14 +350,6 @@ def _gf_value(x: tuple[int, ...], i: int) -> int:
 
 def _gf_axpy(x: tuple[int, ...], y: tuple[int, ...], c: int, p: int) -> tuple[int, ...]:
     """x + c*y over GF(p), for c not 0 mod p."""
-    # the general path gives the same result for p = 2 and p = 3, but with
-    # either case taken out prove-none's op_p50_ms rose by 24-40% (BENCH_11.json)
-    if p == 2:
-        return (x[0] ^ y[0],)
-    if p == 3:
-        (x1, x2), (y1, y2) = x, (y if c == 1 else y[::-1])
-        x0, y0 = ~(x1 | x2), ~(y1 | y2)
-        return (x1 & y0 | y1 & x0 | x2 & y2, x2 & y0 | y2 & x0 | x1 & y1)
     x0, y0 = ~0, ~0
     for plane in x:
         x0 &= ~plane
@@ -371,50 +365,39 @@ def _gf_axpy(x: tuple[int, ...], y: tuple[int, ...], c: int, p: int) -> tuple[in
     return tuple(out)
 
 
-def _divisibility_barrier(n: int, masks: list[int], p: int) -> tuple[int, ...] | None:
+def _columns(n: int, masks: list[int]) -> list[int]:
+    """The masks' incidence columns: column j has bit n + i when mask i holds
+    vertex j, and bit j, where its combination over the vertices starts; it is
+    read off the joined bin(1 << n | mask) texts as every (n + 3)-th digit."""
+    text = "".join(map(bin, map((1 << n).__or__, reversed(masks))))
+    return [int("0" + text[n + 2 - j::n + 3], 2) << n | 1 << j for j in range(n)]
+
+
+def _divisibility_barrier(n: int, cols: list[int], p: int) -> tuple[int, ...] | None:
     """A GF(p) vector w with w(m) = 0 on every mask and w(V) != 0, or None.
 
-    The masks' incidence rows join an echelon basis one at a time; a basis
-    row is 1 at its pivot, its highest coordinate.  Once the rank reaches n
-    no such w exists.  Clearing every pivot from the all-ones row, from the
-    top down, leaves mu, which is 0 exactly when the all-ones row lies in the
-    span, and sum(w) = sum of mu_f * w_f over the other coordinates f for
-    every w that vanishes on the rows.  So w is 1 at one f with mu_f != 0,
-    0 at the other coordinates that are no pivot, and each pivot is solved
-    from the coordinates below it.
+    cols are the masks' incidence columns (_columns), each carrying its
+    combination over the vertices in its low n bits.  They are reduced from
+    vertex n-1 down to 0 against an echelon basis keyed by top set bit.
+    Column j reduces to zero exactly when it depends on the columns above it;
+    its combination is then the one w that vanishes on every mask, is 1 at j
+    and 0 below j and at every other such vertex.  Those w span all that
+    vanish on every mask, so the first whose entries do not sum to 0 mod p
+    is returned, and None when there is none.
     """
     pad = (0,) * (p - 2)
-    basis: dict[int, tuple[int, ...]] = {}  # pivot -> row
-    # in ascending order a mask's top coordinate is more often not yet a
-    # pivot: about 30% faster on the c3 blow-up and k3-minus hosts
-    for m in reversed(masks):
-        x, top = (m,) + pad, m.bit_length() - 1
+    basis: dict[int, tuple] = {}  # top set bit -> (column, inverse of its value there)
+    for j in range(n - 1, -1, -1):
+        x, top = (cols[j],) + pad, cols[j].bit_length() - 1
         while top in basis:
-            x = _gf_axpy(x, basis[top], p - _gf_value(x, top), p)
+            y, inv = basis[top]
+            x = _gf_axpy(x, y, (p - _gf_value(x, top)) * inv % p, p)
             top = max(map(int.bit_length, x)) - 1
-        if top >= 0:
-            inv = pow(_gf_value(x, top), p - 2, p)
-            row = [0] * (p - 1)
-            for k, plane in enumerate(x, 1):
-                row[k * inv % p - 1] = plane
-            basis[top] = tuple(row)
-            if len(basis) == n:
-                return None
-    mu = ((1 << n) - 1,) + pad
-    for q in sorted(basis, reverse=True):
-        v = _gf_value(mu, q)
-        if v:
-            mu = _gf_axpy(mu, basis[q], p - v, p)
-    if not any(mu):
-        return None
-    w = [1 << max(map(int.bit_length, mu)) - 1] + [0] * (p - 2)
-    for q in sorted(basis):
-        dot = sum(i * j * (row_plane & w_plane).bit_count()
-                  for i, row_plane in enumerate(basis[q], 1)
-                  for j, w_plane in enumerate(w, 1)) % p
-        if dot:
-            w[p - dot - 1] |= 1 << q
-    return tuple(w)
+        if top >= n:
+            basis[top] = x, pow(_gf_value(x, top), p - 2, p)
+        elif sum(k * plane.bit_count() for k, plane in enumerate(x, 1)) % p:
+            return x
+    return None
 
 
 def _barrier(n: int, r: int, masks: list[int], near: list[int]) -> Obstruction | None:
@@ -423,8 +406,9 @@ def _barrier(n: int, r: int, masks: list[int], near: list[int]) -> Obstruction |
     s = _space_barrier(n, r, near)
     if s is not None:
         return Obstruction(SPACE, tuple(s >> (n - 1 - v) & 1 for v in range(n)), None)
+    cols = _columns(n, masks)
     for p in range(2, r + 1):
-        w = _divisibility_barrier(n, masks, p) if all(p % q for q in range(2, p)) else None
+        w = _divisibility_barrier(n, cols, p) if all(p % q for q in range(2, p)) else None
         if w is not None:
             return Obstruction(DIVISIBILITY,
                                tuple(_gf_value(w, n - 1 - v) for v in range(n)), p)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 
 import pytest
 
@@ -262,3 +263,48 @@ def test_family_mask_bookkeeping():
         hits={},
     )
     assert not clash.is_disjoint()
+
+
+def _recursive_match(num_left, adj):
+    """The recursive augmenting-path matcher _bipartite_match replaced."""
+    match_right = {}
+
+    def augment(u, seen):
+        for v in adj[u]:
+            if v in seen:
+                continue
+            seen.add(v)
+            if v not in match_right or augment(match_right[v], seen):
+                match_right[v] = u
+                return True
+        return False
+
+    for u in range(num_left):
+        if not augment(u, set()):
+            return None
+    out = [-1] * num_left
+    for v, u in match_right.items():
+        out[u] = v
+    return out
+
+
+def test_bipartite_match_equals_the_recursive_matcher():
+    rng = random.Random("bipartite")
+    outcomes = set()
+    for _ in range(2000):
+        left, right = rng.randint(0, 9), rng.randint(0, 9)
+        density = rng.random()
+        adj = [rng.sample(range(right), sum(rng.random() < density for _ in range(right)))
+               for _ in range(left)]
+        got = absorbing._bipartite_match(left, adj)
+        assert got == _recursive_match(left, adj)
+        outcomes.add(got is None)
+    assert outcomes == {True, False}
+
+
+def test_bipartite_match_follows_a_path_longer_than_the_recursion_limit():
+    # left i < k takes right i first, so left k, which sees only right 0,
+    # must shift every one of them along to right i + 1
+    k = 2 * sys.getrecursionlimit()
+    adj = [[i, i + 1] for i in range(k)] + [[0]]
+    assert absorbing._bipartite_match(k + 1, adj) == list(range(1, k + 1)) + [0]

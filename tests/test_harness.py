@@ -147,6 +147,13 @@ def test_large_semidegree_space_yields_without_recursion():
     assert g._in == Digraph(n, g._out)._in
 
 
+def test_deficiency_zero_space_is_the_complete_digraph_alone():
+    n = 3000
+    hosts = list(iter_min_semidegree_hosts(n, n - 1))
+    complete = tuple(((1 << n) - 1) ^ (1 << v) for v in range(n))
+    assert [(g.n, g._out, g._in) for g in hosts] == [(n, complete, complete)]
+
+
 def test_exhaustive_semidegree_sweep_n6():
     for pattern in (Tournament.transitive(3), Tournament.cyclic_triangle()):
         rep = sweep_semidegree(3, pattern, 6, mode="exhaustive")

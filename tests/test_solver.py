@@ -607,13 +607,38 @@ def test_divisibility_barrier_exists_exactly_when_some_weighting_does(p, n):
         def fits(w):
             return (all(sum(w[v] for v in bits(m)) % p == 0 for m in masks)
                     and sum(w) % p != 0)
-        got = solver._divisibility_barrier(n, masks, p)
+        got = solver._divisibility_barrier(n, solver._columns(n, masks), p)
         exists = any(fits(w) for w in all_weights)
         assert (got is not None) == exists
         if got is not None:
             assert fits(_gf_coords(got, n))
         seen.add(exists)
     assert seen == {True, False}
+
+
+def _barrier_cases():
+    """Seeded random families of r-sets on n <= 12 vertices, for p = 2, 3, 5."""
+    rng = random.Random("divisibility-pin")
+    for p in (2, 3, 5):
+        for _ in range(80):
+            n = rng.randint(3, 12)
+            sets = list(itertools.combinations(range(n), min(rng.choice([2, 3, 4]), n)))
+            k = rng.randint(1, min(len(sets), 2 * n))
+            yield p, n, sorted({mask_of(c) for c in rng.sample(sets, k)}, reverse=True)
+
+
+# the exact weight tuples, computed before the barrier eliminated columns
+# instead of rows; the weights depend only on the span of the sets
+_PINNED_BARRIERS = (240, "1eb0bb87ac813ca1dbde59c673ad68ab694005b243a701ff230815d9730daf7b")
+
+
+def test_divisibility_barrier_weights_are_pinned():
+    rows = []
+    for p, n, masks in _barrier_cases():
+        w = solver._divisibility_barrier(n, solver._columns(n, masks), p)
+        rows.append([p, n, None if w is None else list(w)])
+    assert {(p, w is None) for p, _, w in rows} == {(p, b) for p in (2, 3, 5) for b in (False, True)}
+    assert _sha_rows(rows) == _PINNED_BARRIERS
 
 
 def test_max_disjoint_sets_exact_flag():
