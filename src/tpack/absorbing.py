@@ -99,8 +99,7 @@ def count_connectors(g: Digraph, pattern: Digraph, x: int, y: int,
 def estimate_connector_density(g: Digraph, pattern: Digraph, x: int, y: int,
                                trials: int, seed: int) -> float:
     """Fraction of uniform random (r-1)-sets that connect x and y."""
-    if x == y:
-        raise DomainError("connector endpoints must differ")
+    _check_endpoints(g, x, y)
     rng = random.Random(seed)
     others = [v for v in range(g.n) if v not in (x, y)]
     r = pattern.n

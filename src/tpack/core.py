@@ -37,6 +37,14 @@ def mask_of(vertices) -> int:
     return m
 
 
+def _transpose(width: int, rows) -> list[int]:
+    """The columns of a bit matrix whose rows are masks below 1 << width:
+    column j has bit i when rows[i] has bit j.  They are read off the joined
+    bin(1 << width | row) texts, last row first, as every (width + 3)-th digit."""
+    text = "".join(map(bin, map((1 << width).__or__, reversed(rows))))
+    return [int("0" + text[width + 2 - j::width + 3], 2) for j in range(width)]
+
+
 def ceil_frac(a: int, b: int) -> int:
     """Smallest integer >= a/b for positive b."""
     return -((-a) // b)
@@ -61,7 +69,6 @@ class Digraph:
         if len(out) != n:
             raise DomainError(f"expected {n} out-rows, got {len(out)}")
         full = (1 << n) - 1
-        in_rows = [0] * n
         m = 0
         for u, row in enumerate(out):
             if row & ~full:
@@ -69,14 +76,9 @@ class Digraph:
             if row >> u & 1:
                 raise DomainError(f"loop at vertex {u}")
             m += row.bit_count()
-            bit = 1 << u
-            while row:
-                low = row & -row
-                in_rows[low.bit_length() - 1] |= bit
-                row ^= low
         self.n = n
         self._out = out
-        self._in = tuple(in_rows)
+        self._in = tuple(_transpose(n, out))
         self._m = m
 
     @classmethod
@@ -150,19 +152,16 @@ class Digraph:
         return sum((self._out[u] & vertex_mask).bit_count() for u in bits(vertex_mask))
 
     def induced(self, vertices) -> tuple["Digraph", tuple[int, ...]]:
-        """Induced subdigraph on the given vertices plus the new->old index map."""
+        """Induced subdigraph on the given vertices plus the new->old index map.
+
+        The kept vertices' columns of the kept out-rows are the induced
+        in-rows, and their transpose is the induced out-rows."""
         order = tuple(sorted(set(vertices)))
         if order and not (0 <= order[0] and order[-1] < self.n):
             raise DomainError("induced set outside vertex range")
-        pos = {old: new for new, old in enumerate(order)}
-        rows = [0] * len(order)
-        for new_u, old_u in enumerate(order):
-            row = 0
-            for old_v in bits(self._out[old_u]):
-                if old_v in pos:
-                    row |= 1 << pos[old_v]
-            rows[new_u] = row
-        return Digraph(len(order), rows), order
+        cols = _transpose(self.n, [self._out[v] for v in order])
+        in_rows = [cols[v] for v in order]
+        return Digraph._from_rows(len(order), _transpose(len(order), in_rows), in_rows), order
 
     def minus_arcs(self, arcs) -> "Digraph":
         rows = list(self._out)
@@ -205,10 +204,10 @@ class Graph:
             if row >> v & 1:
                 raise DomainError(f"loop at vertex {v}")
             m2 += row.bit_count()
-        for v in range(n):
-            for u in bits(adj[v]):
-                if not adj[u] >> v & 1:
-                    raise DomainError(f"asymmetric adjacency between {u} and {v}")
+        for v, (row, col) in enumerate(zip(adj, _transpose(n, adj))):
+            if row & ~col:
+                u = next(bits(row & ~col))
+                raise DomainError(f"asymmetric adjacency between {u} and {v}")
         self.n = n
         self._adj = tuple(adj)
         self._m = m2 // 2

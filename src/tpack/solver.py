@@ -26,7 +26,7 @@ from itertools import combinations, permutations
 
 from .core import (
     Digraph, DomainError, Embedding, InvariantViolation, bits, copy_masks, iter_copies,
-    spans_copy,
+    spans_copy, _transpose,
 )
 
 DEFAULT_BUDGET = 10**8
@@ -366,11 +366,10 @@ def _gf_axpy(x: tuple[int, ...], y: tuple[int, ...], c: int, p: int) -> tuple[in
 
 
 def _columns(n: int, masks: list[int]) -> list[int]:
-    """The masks' incidence columns: column j has bit n + i when mask i holds
-    vertex j, and bit j, where its combination over the vertices starts; it is
-    read off the joined bin(1 << n | mask) texts as every (n + 3)-th digit."""
-    text = "".join(map(bin, map((1 << n).__or__, reversed(masks))))
-    return [int("0" + text[n + 2 - j::n + 3], 2) << n | 1 << j for j in range(n)]
+    """The masks' incidence columns: column j is the transpose's column j
+    (bit i when mask i holds vertex j) shifted above bit n, plus bit j, where
+    its combination over the vertices starts."""
+    return [col << n | 1 << j for j, col in enumerate(_transpose(n, masks))]
 
 
 def _divisibility_barrier(n: int, cols: list[int], p: int) -> tuple[int, ...] | None:

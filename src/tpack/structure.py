@@ -185,40 +185,32 @@ def _greedy_maximal_matching(graph: Graph) -> list[tuple[int, int]]:
     return out
 
 
-def _matching_of_size(graph: Graph, d: int) -> list[tuple[int, int]] | None:
-    """Any d pairwise disjoint edges, or None if no d-matching exists."""
-    if d <= 0:
-        return []
-    greedy = _greedy_maximal_matching(graph)
-    if len(greedy) >= d:
-        return greedy[:d]
-    full = (1 << graph.n) - 1
-    failed: set[tuple[int, int]] = set()
-    chosen: list[tuple[int, int]] = []
+def _matching_of_size(graph: Graph, d: int) -> list[tuple[int, int]]:
+    """d pairwise disjoint edges, given min degree >= d and order >= 2d.
 
-    def search(avail: int, need: int) -> bool:
-        if need == 0:
-            return True
-        if avail.bit_count() < 2 * need:
-            return False
-        key = (avail, need)
-        if key in failed:
-            return False
-        v = (avail & -avail).bit_length() - 1
-        rest = avail ^ (1 << v)
-        for u in bits(graph.adj_mask(v) & rest):
-            chosen.append((v, u))
-            if search(rest ^ (1 << u), need - 1):
-                return True
-            chosen.pop()
-        if search(rest, need):
-            return True
-        failed.add(key)
-        return False
-
-    if search(full, d):
-        return chosen
-    return None
+    Starts from the greedy maximal matching M, whose unmatched vertices are
+    pairwise non-adjacent.  While |M| < d, two unmatched vertices u and w
+    have at least 2d > 2|M| neighbours between them, all matched, so some
+    edge ab of M has u ~ a and w ~ b, and ua, wb replace it.
+    """
+    matching = _greedy_maximal_matching(graph)
+    free = (1 << graph.n) - 1
+    for a, b in matching:
+        free ^= 1 << a | 1 << b
+    while len(matching) < d:
+        u, w = itertools.islice(bits(free), 2)
+        nu, nw = graph.adj_mask(u), graph.adj_mask(w)
+        for i, (a, b) in enumerate(matching):
+            if not (nu >> a & 1 and nw >> b & 1):
+                a, b = b, a
+            if nu >> a & 1 and nw >> b & 1:
+                matching[i] = (u, a)
+                matching.append((w, b))
+                break
+        else:
+            raise InvariantViolation("no matched edge joins two unmatched vertices")
+        free ^= 1 << u | 1 << w
+    return matching[:d]
 
 
 def d_matching_covering(
@@ -243,10 +235,7 @@ def d_matching_covering(
         raise DomainError(f"min degree {graph.min_degree()} below {d}")
     if d == 0:
         return ()
-    matching = _matching_of_size(graph, d)
-    if matching is None:
-        raise InvariantViolation("no matching of the requested size exists")
-    edges = sorted(tuple(sorted(e)) for e in matching)
+    edges = sorted(tuple(sorted(e)) for e in _matching_of_size(graph, d))
     xmask = mask_of(xs)
 
     for _ in range(d + 1):

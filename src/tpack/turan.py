@@ -24,26 +24,27 @@ from .core import (
 
 
 def _find_clique(graph: Graph, size: int, cand_mask: int | None = None) -> tuple[int, ...] | None:
-    """Lex-least clique of the given size within cand_mask, or None."""
-    if size == 0:
-        return ()
-    if cand_mask is None:
-        cand_mask = (1 << graph.n) - 1
+    """Lex-least clique of the given size within cand_mask, or None.
 
-    def extend(chosen: list[int], cand: int) -> tuple[int, ...] | None:
-        if len(chosen) == size:
-            return tuple(chosen)
+    Depth-first on an explicit stack: cands[k] holds the candidates left for
+    the (k+1)-th vertex, each lowest first, and a level is abandoned once
+    its candidates cannot complete the clique.
+    """
+    chosen: list[int] = []
+    cands = [(1 << graph.n) - 1 if cand_mask is None else cand_mask]
+    while len(chosen) < size:
+        cand = cands[-1]
         if len(chosen) + cand.bit_count() < size:
-            return None
+            cands.pop()
+            if not chosen:
+                return None
+            chosen.pop()
+            continue
         v = (cand & -cand).bit_length() - 1
+        cands[-1] = cand ^ (1 << v)
         chosen.append(v)
-        hit = extend(chosen, cand & graph.adj_mask(v))
-        if hit is not None:
-            return hit
-        chosen.pop()
-        return extend(chosen, cand ^ (1 << v))
-
-    return extend([], cand_mask)
+        cands.append(cand & graph.adj_mask(v))
+    return tuple(chosen)
 
 
 def density_precondition_holds(g: Digraph, r: int) -> bool:

@@ -75,6 +75,14 @@ def test_connector_density_estimate():
     assert estimate_connector_density(g, t, 0, 1, trials=0, seed=7) == 0.0
     with pytest.raises(DomainError):
         estimate_connector_density(g, t, 3, 3, trials=10, seed=7)
+    # an endpoint outside the host is refused as count_connectors refuses it,
+    # even where no sample spans a copy through the other endpoint
+    small = Digraph.empty(6)
+    for x, y in ((0, 99), (0, 6), (2, -1)):
+        with pytest.raises(DomainError):
+            count_connectors(small, t, x, y)
+        with pytest.raises(DomainError):
+            estimate_connector_density(small, t, x, y, trials=10, seed=7)
 
 
 def test_spans_two_cycles():

@@ -25,6 +25,7 @@ from tpack.core import (
     parse_tournament_name,
     spans_copy,
     total_min_degree,
+    _transpose,
 )
 
 
@@ -113,6 +114,73 @@ def test_iter_copies_matches_brute_force(pattern):
         got = list(iter_copies(g, pattern, within, a))
         assert len(got) == len(set(got))
         assert set(got) == want
+
+
+def _transpose_per_arc(width, rows):
+    cols = [0] * width
+    for u, row in enumerate(rows):
+        for v in bits(row):
+            cols[v] |= 1 << u
+    return cols
+
+
+def test_transpose_of_any_shape():
+    rng = random.Random(15)
+    assert _transpose(0, []) == [] and _transpose(0, [0, 0, 0]) == []
+    assert _transpose(3, []) == [0, 0, 0]
+    for width, height in ((1, 9), (4, 17), (9, 4), (40, 3), (0, 5), (7, 7)):
+        rows = [rng.getrandbits(width) if width else 0 for _ in range(height)]
+        assert _transpose(width, rows) == _transpose_per_arc(width, rows)
+        assert _transpose(height, _transpose(width, rows)) == rows
+
+
+def _induced_per_arc(rows, order):
+    pos = {old: new for new, old in enumerate(order)}
+    return [sum(1 << pos[v] for v in bits(rows[u]) if v in pos) for u in order]
+
+
+def _asymmetric_pair(adj):
+    for v, row in enumerate(adj):
+        for u in bits(row):
+            if not adj[u] >> v & 1:
+                return f"asymmetric adjacency between {u} and {v}"
+    return None
+
+
+def test_transposed_rows_match_the_per_arc_reference():
+    """In-rows, induced subdigraphs and the asymmetric pair Graph names all
+    come from the bit-matrix transpose; each is checked here against a
+    per-arc loop."""
+    rng = random.Random(1515)
+    for _ in range(400):
+        n = rng.randint(0, 14)
+        p = rng.random()
+        rows = [sum(1 << v for v in range(n) if v != u and rng.random() < p) for u in range(n)]
+        g = Digraph(n, rows)
+        in_rows = _transpose_per_arc(n, rows)
+        assert list(g._in) == in_rows
+        keep = [v for v in range(n) if rng.random() < 0.6]
+        sub, order = g.induced(keep)
+        assert order == tuple(keep)
+        assert list(sub._out) == _induced_per_arc(rows, order)
+        assert list(sub._in) == _transpose_per_arc(len(order), sub._out)
+        assert sub.num_arcs == sum(row.bit_count() for row in sub._out)
+        adj = [row | col for row, col in zip(rows, in_rows)]
+        for _ in range(rng.randint(0, 3) if n > 1 else 0):
+            u, v = rng.sample(range(n), 2)
+            adj[u] ^= 1 << v
+        want = _asymmetric_pair(adj)
+        if want is None:
+            assert Graph(n, adj).num_edges == sum(row.bit_count() for row in adj) // 2
+        else:
+            with pytest.raises(DomainError, match=f"^{want}$"):
+                Graph(n, adj)
+
+
+def test_complete_digraph_at_large_n_has_its_out_rows_as_in_rows():
+    g = Digraph.complete(3000)
+    assert g._in == g._out
+    assert g.num_arcs == 3000 * 2999
 
 
 def test_complete_digraph_degrees():

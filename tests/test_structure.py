@@ -46,6 +46,20 @@ def test_dmatch_forced_swap():
     assert len(m) == 2 and {4, 5} <= covered(m)
 
 
+def test_dmatch_when_greedy_pairs_the_clique_with_itself():
+    # A 40-clique joined to every vertex of an independent 80-set: the greedy
+    # matching pairs the clique internally (20 edges) and strands the rest, so
+    # reaching d = 40 takes 20 swaps.  A search over the clique's internal
+    # pairings is exponential here.
+    x, y = 40, 80
+    g = Graph.from_edges(x + y, [(u, v) for u in range(x) for v in range(u + 1, x + y)])
+    assert g.min_degree() == x
+    for xs in (range(x), range(x, 2 * x), range(0, 2 * x, 2)):
+        m = d_matching_covering(g, x, xs)
+        assert len(m) == x and set(xs) <= covered(m)
+        assert all(g.has_edge(u, v) for u, v in m) and len(covered(m)) == 2 * x
+
+
 def test_dmatch_size_mismatch():
     with pytest.raises(DomainError):
         d_matching_covering(Graph.complete(6), 2, [0])

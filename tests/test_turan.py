@@ -99,6 +99,20 @@ def test_density_threshold_is_strict():
     assert g.arc(u, v) and g.arc(v, u)
 
 
+def test_density_clique_search_does_not_recurse_per_vertex():
+    # Arcs both ways between the halves, a transitive tournament inside each
+    # and the one extra arc n-1 -> n-2: the only doubled pair inside a half is
+    # {n-2, n-1}, so the clique search passes over the other 1,098 vertices
+    # of the upper half before it finds it.
+    n, h = 2200, 1100
+    half = [(1 << h) - 1, ((1 << n) - 1) ^ ((1 << h) - 1)]
+    rows = [half[u < h] | half[u >= h] >> (u + 1) << (u + 1) for u in range(n)]
+    rows[n - 1] |= 1 << (n - 2)
+    g = Digraph(n, rows)
+    assert density_precondition_holds(g, 3)
+    assert find_kr_from_density(g, 3) == (0, n - 2, n - 1)
+
+
 def test_density_fails_on_sparse():
     g = random_digraph(8, 3, p=0.15)
     if not density_precondition_holds(g, 4):
