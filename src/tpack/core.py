@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import functools
 import itertools
+import re
 from dataclasses import dataclass
+from operator import eq
 
 
 class DomainError(ValueError):
@@ -279,13 +281,18 @@ class Tournament(Digraph):
     """Digraph with exactly one arc between every pair of vertices."""
 
     def __init__(self, n: int, out_rows):
+        """Each vertex u must reach every other vertex one way exactly:
+        out-row XOR in-row is every vertex but u.  The first failing row has
+        only later partners wrong, so its lowest wrong bit names the first
+        bad pair in (u, v) order."""
         super().__init__(n, out_rows)
-        for u in range(n):
-            for v in range(u + 1, n):
-                fwd = self._out[u] >> v & 1
-                bwd = self._out[v] >> u & 1
-                if fwd + bwd != 1:
-                    raise DomainError(f"pair ({u},{v}) carries {fwd + bwd} arcs, want exactly 1")
+        full = (1 << n) - 1
+        for u, (row, col) in enumerate(zip(self._out, self._in)):
+            wrong = row ^ col ^ full ^ 1 << u
+            if wrong:
+                v = (wrong & -wrong).bit_length() - 1
+                arcs = (row >> v & 1) + (col >> v & 1)
+                raise DomainError(f"pair ({u},{v}) carries {arcs} arcs, want exactly 1")
 
     @property
     def r(self) -> int:
@@ -532,8 +539,55 @@ def total_min_degree(g: Digraph) -> int:
     return min(g.d_out(v) + g.d_in(v) for v in range(g.n))
 
 
+#: The exact form digraph_to_text writes: a count line, then "u v" lines, in
+#: ASCII digits with single spaces and a newline after every line.
+_CANONICAL = re.compile(r"[0-9]+\n(?:[0-9]+ [0-9]+\n)*")
+
+
 def load_digraph_text(text: str) -> Digraph:
-    """Parse the edge-list format: first line n, then one '0-indexed u v' arc per line."""
+    """Parse the edge-list format: first line n, then one '0-indexed u v' arc per line.
+
+    Text in the exact form digraph_to_text writes is read in bulk.  Any other
+    text, and canonical text that a bulk check refuses, is read line by line
+    (_load_checked), so every refusal names the first bad line."""
+    g = _load_canonical(text) if _CANONICAL.fullmatch(text) else None
+    return _load_checked(text) if g is None else g
+
+
+def _load_canonical(text: str) -> Digraph | None:
+    """The digraph of a canonical text, or None when a check refuses it.
+
+    Tokens map to vertices through the decimal forms of 0..k-1, where k is
+    min(n, number of arc tokens), so nothing of size n is built before the
+    arcs pass.  A token outside them (out of range, a leading zero, or an
+    index above k) refuses, as do a loop and a duplicate line.
+    """
+    head, *tokens = text.split()
+    try:
+        n = int(head)
+    except ValueError:  # more digits than int() reads
+        return None
+    k = min(n, len(tokens))
+    index = dict(zip(map(str, range(k)), range(k)))
+    try:
+        ends = list(map(index.__getitem__, tokens))
+    except KeyError:
+        return None
+    us, vs = ends[0::2], ends[1::2]
+    if any(map(eq, us, vs)):
+        return None
+    rows = [0] * k
+    for u, v in zip(us, vs):
+        rows[u] |= 1 << v
+    if sum(map(int.bit_count, rows)) != len(us):  # a duplicate line
+        return None
+    return Digraph(n, rows + [0] * (n - k))
+
+
+def _load_checked(text: str) -> Digraph:
+    """load_digraph_text line by line: comments, blank lines, surrounding
+    whitespace, signs and leading zeros are read, and a refusal names the
+    first bad line."""
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:

@@ -219,20 +219,28 @@ def _search(full: int, branches, limit: int):
     return items, nodes
 
 
-def _index(n: int, masks: list[int]) -> tuple[list[list[int]], list[int]]:
-    """(by_vertex, near): the masks through each vertex below n, each list in
-    the order of masks, and near[v], the union of the masks through v."""
-    by_vertex: list[list[int]] = [[] for _ in range(n)]
+def _near(n: int, masks: list[int]) -> list[int]:
+    """near[v] for each vertex below n: the union of the masks through v."""
     near = [0] * n
     for m in masks:
         rest = m
         while rest:
             low = rest & -rest
-            v = low.bit_length() - 1
-            by_vertex[v].append(m)
-            near[v] |= m
+            near[low.bit_length() - 1] |= m
             rest ^= low
-    return by_vertex, near
+    return near
+
+
+def _by_vertex(n: int, masks: list[int]) -> list[list[int]]:
+    """The masks through each vertex below n, each list in the order of masks."""
+    by_vertex: list[list[int]] = [[] for _ in range(n)]
+    for m in masks:
+        rest = m
+        while rest:
+            low = rest & -rest
+            by_vertex[low.bit_length() - 1].append(m)
+            rest ^= low
+    return by_vertex
 
 
 def _cover(n: int, by_vertex: list[list[int]], near: list[int], d: int, limit: int):
@@ -433,11 +441,11 @@ def find_perfect_family_packing(g: Digraph, family,
     if quick is not None:
         return quick
     masks, embed = _candidate_embeddings(g, fam)
-    by_vertex, near = _index(g.n, masks)
+    near = _near(g.n, masks)
     obstruction = _barrier(g.n, fam[0].n, masks, near)
     if obstruction is not None:
         return PackCertificate(EXHAUSTED_NONE, None, 0, obstruction)
-    chosen, nodes = _cover(g.n, by_vertex, near, 0, budget)
+    chosen, nodes = _cover(g.n, _by_vertex(g.n, masks), near, 0, budget)
     if nodes > budget:
         return PackCertificate(BUDGET_EXCEEDED, None, nodes)
     if chosen is None:
@@ -455,7 +463,7 @@ def _max_cover(n: int, r: int, masks: list[int], budget: int) -> tuple[list[int]
     r - 1 vertices outside S.  The levels share the budget; once it is spent,
     chosen comes from _cover at d = n, which never backtracks (greedy).
     """
-    by_vertex, near = _index(n, masks)
+    by_vertex, near = _by_vertex(n, masks), _near(n, masks)
     s = _space_barrier(n, r, near)
     d = n % r if s is None else n - r * ((n - s.bit_count()) // (r - 1))
     nodes = 0

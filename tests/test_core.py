@@ -20,6 +20,8 @@ from tpack.core import (
     iter_copies,
     k3_minus_pattern,
     load_digraph_text,
+    _load_canonical,
+    _load_checked,
     mask_of,
     min_semidegree,
     parse_tournament_name,
@@ -237,6 +239,26 @@ def test_tournament_validation():
     assert c3.arc(0, 1) and c3.arc(1, 2) and c3.arc(2, 0)
 
 
+def test_tournament_names_the_first_bad_pair():
+    """With two faulty pairs the message names the first in (u, v) order."""
+    def broken(drop, add):
+        rows = [(0b11111 >> (u + 1)) << (u + 1) for u in range(5)]  # transitive
+        rows[drop[0]] ^= 1 << drop[1]
+        rows[add[0]] |= 1 << add[1]
+        return rows
+
+    cases = [
+        (broken((1, 3), (4, 0)), "pair (0,4) carries 2 arcs, want exactly 1"),
+        (broken((1, 4), (2, 1)), "pair (1,2) carries 2 arcs, want exactly 1"),
+        (broken((0, 2), (3, 1)), "pair (0,2) carries 0 arcs, want exactly 1"),
+        (broken((2, 4), (4, 3)), "pair (2,4) carries 0 arcs, want exactly 1"),
+    ]
+    for rows, message in cases:
+        with pytest.raises(DomainError) as err:
+            Tournament(5, rows)
+        assert str(err.value) == message
+
+
 def test_all_tournaments_counts():
     # numbers of tournaments up to isomorphism on 1..4 vertices
     assert [len(all_tournaments(r)) for r in (1, 2, 3, 4)] == [1, 1, 2, 4]
@@ -423,6 +445,92 @@ def test_load_digraph_text_messages_are_pinned():
     assert load_digraph_text("# hosts\n 4 \n\n2 3\n# mid\n3 0\n0 2\n") == Digraph.from_arcs(
         4, [(2, 3), (3, 0), (0, 2)])
     assert load_digraph_text("0\n") == Digraph.empty(0)
+
+
+def _mutated(text: str, kind: str, pick: int) -> str:
+    """text with one mutation of the given kind; pick chooses the line and token."""
+    lines = text.splitlines()
+    i = pick % len(lines)
+    arc = 1 + pick % (len(lines) - 1) if len(lines) > 1 else None
+    tokens = lines[i].split()
+    t = pick // len(lines) % len(tokens)
+    if kind == "drop":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "loop":
+        if arc is None:
+            lines.append("0 0")
+        else:
+            v = lines[arc].split()[1]
+            lines[arc] = f"{v} {v}"
+    elif kind == "bump":
+        if arc is None:
+            lines.append(f"0 {lines[0]}")
+        else:
+            u, v = lines[arc].split()
+            lines[arc] = f"{lines[0]} {v}" if pick % 2 else f"{u} {lines[0]}"
+    elif kind == "third":
+        lines[i] += " 0"
+    elif kind in ("zero", "plus"):
+        tokens[t] = ("0" if kind == "zero" else "+") + tokens[t]
+        lines[i] = " ".join(tokens)
+    elif kind == "crlf":
+        return "\r\n".join(lines) + "\r\n"
+    elif kind == "comment":
+        lines.insert(i, "# note")
+    elif kind == "blank":
+        lines.insert(i, "")
+    elif kind == "spaces":
+        lines[i] += "  "
+    elif kind == "no-final-newline":
+        return "\n".join(lines)
+    return "\n".join(lines) + "\n"
+
+
+def _outcome(parse, text: str):
+    try:
+        return parse(text)
+    except DomainError as err:
+        return str(err)
+
+
+MUTATIONS = ("drop", "duplicate", "loop", "bump", "third", "zero", "plus", "crlf",
+             "comment", "blank", "spaces", "no-final-newline")
+
+
+@given(st.integers(min_value=0, max_value=12).flatmap(
+           lambda n: st.tuples(st.just(n), st.integers(0, (1 << (n * (n - 1))) - 1))),
+       st.sampled_from(MUTATIONS), st.integers(min_value=0, max_value=10 ** 6))
+@settings(max_examples=400, deadline=None)
+def test_bulk_and_checked_routes_agree(host, kind, pick):
+    """digraph_to_text output with at least n arc tokens is read in bulk;
+    after one mutation the bulk route gives the same digraph as the checked
+    loop, or the same refusal."""
+    g = random_digraph(host[1], host[0])
+    text = digraph_to_text(g)
+    bulk = _load_canonical(text)
+    assert bulk == g or (bulk is None and 2 * g.num_arcs < g.n)
+    bad = _mutated(text, kind, pick)
+    assert _outcome(load_digraph_text, bad) == _outcome(_load_checked, bad)
+
+
+def test_bulk_route_builds_nothing_of_size_n_before_the_arcs_pass():
+    """Canonical texts with a huge count fail on their bad line at once, and a
+    count line longer than int() reads is refused as the checked loop refuses it."""
+    for text, message in [
+        (f"{2 ** 62}\n1 0\n1 0\n", "duplicate arc line '1 0'"),
+        (f"{2 ** 62}\n3 0\n0 3\n0 3\n", "duplicate arc line '0 3'"),
+        (f"{2 ** 62}\n1 2\n5 5\n", "loop line '5 5'"),
+    ]:
+        with pytest.raises(DomainError) as err:
+            load_digraph_text(text)
+        assert str(err.value) == message
+    long_count = "9" * 5000 + "\n"
+    assert _outcome(load_digraph_text, long_count).startswith("first line must be the vertex count")
+    # tokens that pair up across lines must not be read as arcs
+    for text in (long_count, "3\n0 1 2\n1\n", "3\n0\n1 2\n", "3 0\n1\n2 0\n", "3\n0  1\n"):
+        assert _outcome(load_digraph_text, text) == _outcome(_load_checked, text)
 
 
 def test_parse_tournament_name():
