@@ -41,10 +41,15 @@ def mask_of(vertices) -> int:
 
 def _transpose(width: int, rows) -> list[int]:
     """The columns of a bit matrix whose rows are masks below 1 << width:
-    column j has bit i when rows[i] has bit j.  They are read off the joined
-    bin(1 << width | row) texts, last row first, as every (width + 3)-th digit."""
-    text = "".join(map(bin, map((1 << width).__or__, reversed(rows))))
-    return [int("0" + text[width + 2 - j::width + 3], 2) for j in range(width)]
+    column j has bit i when rows[i] has bit j.  The rows after the last
+    non-empty one are left out, and w is the bit length of the widest row
+    left; the columns below w are read off the joined bin(1 << w | row)
+    texts, last row first, as every (w + 3)-th digit, and the rest are 0.
+    So a sparse matrix costs its rows times w, not height times width."""
+    rows = rows[:len(bytes(map(bool, rows)).rstrip(b"\0"))]
+    w = max(rows, default=0).bit_length()
+    text = "".join(map(bin, map((1 << w).__or__, reversed(rows))))
+    return [int("0" + text[w + 2 - j::w + 3], 2) for j in range(w)] + [0] * (width - w)
 
 
 def ceil_frac(a: int, b: int) -> int:
@@ -70,10 +75,9 @@ class Digraph:
         out = tuple(out_rows)
         if len(out) != n:
             raise DomainError(f"expected {n} out-rows, got {len(out)}")
-        full = (1 << n) - 1
         m = 0
         for u, row in enumerate(out):
-            if row & ~full:
+            if row >> n:
                 raise DomainError(f"vertex {u} has an out-neighbour outside 0..{n - 1}")
             if row >> u & 1:
                 raise DomainError(f"loop at vertex {u}")
@@ -415,13 +419,15 @@ def copy_masks(g: Digraph, pattern: Digraph) -> set[int]:
 
     Grows embeddings with the spans-order plan, like _copies, but adds every
     candidate of the last step at once instead of yielding them one by one,
-    which is several times faster when every copy is wanted.  A set hosting
-    several embeddings is recorded once.
+    which is several times faster when every copy is wanted.  The plan's
+    symmetry bounds (_plans) cut each embedding that a lex-smaller one on the
+    same set stands for, so the lex-first embedding of every set is still
+    grown while the others are mostly cut.
     """
     r = pattern.n
     if r == 0:
         return {0}
-    (outs, ins, _), = _plans(pattern)[0]
+    ((outs, ins, _),), _, _, (above, twin_in, twin_out) = _plans(pattern)
     out_rows, in_rows = g._out, g._in
     full = (1 << g.n) - 1
     image = [0] * r
@@ -434,6 +440,12 @@ def copy_masks(g: Digraph, pattern: Digraph) -> set[int]:
             cand &= out_rows[image[j]]
         for j in ins[step]:
             cand &= in_rows[image[j]]
+        for j in above[step]:
+            cand &= -2 << image[j]
+        for j in twin_in[step]:
+            cand &= ~in_rows[image[j]] | -1 << image[j]
+        for j in twin_out[step]:
+            cand &= ~out_rows[image[j]] | -1 << image[j]
         if step == last:
             while cand:
                 low = cand & -cand
@@ -450,18 +462,86 @@ def copy_masks(g: Digraph, pattern: Digraph) -> set[int]:
     return found
 
 
+def _colours(pattern: Digraph) -> list[int]:
+    """Colour refinement from (out, in)-degree: each round splits vertices by
+    the colours of their out- and in-neighbours, until no class splits.  An
+    automorphism keeps every colour."""
+    r = pattern.n
+    colour = [0] * r
+    while True:
+        keys = [(colour[p], tuple(sorted(colour[q] for q in bits(pattern._out[p]))),
+                 tuple(sorted(colour[q] for q in bits(pattern._in[p])))) for p in range(r)]
+        rank = {key: i for i, key in enumerate(sorted(set(keys)))}
+        refined = [rank[key] for key in keys]
+        if len(rank) == len(set(colour)):
+            return refined
+        colour = refined
+
+
+def _extends(pattern: Digraph, colour: list[int], pairs) -> bool:
+    """Whether some automorphism of pattern maps p to q for each (p, q) in pairs.
+
+    colour is _colours(pattern).  Backtracking places the paired vertices
+    first, then the rest in index order; each goes to an unused vertex of
+    its own colour whose arcs to the images already placed match its own."""
+    if any(colour[p] != colour[q] for p, q in pairs):
+        return False
+    r = pattern.n
+    out, inn = pattern._out, pattern._in
+    cls = [0] * r
+    for p in range(r):
+        cls[colour[p]] |= 1 << p
+    fixed = dict(pairs)
+    order = list(fixed) + [p for p in range(r) if p not in fixed]
+    sigma = [0] * r
+
+    def extend(k: int, used: int) -> bool:
+        if k == r:
+            return True
+        p = order[k]
+        cand = cls[colour[p]] & ~used
+        if p in fixed:
+            cand &= 1 << fixed[p]
+        for x in order[:k]:
+            y = sigma[x]
+            cand &= out[y] if out[x] >> p & 1 else ~out[y]
+            cand &= inn[y] if inn[x] >> p & 1 else ~inn[y]
+        for q in bits(cand):
+            sigma[p] = q
+            if extend(k + 1, used | 1 << q):
+                return True
+        return False
+
+    return extend(0, 0)
+
+
 @functools.cache
 def _plans(pattern: Digraph) -> tuple:
-    """The growth plans of pattern, as (spans, rooted).
+    """The growth plans of pattern, as (spans, rooted, roots, bounds).
 
     spans holds one plan in spans order: decreasing out-degree, then
     in-degree, then index.  rooted holds one plan per pattern vertex q,
-    which places q first and the rest in spans order.  A plan is
-    (outs, ins, slot): step i's image must lie in the out-row of the image
-    of each step in outs[i] and in the in-row of the image of each step in
-    ins[i]; slot[q] is the step that places pattern vertex q.
+    which places q first and the rest in spans order; roots keeps those
+    whose root no automorphism maps to a lower vertex, so every vertex set
+    that rooted grows through a start vertex, an earlier plan of roots
+    grows too.  A plan is (outs, ins, slot): step i's image must lie in the
+    out-row of the image of each step in outs[i] and in the in-row of the
+    image of each step in ins[i]; slot[q] is the step that places pattern
+    vertex q.
+
+    bounds = (above, twin_in, twin_out) cuts embeddings of the spans plan
+    that a lex-smaller embedding on the same vertex set stands for (images
+    compared step by step).  Step i's image must exceed the image of each
+    step j in above[i]: pattern vertex i lies in the orbit of vertex j under
+    the automorphisms fixing the steps before j (Grochow and Kellis, RECOMB
+    2007).  Steps j in twin_in[i] or twin_out[i] place a twin of step i's
+    vertex: the two differ only in the one arc between them, so swapping
+    their images is an embedding too when the host has the reverse arc.
+    Step i's image may not lie below step j's image and in its in-row
+    (twin_in, the pattern arc runs from j to i) or out-row (twin_out).
     """
     r = pattern.n
+    out, inn = pattern._out, pattern._in
     spans = sorted(range(r), key=lambda p: (-pattern.d_out(p), -pattern.d_in(p), p))
 
     def plan(order: list[int]) -> tuple:
@@ -471,8 +551,32 @@ def _plans(pattern: Digraph) -> tuple:
                     for i, p in enumerate(order))
         return outs, ins, tuple(order.index(q) for q in range(r))
 
+    colour = _colours(pattern)
+    # orbit[q]: the lowest vertex an automorphism maps q to
+    orbit = [next(v for v in range(q + 1) if v == q or _extends(pattern, colour, [(q, v)]))
+             for q in range(r)]
+
+    def orbit_mate(j: int, i: int) -> bool:
+        return orbit[spans[j]] == orbit[spans[i]] and _extends(
+            pattern, colour, [(x, x) for x in spans[:j]] + [(spans[j], spans[i])])
+
+    def twin_arc(p: int, q: int) -> bool:
+        """p -> q is the one arc between twins p and q."""
+        pq = 1 << p | 1 << q
+        return bool(out[p] >> q & 1 and not out[q] >> p & 1
+                    and out[p] & ~pq == out[q] & ~pq and inn[p] & ~pq == inn[q] & ~pq)
+
+    above, below = [], []  # below[i]: every step whose image is below step i's
+    for i in range(r):
+        mates = [j for j in range(i) if orbit_mate(j, i)]
+        implied = set().union(*(below[j] for j in mates))
+        above.append(tuple(j for j in mates if j not in implied))
+        below.append(implied.union(mates))
+    twin_in = tuple(tuple(j for j in range(i) if twin_arc(spans[j], spans[i])) for i in range(r))
+    twin_out = tuple(tuple(j for j in range(i) if twin_arc(spans[i], spans[j])) for i in range(r))
     rooted = tuple(plan([q] + [p for p in spans if p != q]) for q in range(r))
-    return (plan(spans),), rooted
+    roots = tuple(rooted[q] for q in range(r) if orbit[q] == q)
+    return (plan(spans),), rooted, roots, (tuple(above), twin_in, twin_out)
 
 
 def _copies(g: Digraph, plans: tuple, within: int, first: int):

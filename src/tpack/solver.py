@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 
 from .core import (
-    Digraph, DomainError, Embedding, InvariantViolation, bits, copy_masks, iter_copies,
-    spans_copy, _transpose,
+    Digraph, DomainError, Embedding, InvariantViolation, bits, copy_masks, spans_copy,
+    _copies, _plans, _transpose,
 )
 
 DEFAULT_BUDGET = 10**8
@@ -303,10 +303,13 @@ _FIRST_FIT_SLACK = 32
 
 def _copies_through(g: Digraph, fam: tuple[Digraph, ...], within: int, a: int):
     """(mask, (pattern, image)) for the first family copy through a inside
-    within on each vertex set."""
+    within on each vertex set, in iter_copies order.  Rooted plans whose
+    root an automorphism maps to a lower vertex are skipped (_plans): an
+    earlier plan has grown every set they grow."""
     seen: set[int] = set()
+    first = within & 1 << a
     for pat in fam:
-        for mask, image in iter_copies(g, pat, within, a):
+        for mask, image in _copies(g, _plans(pat)[2], within, first):
             if mask not in seen:
                 seen.add(mask)
                 yield mask, (pat, image)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,7 @@ from tpack.core import (
     bits,
     canonical_tournament_key,
     ceil_frac,
+    copy_masks,
     digraph_to_text,
     iter_copies,
     k3_minus_pattern,
@@ -27,6 +29,7 @@ from tpack.core import (
     parse_tournament_name,
     spans_copy,
     total_min_degree,
+    _plans,
     _transpose,
 )
 
@@ -118,6 +121,60 @@ def test_iter_copies_matches_brute_force(pattern):
         assert set(got) == want
 
 
+def _spanned_sets(g, pattern):
+    """Brute force: the r-sets onto which some vertex permutation embeds pattern."""
+    rows = [g.out_mask(u) for u in range(g.n)]
+    arcs = list(pattern.arcs())
+    return {
+        mask_of(xs) for xs in itertools.combinations(range(g.n), pattern.n)
+        if any(all(rows[im[u]] >> im[v] & 1 for u, v in arcs)
+               for im in itertools.permutations(xs))
+    }
+
+
+@pytest.mark.parametrize("pattern", COPY_PATTERNS + all_tournaments(5) + [Digraph.complete(4)])
+def test_copy_masks_matches_brute_force(pattern):
+    """The symmetry bounds of the spans plan keep every spanning set: any bound
+    that cut a set's lex-first embedding would lose a set here."""
+    rng = random.Random(pattern.n * 1000 + pattern.num_arcs * 10 + 7)
+    hosts = [Digraph.complete(8)]
+    for density in (0.3, 0.65, 0.9, 1.0):
+        for _ in range(3):
+            n = rng.randint(max(pattern.n, 1), 9)
+            hosts.append(Digraph(n, [sum(1 << v for v in range(n) if v != u and rng.random() < density)
+                                     for u in range(n)]))
+    for g in hosts:
+        assert copy_masks(g, pattern) == _spanned_sets(g, pattern)
+
+
+def test_plans_keep_one_root_per_orbit():
+    """Rooted plans are dropped exactly when an automorphism maps the root lower."""
+    rooted_orbits = {
+        Tournament.cyclic_triangle(): 1, Digraph.complete(4): 1, Tournament.transitive(4): 4,
+        k3_minus_pattern(): 3, Digraph.from_arcs(3, [(0, 1)]): 3, Digraph.empty(2): 1,
+    }
+    for pattern, orbits in rooted_orbits.items():
+        _, rooted, roots, _ = _plans(pattern)
+        assert len(roots) == orbits
+        assert set(roots) <= set(rooted) and roots[0] == rooted[0]
+
+
+def test_plans_need_no_permutation_listing():
+    """Automorphisms come from a refined backtracking search, so the plans of
+    12-vertex patterns with 12! and 1 automorphisms, and of a random
+    9-tournament, build at once."""
+    rng = random.Random(17)
+    rows = [0] * 9
+    for u, v in itertools.combinations(range(9), 2):
+        if rng.random() < 0.5:
+            u, v = v, u
+        rows[u] |= 1 << v
+    start = time.perf_counter()
+    for pattern in (Digraph.complete(12), Tournament.transitive(12), Tournament(9, rows)):
+        _plans.__wrapped__(pattern)
+    assert time.perf_counter() - start < 1.0
+
+
 def _transpose_per_arc(width, rows):
     cols = [0] * width
     for u, row in enumerate(rows):
@@ -134,6 +191,17 @@ def test_transpose_of_any_shape():
         rows = [rng.getrandbits(width) if width else 0 for _ in range(height)]
         assert _transpose(width, rows) == _transpose_per_arc(width, rows)
         assert _transpose(height, _transpose(width, rows)) == rows
+
+
+def test_short_text_with_a_large_count_parses_at_once():
+    """Only the non-empty rows are transposed, so a text naming 200,000
+    vertices and one arc builds no 200,000-bit rows."""
+    n = 200_000
+    start = time.perf_counter()
+    g = load_digraph_text(f"{n}\n0 1\n")
+    assert time.perf_counter() - start < 1.0
+    assert g == Digraph.from_arcs(n, [(0, 1)])
+    assert g.in_mask(1) == 1 and g.num_arcs == 1
 
 
 def _induced_per_arc(rows, order):

@@ -769,6 +769,30 @@ def test_copies_through_yields_each_vertex_set_once(family):
         assert set(masks) == {mask for pat in family for mask, _ in iter_copies(g, pat, full, 0)}
 
 
+SEQUENCE_FAMILIES = [(C3,), (Digraph.complete(3),), (T3,), (Tournament.transitive(4),),
+                     (k3_minus_pattern(),), (T3, C3)] + [(t,) for t in all_tournaments(4)]
+
+
+@pytest.mark.parametrize("family", SEQUENCE_FAMILIES)
+def test_copies_through_is_iter_copies_first_per_set(family):
+    """Dropping the rooted plans whose root an automorphism maps lower keeps
+    first-fit's sequence: every (mask, image) and its order, as the first
+    iter_copies copy on each set over the family's patterns in turn."""
+    rng = random.Random(len(family) * 100 + sum(p.num_arcs for p in family))
+    for trial in range(150):
+        n = rng.randint(3, 10)
+        g = random_digraph(n, rng.getrandbits(32), rng.choice([0.3, 0.65, 0.9, 1.0]))
+        within = (1 << n) - 1 if trial % 3 == 0 else rng.getrandbits(n)
+        a = rng.randrange(n)
+        want, seen = [], set()
+        for pat in family:
+            for mask, image in iter_copies(g, pat, within, a):
+                if mask not in seen:
+                    seen.add(mask)
+                    want.append((mask, (pat, image)))
+        assert list(solver._copies_through(g, family, within, a)) == want
+
+
 def test_mirror_host_in_rows_are_the_transpose(monkeypatch):
     hosts = []
     real = solver.copy_masks
