@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict, fields
 
 from .core import (
     Digraph,
@@ -99,13 +100,22 @@ def _classes(text: str) -> tuple[tuple[int, ...], ...]:
     return tuple(_ints(part) for part in text.split(";") if part.strip())
 
 
-def _emit(obj, out: str | None = None) -> None:
-    payload = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def _write(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+            fh.write(text)
     else:
-        sys.stdout.write(payload)
+        sys.stdout.write(text)
+
+
+def _emit(obj, out: str | None = None) -> None:
+    _write(json.dumps(obj, indent=2, sort_keys=True) + "\n", out)
+
+
+def _embedding_json(emb) -> dict | None:
+    if emb is None:
+        return None
+    return {"pattern": _pattern_name(emb.pattern), "image": list(emb.image)}
 
 
 def _packing_json(p: Packing | None) -> dict | None:
@@ -114,72 +124,43 @@ def _packing_json(p: Packing | None) -> dict | None:
     return {
         "perfect": p.is_perfect,
         "covered": p.covered_mask.bit_count(),
-        "elements": [
-            {"pattern": _pattern_name(e.pattern), "image": list(e.image)}
-            for e in p.elements
-        ],
+        "elements": [_embedding_json(e) for e in p.elements],
     }
 
 
-def _cert_json(cert) -> dict:
-    if isinstance(cert, PerfectMatching):
-        return {"kind": "perfect-matching", "edges": [list(e) for e in cert.edges]}
-    if isinstance(cert, IndependentSetCertificate):
-        return {
-            "kind": "independent-set",
-            "core": list(cert.core),
-            "padded": list(cert.padded),
-            "gamma_factor": cert.gamma_factor,
-        }
-    if isinstance(cert, ClosePartition):
-        return {
-            "kind": "close-partition",
-            "a": list(cert.a),
-            "b": list(cert.b),
-            "cross_count": cert.cross_count,
-            "gamma_factor": cert.gamma_factor,
-        }
-    raise DomainError(f"unknown certificate type {type(cert).__name__}")
-
-
-def _write_graph(g: Digraph, out: str | None) -> None:
-    text = digraph_to_text(g)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+_CERT_KIND = {
+    PerfectMatching: "perfect-matching",
+    IndependentSetCertificate: "independent-set",
+    ClosePartition: "close-partition",
+}
 
 
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
 
+def _random_total(args) -> Digraph:
+    if args.t is None:
+        raise DomainError("random-total needs --t, the minimum total degree")
+    return random_digraph_total_min_degree(args.n, args.t, args.seed)
+
+
+# gen's families in usage order, each building its host from the options
+_GEN = {
+    "blowup": lambda a: make_c3_blowup(a.n, a.c)[0],
+    "nearindep": lambda a: make_near_independent_extremal(a.n, a.r),
+    "source": lambda a: make_source_counterexample(a.n),
+    "k3minus": lambda a: make_k3minus_example(a.m),
+    "neartour": lambda a: make_near_tournament_extremal(a.n, a.r),
+    "random-semi": lambda a: random_digraph_min_semidegree(a.n, a.d, a.seed),
+    "random-outin": lambda a: random_digraph_out_or_in(a.n, a.seed, a.t),
+    "random-total": _random_total,
+    "tournament": lambda a: random_tournament(a.r, a.seed),
+}
+
+
 def _cmd_gen(args) -> int:
-    fam = args.family
-    if fam == "blowup":
-        g, _ = make_c3_blowup(args.n, args.c)
-    elif fam == "nearindep":
-        g = make_near_independent_extremal(args.n, args.r)
-    elif fam == "source":
-        g = make_source_counterexample(args.n)
-    elif fam == "k3minus":
-        g = make_k3minus_example(args.m)
-    elif fam == "neartour":
-        g = make_near_tournament_extremal(args.n, args.r)
-    elif fam == "random-semi":
-        g = random_digraph_min_semidegree(args.n, args.d, args.seed)
-    elif fam == "random-outin":
-        g = random_digraph_out_or_in(args.n, args.seed, args.t)
-    elif fam == "random-total":
-        if args.t is None:
-            raise DomainError("random-total needs --t, the minimum total degree")
-        g = random_digraph_total_min_degree(args.n, args.t, args.seed)
-    elif fam == "tournament":
-        g = random_tournament(args.r, args.seed)
-    else:
-        raise DomainError(f"unknown family {fam!r}")
-    _write_graph(g, args.out)
+    _write(digraph_to_text(_GEN[args.family](args)), args.out)
     return 0
 
 
@@ -242,12 +223,6 @@ def _cmd_t3pack(args) -> int:
     return 0
 
 
-def _embedding_json(emb) -> dict | None:
-    if emb is None:
-        return None
-    return {"pattern": _pattern_name(emb.pattern), "image": list(emb.image)}
-
-
 def _cmd_turan(args) -> int:
     g = load_digraph(args.graph)
     if args.op == "density":
@@ -265,7 +240,7 @@ def _cmd_turan(args) -> int:
             "embedding": _embedding_json(res.embedding),
             "independent": list(res.independent) if res.independent else None,
         }
-    elif args.op == "consistent":
+    else:  # consistent
         res = consistent_or_independent(g, args.r, args.alpha)
         out = {
             "op": "consistent",
@@ -279,8 +254,6 @@ def _cmd_turan(args) -> int:
                 for s in res.states
             ],
         }
-    else:
-        raise DomainError(f"unknown op {args.op!r}")
     _emit(out, args.out)
     return 0
 
@@ -305,14 +278,7 @@ def _cmd_complex(args) -> int:
 
 
 def _family_to_json(fam: AbsorberFamily) -> dict:
-    return {
-        "n": fam.n,
-        "pattern_order": fam.pattern_order,
-        "absorbers": [list(a) for a in fam.absorbers],
-        "absorber_size": fam.absorber_size,
-        "xi": fam.xi,
-        "seed": fam.seed,
-    }
+    return {f.name: getattr(fam, f.name) for f in fields(fam) if f.name != "hits"}
 
 
 def _family_from_json(d: dict) -> AbsorberFamily:
@@ -342,15 +308,14 @@ def _cmd_absorb(args) -> int:
         ok = is_absorbing(g, pat, _ints(args.s), _ints(args.q), args.budget)
         _emit({"absorbing": ok}, args.out)
         return 0
-    if args.action == "apply":
-        if not args.family_file or args.w is None:
-            raise DomainError("apply needs --family-file and --w")
-        with open(args.family_file, encoding="utf-8") as fh:
-            fam = _family_from_json(json.load(fh))
-        packing = absorb(g, pat, fam, _ints(args.w), args.budget)
-        _emit({"packing": _packing_json(packing)}, args.out)
-        return 0
-    raise DomainError(f"unknown absorb action {args.action!r}")
+    # apply
+    if not args.family_file or args.w is None:
+        raise DomainError("apply needs --family-file and --w")
+    with open(args.family_file, encoding="utf-8") as fh:
+        fam = _family_from_json(json.load(fh))
+    packing = absorb(g, pat, fam, _ints(args.w), args.budget)
+    _emit({"packing": _packing_json(packing)}, args.out)
+    return 0
 
 
 def _cmd_lemma(args) -> int:
@@ -369,27 +334,26 @@ def _cmd_lemma(args) -> int:
             cert = matching_or_certificate(g.underlying(), args.gamma)
         else:
             cert = matching_or_certificate_digraph(g, args.gamma)
-        _emit(_cert_json(cert), args.out)
+        _emit({"kind": _CERT_KIND[type(cert)], **asdict(cert)}, args.out)
         return 0
     if args.kind == "classify":
         classes = _classes(args.classes)
         b = _ints(args.b) if args.b else None
         res = classify_vertices(g, classes, args.delta, b)
-        _emit(res.as_dict(), args.out)
+        _emit(asdict(res), args.out)
         return 0
-    if args.kind == "expack":
-        partition = _classes(args.partition) if args.partition else None
-        packing = extremal_c3_pack(
-            g,
-            args.alpha,
-            partition,
-            gamma=args.gamma,
-            require_degree=not args.no_degree_check,
-            budget=args.budget,
-        )
-        _emit({"packing": _packing_json(packing)}, args.out)
-        return 0
-    raise DomainError(f"unknown lemma kind {args.kind!r}")
+    # expack
+    partition = _classes(args.partition) if args.partition else None
+    packing = extremal_c3_pack(
+        g,
+        args.alpha,
+        partition,
+        gamma=args.gamma,
+        require_degree=not args.no_degree_check,
+        budget=args.budget,
+    )
+    _emit({"packing": _packing_json(packing)}, args.out)
+    return 0
 
 
 def _persist_counterexamples(report, out: str | None) -> None:
@@ -423,10 +387,8 @@ def _cmd_verify(args) -> int:
         report = sweep_total_degree_kr(
             args.r, args.n, args.samples, args.seed, args.budget
         )
-    elif args.check == "c3total":
+    else:  # c3total
         report = sweep_total_degree_c3(args.n, args.samples, args.seed, args.budget)
-    else:
-        raise DomainError(f"unknown check {args.check!r}")
     _emit(report.to_dict(), args.out)
     _persist_counterexamples(report, args.out)
     print(f"elapsed: {report.elapsed:.3f}s", file=sys.stderr)
@@ -442,10 +404,7 @@ def _build_parser() -> _Parser:
     sub = p.add_subparsers(dest="cmd", required=True)
 
     gen = sub.add_parser("gen", help="emit a host digraph as an edge list")
-    gen.add_argument("family", choices=[
-        "blowup", "nearindep", "source", "k3minus", "neartour",
-        "random-semi", "random-outin", "random-total", "tournament",
-    ])
+    gen.add_argument("family", choices=list(_GEN))
     gen.add_argument("--n", type=int, default=9)
     gen.add_argument("--r", type=int, default=3)
     gen.add_argument("--c", type=int, default=1)

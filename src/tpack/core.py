@@ -427,7 +427,7 @@ def copy_masks(g: Digraph, pattern: Digraph) -> set[int]:
     r = pattern.n
     if r == 0:
         return {0}
-    ((outs, ins, _),), _, _, (above, twin_in, twin_out) = _plans(pattern)
+    ((outs, ins, _),), _, _, (above, twin_in) = _plans(pattern)
     out_rows, in_rows = g._out, g._in
     full = (1 << g.n) - 1
     image = [0] * r
@@ -444,8 +444,6 @@ def copy_masks(g: Digraph, pattern: Digraph) -> set[int]:
             cand &= -2 << image[j]
         for j in twin_in[step]:
             cand &= ~in_rows[image[j]] | -1 << image[j]
-        for j in twin_out[step]:
-            cand &= ~out_rows[image[j]] | -1 << image[j]
         if step == last:
             while cand:
                 low = cand & -cand
@@ -529,16 +527,17 @@ def _plans(pattern: Digraph) -> tuple:
     image of each step in ins[i]; slot[q] is the step that places pattern
     vertex q.
 
-    bounds = (above, twin_in, twin_out) cuts embeddings of the spans plan
-    that a lex-smaller embedding on the same vertex set stands for (images
-    compared step by step).  Step i's image must exceed the image of each
-    step j in above[i]: pattern vertex i lies in the orbit of vertex j under
-    the automorphisms fixing the steps before j (Grochow and Kellis, RECOMB
-    2007).  Steps j in twin_in[i] or twin_out[i] place a twin of step i's
-    vertex: the two differ only in the one arc between them, so swapping
-    their images is an embedding too when the host has the reverse arc.
-    Step i's image may not lie below step j's image and in its in-row
-    (twin_in, the pattern arc runs from j to i) or out-row (twin_out).
+    bounds = (above, twin_in) cuts embeddings of the spans plan that a
+    lex-smaller embedding on the same vertex set stands for (images compared
+    step by step).  Step i's image must exceed the image of each step j in
+    above[i]: pattern vertex i lies in the orbit of vertex j under the
+    automorphisms fixing the steps before j (Grochow and Kellis, RECOMB
+    2007).  Steps j in twin_in[i] place a twin of step i's vertex: the two
+    differ only in the one arc between them, so swapping their images is an
+    embedding too when the host has the reverse arc.  Step i's image may not
+    lie below step j's image and in its in-row.  The arc always runs from
+    j to i: its tail has the higher out-degree, so spans order places it
+    first.
     """
     r = pattern.n
     out, inn = pattern._out, pattern._in
@@ -573,10 +572,9 @@ def _plans(pattern: Digraph) -> tuple:
         above.append(tuple(j for j in mates if j not in implied))
         below.append(implied.union(mates))
     twin_in = tuple(tuple(j for j in range(i) if twin_arc(spans[j], spans[i])) for i in range(r))
-    twin_out = tuple(tuple(j for j in range(i) if twin_arc(spans[i], spans[j])) for i in range(r))
     rooted = tuple(plan([q] + [p for p in spans if p != q]) for q in range(r))
     roots = tuple(rooted[q] for q in range(r) if orbit[q] == q)
-    return (plan(spans),), rooted, roots, (tuple(above), twin_in, twin_out)
+    return (plan(spans),), rooted, roots, (tuple(above), twin_in)
 
 
 def _copies(g: Digraph, plans: tuple, within: int, first: int):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Iterator
 
 from .core import (
@@ -120,27 +120,12 @@ class SweepReport:
         return dict(self.params)
 
     def to_dict(self) -> dict:
-        return {
-            "schema": REPORT_SCHEMA,
-            "kind": self.kind,
-            "params": self.params_dict(),
-            "claim_scope": self.claim_scope,
-            "examined": self.examined,
-            "packed": self.packed,
-            "budget_exceeded": self.budget_exceeded,
-            "verdict": self.verdict,
-            "counterexamples": [
-                {
-                    "edge_list": c.edge_list,
-                    "verdict": c.verdict,
-                    "nodes": c.nodes,
-                    "label": c.label,
-                    "patterns": list(c.patterns),
-                    "obstruction": _obstruction_dict(c.obstruction),
-                }
-                for c in self.counterexamples
-            ],
-        }
+        """The fields less elapsed, with params as an object, plus the
+        schema and the verdict."""
+        d = asdict(self)
+        del d["elapsed"]
+        return {**d, "schema": REPORT_SCHEMA, "params": self.params_dict(),
+                "verdict": self.verdict}
 
     def to_json(self) -> str:
         """Canonical form; wall time is excluded so reruns compare equal."""
@@ -268,6 +253,13 @@ def _derived_seed(seed: int, index: int) -> int:
     return seed * _SEED_STRIDE + index
 
 
+def _check_order(r: int, n: int) -> None:
+    if r < 2:
+        raise DomainError("pattern order must be at least 2")
+    if n < r or n % r:
+        raise DomainError(f"{r} must divide the host order {n}")
+
+
 def _tournament_of_order(pattern: Digraph, r: int) -> Digraph:
     tour = Tournament.from_digraph(pattern)
     if tour.n != r:
@@ -298,10 +290,7 @@ def _sweep(
     condition sampling-only.  ``fast(g)`` may prove a packing exists and so
     skip the exact solver; only the exact solver can declare non-existence.
     """
-    if r < 2:
-        raise DomainError("pattern order must be at least 2")
-    if n < r or n % r:
-        raise DomainError(f"{r} must divide the host order {n}")
+    _check_order(r, n)
     p = pattern()
     t = threshold()
     family = normalize_patterns(p)
@@ -543,10 +532,7 @@ def tightness_suite(r: int, n: int, budget: int = DEFAULT_BUDGET) -> TightnessRe
     degree statistic exactly, and prove the advertised non-packability with
     the solver (by a barrier or by exhaustive search).  Any mismatch raises;
     success returns the report."""
-    if r < 2:
-        raise DomainError("pattern order must be at least 2")
-    if n < r or n % r:
-        raise DomainError(f"{r} must divide the host order {n}")
+    _check_order(r, n)
     # (family, host, statistic, expected value, [(patterns, name, verdict)])
     cases = [
         ("near-independent", make_near_independent_extremal(n, r),

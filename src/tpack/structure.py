@@ -25,6 +25,7 @@ from .core import (
     at_least,
     bits,
     mask_of,
+    min_semidegree,
     spans_copy,
 )
 from .constructions import alpha_contains_c3_blowup, blowup_deficit, _base_class_sizes
@@ -484,24 +485,6 @@ class VertexClassification:
     externally_excellent: tuple[tuple[int, ...], ...]
     externally_bad: tuple[tuple[int, ...], ...]
 
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "delta": self.delta,
-            "classes": [list(c) for c in self.classes],
-            "b": list(self.b),
-            "bad": [list(c) for c in self.bad],
-            "good": [list(c) for c in self.good],
-            "exceptional": [list(c) for c in self.exceptional],
-            "acceptable": [list(c) for c in self.acceptable],
-            "excellent": [list(c) for c in self.excellent],
-            "b_excellent": list(self.b_excellent),
-            "internally_excellent": [list(c) for c in self.internally_excellent],
-            "internally_bad": [list(c) for c in self.internally_bad],
-            "externally_excellent": [list(c) for c in self.externally_excellent],
-            "externally_bad": [list(c) for c in self.externally_bad],
-        }
-
 
 def classify_vertices(
     g: Digraph,
@@ -701,7 +684,7 @@ def extremal_c3_pack(
         raise DomainError("gamma must lie in (0, 1)")
     if require_degree:
         need = 2 * n // 3 - 1
-        have = min(min(g.d_out(v), g.d_in(v)) for v in range(n))
+        have = min_semidegree(g)
         if have < need:
             raise DomainError(
                 f"min semidegree {have} below {need}; pass require_degree=False "

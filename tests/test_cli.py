@@ -2,11 +2,13 @@ import json
 
 import pytest
 
+from tpack import constructions as cons
 from tpack.cli import main
-from tpack.core import Tournament, digraph_to_text, load_digraph
+from tpack.core import Digraph, Tournament, digraph_to_text, load_digraph
 from tpack.constructions import make_c3_blowup, make_source_counterexample
 from tpack.harness import Counterexample, SweepReport
 from tpack.solver import Obstruction, validate_obstruction
+from tpack.structure import d_matching_covering_digraph
 
 
 def run(capsys, *argv):
@@ -86,8 +88,6 @@ def test_t3pack_with_trace(tmp_path, capsys):
 
 
 def test_turan_ops(tmp_path, capsys):
-    from tpack.core import Digraph
-
     path = write_graph(tmp_path, Digraph.complete(9))
     code, out, _ = run(capsys, "turan", "--graph", path, "--op", "density",
                        "--r", "3")
@@ -117,8 +117,6 @@ def test_complex_report(tmp_path, capsys):
 
 
 def test_absorb_build_check_apply(tmp_path, capsys):
-    from tpack.core import Digraph
-
     path = write_graph(tmp_path, Digraph.complete(40))
     fam_file = tmp_path / "family.json"
     code, out, _ = run(capsys, "absorb", "build", "--graph", path,
@@ -142,8 +140,6 @@ def test_absorb_build_check_apply(tmp_path, capsys):
 
 
 def test_lemma_match_and_classify(tmp_path, capsys):
-    from tpack.core import Digraph
-
     path = write_graph(tmp_path, Digraph.complete(6))
     code, out, _ = run(capsys, "lemma", "match", "--graph", path, "--d", "3",
                        "--x", "0,2,4", "--undirected")
@@ -261,3 +257,82 @@ def test_error_exit_codes(tmp_path, capsys):
     # child seeds would collide from 1,000,003 samples on
     code, out, err = run(capsys, "verify", "krtotal", "--samples", "1000003")
     assert code == 1 and "error:" in err and "samples" in err and not out
+
+
+_GEN = [
+    (["blowup", "--n", "12", "--c", "1"], lambda: cons.make_c3_blowup(12, 1)[0]),
+    (["nearindep", "--n", "8", "--r", "4"],
+     lambda: cons.make_near_independent_extremal(8, 4)),
+    (["source", "--n", "7"], lambda: cons.make_source_counterexample(7)),
+    (["k3minus", "--m", "6"], lambda: cons.make_k3minus_example(6)),
+    (["neartour", "--n", "9", "--r", "3"],
+     lambda: cons.make_near_tournament_extremal(9, 3)),
+    (["random-semi", "--n", "9", "--d", "5", "--seed", "2"],
+     lambda: cons.random_digraph_min_semidegree(9, 5, 2)),
+    (["random-outin", "--n", "9", "--seed", "4"],
+     lambda: cons.random_digraph_out_or_in(9, 4, None)),
+    (["random-outin", "--n", "9", "--seed", "4", "--t", "5"],
+     lambda: cons.random_digraph_out_or_in(9, 4, 5)),
+    (["random-total", "--n", "9", "--t", "12", "--seed", "1"],
+     lambda: cons.random_digraph_total_min_degree(9, 12, 1)),
+    (["tournament", "--r", "5", "--seed", "3"], lambda: cons.random_tournament(5, 3)),
+]
+
+
+@pytest.mark.parametrize("argv,build", _GEN, ids=[" ".join(a) for a, _ in _GEN])
+def test_gen_family_prints_the_library_host(capsys, argv, build):
+    code, out, err = run(capsys, "gen", *argv)
+    assert (code, err) == (0, "")
+    assert out == digraph_to_text(build())
+
+
+_CERTS = [
+    # K10 has a perfect matching
+    (Digraph.complete(10), {}, {
+        "kind": "perfect-matching",
+        "edges": [[0, 1], [2, 3], [4, 5], [6, 7], [8, 9]]}),
+    # two disjoint K5: a half/half split with no crossing edge
+    (Digraph.from_arcs(10, [(u, v) for b in (0, 5) for u in range(b, b + 5)
+                            for v in range(b, b + 5) if u != v]),
+     {"directed": 0.6000000000000001, "undirected": 0.30000000000000004}, {
+        "kind": "close-partition", "a": [0, 1, 2, 3, 4], "b": [5, 6, 7, 8, 9],
+        "cross_count": 0}),
+    # K4,6: the side of six is independent
+    (Digraph.from_arcs(10, [a for u in range(4) for v in range(4, 10)
+                            for a in ((u, v), (v, u))]),
+     {"directed": 0.6000000000000001, "undirected": 0.30000000000000004}, {
+        "kind": "independent-set", "core": [4, 5, 6, 7], "padded": [0, 4, 5, 6, 7]}),
+]
+
+
+@pytest.mark.parametrize("undirected", [False, True], ids=["directed", "undirected"])
+@pytest.mark.parametrize("host,gamma_factor,want", _CERTS,
+                         ids=[w["kind"] for _, _, w in _CERTS])
+def test_lemma_matchcert_each_certificate_kind(tmp_path, capsys, host, gamma_factor,
+                                               want, undirected):
+    path = write_graph(tmp_path, host)
+    code, out, _ = run(capsys, "lemma", "matchcert", "--graph", path, "--gamma", "0.1",
+                       *(["--undirected"] if undirected else []))
+    assert code == 0
+    if gamma_factor:
+        want = {**want, "gamma_factor":
+                gamma_factor["undirected" if undirected else "directed"]}
+    assert json.loads(out) == want
+
+
+def test_lemma_match_directed(tmp_path, capsys):
+    g = make_c3_blowup(9, 0)[0]
+    path = write_graph(tmp_path, g)
+    code, out, _ = run(capsys, "lemma", "match", "--graph", path, "--d", "2", "--x", "0,1")
+    assert code == 0
+    assert json.loads(out) == {"kind": "d-matching", "d": 2, "edges": [[0, 1], [2, 3]]}
+    assert [tuple(e) for e in json.loads(out)["edges"]] == list(
+        d_matching_covering_digraph(g, 2, (0, 1)))
+
+
+def test_absorb_refuses_missing_vertex_lists(tmp_path, capsys):
+    path = write_graph(tmp_path, Digraph.complete(6))
+    for action, msg in (("check", "check needs --s and --q"),
+                        ("apply", "apply needs --family-file and --w")):
+        code, out, err = run(capsys, "absorb", action, "--graph", path)
+        assert (code, out) == (1, "") and msg in err

@@ -222,3 +222,26 @@ def test_random_tournament_is_tournament():
     assert isinstance(t, Tournament)
     assert t.num_arcs == 10
     assert sorted(t.arcs()) == sorted(random_tournament(5, 7).arcs())
+
+
+# above n = 12 containment falls to the seeded swap descent
+_PERM15 = (2, 3, 13, 12, 14, 1, 6, 7, 0, 8, 10, 5, 11, 4, 9)
+
+
+def test_alpha_contains_heuristic_finds_relabelled_blowup():
+    g, part = make_c3_blowup(15, 0)
+    h = Digraph.from_arcs(15, [(_PERM15[u], _PERM15[v]) for u, v in g.arcs()])
+    w = alpha_contains_c3_blowup(h, 0.0)
+    assert (w.contains, w.mode, w.deficit) == (True, "heuristic", 0)
+    assert w.deficit == blowup_deficit(h, w.partition.masks)
+    # the planted classes, relabelled and rotated by one
+    assert w.partition.classes == tuple(
+        tuple(sorted(_PERM15[v] for v in part.classes[i])) for i in (2, 0, 1))
+
+
+def test_alpha_contains_heuristic_rejects_far_host():
+    t = Tournament.transitive(15)
+    w = alpha_contains_c3_blowup(t, 0.01)
+    assert (w.contains, w.mode, w.deficit) == (False, "heuristic", 55)
+    assert w.deficit == blowup_deficit(t, w.partition.masks)
+    assert w.partition.classes == ((1, 2, 3, 4, 5), (6, 7, 8, 9, 10), (0, 11, 12, 13, 14))

@@ -1,12 +1,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tpack.core import Digraph, DomainError, Tournament, canonical_tournament_key
+from tpack.core import Digraph, DomainError, Embedding, Tournament, canonical_tournament_key
 from tpack.constructions import random_digraph_out_or_in
-from tpack.solver import find_perfect_packing, verify_packing, PACKED
+from tpack.solver import Packing, find_perfect_packing, verify_packing, PACKED
 from tpack.t3local import (
     minimize_arcs_two_thirds,
     satisfies_out_or_in,
+    swap_c3,
     t3_pack,
     two_thirds_threshold,
 )
@@ -78,3 +79,14 @@ def test_t3_pack_agrees_with_solver_on_existence():
         cert = find_perfect_packing(g, T3)
         assert cert.verdict == PACKED
         assert packing.is_perfect
+
+
+def test_swap_c3_in_place_when_the_triple_spans_t3():
+    g = Digraph.complete(3)
+    cyc = Embedding(Tournament.cyclic_triangle(), (0, 1, 2))
+    packing, step = swap_c3(g, Packing(3, (cyc,)), 0)
+    assert step.rule == "in-place"
+    assert step.removed == (cyc,)
+    assert step.inserted == packing.elements
+    assert [e.image for e in packing.elements] == [(0, 1, 2)]
+    assert verify_packing(g, T3, packing, require_perfect=True)
