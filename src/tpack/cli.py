@@ -322,12 +322,12 @@ def _cmd_lemma(args) -> int:
     g = load_digraph(args.graph)
     if args.kind == "match":
         x = _ints(args.x)
+        d = len(x) if args.d is None else args.d
         if args.undirected:
-            edges = d_matching_covering(g.underlying(), args.d, x)
+            edges = d_matching_covering(g.underlying(), d, x)
         else:
-            edges = d_matching_covering_digraph(g, args.d, x)
-        _emit({"kind": "d-matching", "d": args.d, "edges": [list(e) for e in edges]},
-              args.out)
+            edges = d_matching_covering_digraph(g, d, x)
+        _emit({"kind": "d-matching", "d": d, "edges": [list(e) for e in edges]}, args.out)
         return 0
     if args.kind == "matchcert":
         if args.undirected:
@@ -469,7 +469,8 @@ def _build_parser() -> _Parser:
     lem = sub.add_parser("lemma", help="matching and classification certificates")
     lem.add_argument("kind", choices=["match", "matchcert", "classify", "expack"])
     lem.add_argument("--graph", required=True)
-    lem.add_argument("--d", type=int, default=1)
+    lem.add_argument("--d", type=int, default=None,
+                     help="matching size for match; the size of --x by default")
     lem.add_argument("--x", default="", help="vertex list to cover, for match")
     lem.add_argument("--gamma", type=float, default=0.25)
     lem.add_argument("--classes", default="", help="semicolon-separated vertex lists")

@@ -214,6 +214,19 @@ def _contains_heuristic(g: Digraph, base: tuple[int, int, int], bound: float,
     return ContainmentWitness(d <= bound, d, part, "heuristic", alpha)
 
 
+def _distinguished_set(n: int, r: int) -> tuple[int, int]:
+    """Size k = n/r + 1 and vertex mask of the first k vertices, the set that
+    both near-extremal families thin out."""
+    if r < 2:
+        raise DomainError("need r >= 2")
+    if n % r:
+        raise DomainError(f"r={r} must divide n={n}")
+    k = n // r + 1
+    if k > n:
+        raise DomainError("distinguished set exceeds the vertex set")
+    return k, (1 << k) - 1
+
+
 def make_near_independent_extremal(n: int, r: int) -> Digraph:
     """Complete digraph minus every arc inside the first n/r + 1 vertices.
 
@@ -222,14 +235,7 @@ def make_near_independent_extremal(n: int, r: int) -> Digraph:
     perfect packing by any r-vertex tournament exists.  Minimum semidegree
     comes out to (1 - 1/r)n - 1.
     """
-    if r < 2:
-        raise DomainError("need r >= 2")
-    if n % r:
-        raise DomainError(f"r={r} must divide n={n}")
-    k = n // r + 1
-    if k > n:
-        raise DomainError("distinguished set exceeds the vertex set")
-    hole = (1 << k) - 1
+    k, hole = _distinguished_set(n, r)
     full = (1 << n) - 1
     rows = []
     for v in range(n):
@@ -295,14 +301,7 @@ def make_near_tournament_extremal(n: int, r: int) -> Digraph:
     its vertices; with n/r + 1 such vertices a perfect complete-r-set packing
     is impossible.  Total minimum degree is (2 - 1/r)n - 2.
     """
-    if r < 2:
-        raise DomainError("need r >= 2")
-    if n % r:
-        raise DomainError(f"r={r} must divide n={n}")
-    k = n // r + 1
-    if k > n:
-        raise DomainError("distinguished set exceeds the vertex set")
-    hole = (1 << k) - 1
+    k, hole = _distinguished_set(n, r)
     full = (1 << n) - 1
     rows = []
     for v in range(n):

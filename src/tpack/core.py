@@ -176,12 +176,16 @@ class Digraph:
         return Digraph(self.n, rows)
 
     def underlying(self) -> "Graph":
-        """Undirected graph with an edge wherever at least one arc runs."""
-        return Graph(self.n, [self._out[v] | self._in[v] for v in range(self.n)])
+        """Undirected graph with an edge wherever at least one arc runs.
+        out | in is symmetric whenever in is the transpose of out."""
+        rows = tuple(map(int.__or__, self._out, self._in))
+        return Graph._from_rows(self.n, rows, rows)
 
     def double_edge_graph(self) -> "Graph":
-        """Undirected graph keeping only the pairs joined by arcs both ways."""
-        return Graph(self.n, [self._out[v] & self._in[v] for v in range(self.n)])
+        """Undirected graph keeping only the pairs joined by arcs both ways.
+        out & in is symmetric whenever in is the transpose of out."""
+        rows = tuple(map(int.__and__, self._out, self._in))
+        return Graph._from_rows(self.n, rows, rows)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Digraph) and self.n == other.n and self._out == other._out
@@ -193,30 +197,20 @@ class Digraph:
         return f"{type(self).__name__}(n={self.n}, arcs={self._m})"
 
 
-class Graph:
-    """Immutable undirected loopless graph over dense integer vertices."""
+class Graph(Digraph):
+    """Immutable undirected loopless graph: a digraph whose every arc runs
+    both ways, so each out-row is its own in-row."""
 
-    __slots__ = ("n", "_adj", "_m")
+    __slots__ = ()
 
     def __init__(self, n: int, adj_rows):
-        adj = list(adj_rows)
-        if len(adj) != n:
-            raise DomainError(f"expected {n} adjacency rows, got {len(adj)}")
-        full = (1 << n) - 1
-        m2 = 0
-        for v, row in enumerate(adj):
-            if row & ~full:
-                raise DomainError(f"vertex {v} adjacency outside 0..{n - 1}")
-            if row >> v & 1:
-                raise DomainError(f"loop at vertex {v}")
-            m2 += row.bit_count()
-        for v, (row, col) in enumerate(zip(adj, _transpose(n, adj))):
+        """Each row must hold only partners whose rows hold it back.  The
+        rows then have as many bits as their transpose, so they equal it."""
+        super().__init__(n, adj_rows)
+        for v, (row, col) in enumerate(zip(self._out, self._in)):
             if row & ~col:
                 u = next(bits(row & ~col))
                 raise DomainError(f"asymmetric adjacency between {u} and {v}")
-        self.n = n
-        self._adj = tuple(adj)
-        self._m = m2 // 2
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -230,23 +224,13 @@ class Graph:
             rows[v] |= 1 << u
         return cls(n, rows)
 
-    @classmethod
-    def complete(cls, n: int) -> "Graph":
-        full = (1 << n) - 1
-        return cls(n, [full ^ (1 << v) for v in range(n)])
-
-    def adj_mask(self, v: int) -> int:
-        return self._adj[v]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self._adj[u] >> v & 1)
-
-    def degree(self, v: int) -> int:
-        return self._adj[v].bit_count()
+    adj_mask = Digraph.out_mask
+    has_edge = Digraph.arc
+    degree = Digraph.d_out
 
     @property
     def num_edges(self) -> int:
-        return self._m
+        return self._m // 2
 
     def min_degree(self) -> int:
         if self.n == 0:
@@ -256,29 +240,19 @@ class Graph:
     def edges(self):
         """Yield edges (u, v) with u < v in lexicographic order."""
         for u in range(self.n):
-            for v in bits(self._adj[u] >> (u + 1)):
+            for v in bits(self._out[u] >> (u + 1)):
                 yield (u, u + 1 + v)
 
     def edges_inside(self, vertex_mask: int) -> int:
-        return sum((self._adj[v] & vertex_mask).bit_count() for v in bits(vertex_mask)) // 2
+        return self.arcs_inside(vertex_mask) // 2
 
     def edges_between(self, mask_a: int, mask_b: int) -> int:
         if mask_a & mask_b:
             raise DomainError("edge count between overlapping sets is ambiguous")
-        return sum((self._adj[v] & mask_b).bit_count() for v in bits(mask_a))
-
-    def as_digraph(self) -> "Digraph":
-        """Digraph with both arcs wherever this graph has an edge."""
-        return Digraph(self.n, self._adj)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Graph) and self.n == other.n and self._adj == other._adj
-
-    def __hash__(self) -> int:
-        return hash((self.n, self._adj))
+        return sum((self._out[v] & mask_b).bit_count() for v in bits(mask_a))
 
     def __repr__(self) -> str:
-        return f"Graph(n={self.n}, edges={self._m})"
+        return f"Graph(n={self.n}, edges={self.num_edges})"
 
 
 class Tournament(Digraph):

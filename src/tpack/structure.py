@@ -86,30 +86,24 @@ class ClosePartition:
 MatchCertificate = PerfectMatching | IndependentSetCertificate | ClosePartition
 
 
-def _pairs_inside(host: Graph | Digraph, vertex_mask: int) -> int:
-    if isinstance(host, Digraph):
-        return host.arcs_inside(vertex_mask)
-    return host.edges_inside(vertex_mask)
+def _pairs_inside(host: Digraph, vertex_mask: int) -> int:
+    if isinstance(host, Graph):
+        return host.edges_inside(vertex_mask)
+    return host.arcs_inside(vertex_mask)
 
 
-def _pairs_between(host: Graph | Digraph, amask: int, bmask: int) -> int:
+def _pairs_between(host: Digraph, amask: int, bmask: int) -> int:
     if amask & bmask:
         raise DomainError("sides overlap")
-    if isinstance(host, Digraph):
-        total = 0
-        for v in bits(amask):
-            total += host.d_out_to(v, bmask) + host.d_in_from(v, bmask)
-        return total
-    return host.edges_between(amask, bmask)
+    if isinstance(host, Graph):
+        return host.edges_between(amask, bmask)
+    total = 0
+    for v in bits(amask):
+        total += host.d_out_to(v, bmask) + host.d_in_from(v, bmask)
+    return total
 
 
-def _joined(host: Graph | Digraph, u: int, v: int) -> bool:
-    if isinstance(host, Digraph):
-        return host.arc(u, v) or host.arc(v, u)
-    return host.has_edge(u, v)
-
-
-def validate_match_certificate(host: Graph | Digraph, cert: MatchCertificate) -> None:
+def validate_match_certificate(host: Digraph, cert: MatchCertificate) -> None:
     """Re-check a certificate against the host; raises on any violation."""
     n = host.n
     if isinstance(cert, PerfectMatching):
@@ -117,7 +111,7 @@ def validate_match_certificate(host: Graph | Digraph, cert: MatchCertificate) ->
         for u, v in cert.edges:
             if not (0 <= u < n and 0 <= v < n) or u == v:
                 raise InvariantViolation(f"pair ({u}, {v}) out of range")
-            if not _joined(host, u, v):
+            if not (host.arc(u, v) or host.arc(v, u)):
                 raise InvariantViolation(f"pair ({u}, {v}) not joined in host")
             pm = (1 << u) | (1 << v)
             if seen & pm:
@@ -173,6 +167,18 @@ def _validate_vertex_set(n: int, vertices: Iterable[int]) -> tuple[int, ...]:
         if not 0 <= v < n:
             raise DomainError(f"vertex {v} out of range")
     return tuple(sorted(out))
+
+
+def _check_partition(n: int, parts: Iterable[Iterable[int]]) -> None:
+    """Refuse parts that overlap or leave a vertex of 0..n-1 out."""
+    total = 0
+    for part in parts:
+        m = mask_of(part)
+        if total & m:
+            raise DomainError("partition parts overlap")
+        total |= m
+    if total != (1 << n) - 1:
+        raise DomainError("partition does not cover the vertex set")
 
 
 def _greedy_maximal_matching(graph: Graph) -> list[tuple[int, int]]:
@@ -501,14 +507,7 @@ def classify_vertices(
     n = g.n
     cls = tuple(_validate_vertex_set(n, c) for c in classes)
     rem = _validate_vertex_set(n, b) if b is not None else ()
-    total = 0
-    for part in (*cls, rem):
-        m = mask_of(part)
-        if total & m:
-            raise DomainError("partition parts overlap")
-        total |= m
-    if total != (1 << n) - 1 and n > 0:
-        raise DomainError("partition does not cover the vertex set")
+    _check_partition(n, (*cls, rem))
     if delta < 0:
         raise DomainError("delta must be non-negative")
 
@@ -699,14 +698,7 @@ def extremal_c3_pack(
         classes = [list(_validate_vertex_set(n, c)) for c in partition]
         if len(classes) != 3:
             raise DomainError("witness partition needs exactly 3 classes")
-        total = 0
-        for c in classes:
-            m = mask_of(c)
-            if total & m:
-                raise DomainError("witness classes overlap")
-            total |= m
-        if total != (1 << n) - 1:
-            raise DomainError("witness classes do not cover the host")
+        _check_partition(n, classes)
         if sorted(len(c) for c in classes) != sorted(_base_class_sizes(n)):
             raise DomainError("witness class sizes are not near-equal")
         deficit = blowup_deficit(g, [mask_of(c) for c in classes])

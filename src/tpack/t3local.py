@@ -193,7 +193,7 @@ def t3_pack(g: Digraph, budget: int = DEFAULT_BUDGET) -> tuple[Packing, SwapTrac
     under = h.underlying()
     if under.min_degree() < two_thirds_threshold(n):
         raise InvariantViolation("minimized digraph lost the underlying degree bound")
-    seed_cert = find_perfect_packing(under.as_digraph(), Digraph.complete(3), budget)
+    seed_cert = find_perfect_packing(under, Digraph.complete(3), budget)
     if seed_cert.verdict != PACKED:
         raise InvariantViolation(
             f"no perfect triangle packing of the underlying graph ({seed_cert.verdict})"

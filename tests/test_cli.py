@@ -330,6 +330,20 @@ def test_lemma_match_directed(tmp_path, capsys):
         d_matching_covering_digraph(g, 2, (0, 1)))
 
 
+def test_lemma_match_takes_d_from_the_cover_set(tmp_path, capsys):
+    """Without --d the matching size is the size of --x, the only size the
+    lemma accepts; the JSON reports the size used."""
+    g = make_c3_blowup(9, 0)[0]
+    path = write_graph(tmp_path, g)
+    code, out, _ = run(capsys, "lemma", "match", "--graph", path, "--x", "0,2,4")
+    doc = json.loads(out)
+    assert code == 0 and doc["d"] == 3 and len(doc["edges"]) == 3
+    assert [tuple(e) for e in doc["edges"]] == list(d_matching_covering_digraph(g, 3, (0, 2, 4)))
+    code, out, _ = run(capsys, "lemma", "match", "--graph", path, "--d", "2", "--x", "0,1")
+    assert code == 0
+    assert json.loads(out) == {"kind": "d-matching", "d": 2, "edges": [[0, 1], [2, 3]]}
+
+
 def test_absorb_refuses_missing_vertex_lists(tmp_path, capsys):
     path = write_graph(tmp_path, Digraph.complete(6))
     for action, msg in (("check", "check needs --s and --q"),

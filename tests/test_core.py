@@ -620,3 +620,52 @@ def test_graph_counting_helpers():
     assert gr.edges_between(0b0011, 0b1100) == 2
     with pytest.raises(DomainError):
         gr.edges_between(0b0011, 0b0110)
+
+
+def _random_rows(rng, n):
+    p = rng.random()
+    return [sum(1 << v for v in range(n) if v != u and rng.random() < p) for u in range(n)]
+
+
+def test_underlying_and_double_edge_rows_match_the_per_arc_reference():
+    rng = random.Random(1919)
+    for _ in range(300):
+        n = rng.randint(0, 14)
+        rows = _random_rows(rng, n)
+        cols = _transpose_per_arc(n, rows)
+        g = Digraph(n, rows)
+        assert list(g.underlying()._out) == [row | col for row, col in zip(rows, cols)]
+        assert list(g.double_edge_graph()._out) == [row & col for row, col in zip(rows, cols)]
+
+
+def test_every_graph_is_a_symmetric_digraph():
+    rng = random.Random(1920)
+    for _ in range(200):
+        n = rng.randint(0, 14)
+        g = Digraph(n, _random_rows(rng, n))
+        edges = [(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < 0.4]
+        for gr in (g.underlying(), g.double_edge_graph(), Graph.from_edges(n, edges),
+                   Graph.complete(n), Graph(n, list(g.underlying()._out))):
+            assert type(gr) is Graph and isinstance(gr, Digraph)
+            assert gr._in == gr._out
+            assert gr.num_edges * 2 == gr.num_arcs == sum(map(gr.degree, range(n)))
+
+
+def test_graph_refuses_asymmetric_rows_with_the_pinned_message():
+    with pytest.raises(DomainError, match=r"^asymmetric adjacency between 1 and 0$"):
+        Graph(3, [0b010, 0, 0])
+    with pytest.raises(DomainError, match=r"^asymmetric adjacency between 2 and 1$"):
+        Graph(3, [0b010, 0b101, 0b001])
+    for n, rows in ((2, [0b001, 0b000]), (2, [0b100, 0b000]), (3, [0, 0])):
+        with pytest.raises(DomainError):
+            Graph(n, rows)
+
+
+def test_a_graph_equals_the_digraph_with_the_same_rows():
+    """A Graph is the digraph with both arcs of each edge, so it compares and
+    hashes equal to that Digraph."""
+    gr = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    d = Digraph.from_arcs(4, [(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)])
+    assert gr == d and d == gr and hash(gr) == hash(d) and len({gr, d}) == 1
+    assert Graph.complete(5) == Digraph.complete(5)
+    assert gr != Digraph.from_arcs(4, [(0, 1), (1, 2), (2, 3)])

@@ -1,3 +1,5 @@
+import collections
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -5,11 +7,16 @@ import random
 
 import pytest
 
-from tpack.core import Digraph, DomainError, Graph, InvariantViolation, Tournament
-from tpack.constructions import make_c3_blowup, make_near_independent_extremal
+from tpack.core import Digraph, DomainError, Graph, InvariantViolation, Tournament, mask_of
+from tpack.constructions import (
+    make_c3_blowup,
+    make_near_independent_extremal,
+    random_digraph_out_or_in,
+)
 from tpack.solver import find_perfect_packing, verify_packing
 from tpack.structure import (
     ClosePartition,
+    IndependentSetCertificate,
     PerfectMatching,
     StageFailed,
     classify_vertices,
@@ -20,6 +27,8 @@ from tpack.structure import (
     matching_or_certificate_digraph,
     validate_match_certificate,
 )
+from tpack.t3local import t3_pack
+from tpack.turan import find_kr_from_density
 
 
 def covered(matching):
@@ -195,6 +204,22 @@ def test_validator_rejects_bad_certificates():
             sparse, PerfectMatching(edges=((0, 1), (2, 3))))
 
 
+def test_validator_counts_a_graph_in_edges_and_a_digraph_in_arcs():
+    """The edge 0-1 of a Graph is one pair; the same rows as a plain Digraph
+    are two arcs.  A Graph is a Digraph too, so the count must test for
+    Graph first."""
+    gr = Graph.from_edges(4, [(0, 1)])
+    both = Digraph.from_arcs(4, [(0, 1), (1, 0)])
+    padded = IndependentSetCertificate(core=(0,), padded=(0, 1), gamma_factor=1 / 16)
+    split = ClosePartition(a=(0, 2), b=(1, 3), cross_count=1, gamma_factor=1 / 16)
+    for cert in (padded, split):
+        validate_match_certificate(gr, cert)
+    with pytest.raises(InvariantViolation, match="spans 2 pairs"):
+        validate_match_certificate(both, padded)
+    with pytest.raises(InvariantViolation, match="cross count 1 but host has 2"):
+        validate_match_certificate(both, split)
+
+
 def test_classify_balanced_blowup():
     g, part = make_c3_blowup(9, 0)
     cls = classify_vertices(g, [list(c) for c in part.classes], 0.1)
@@ -221,6 +246,21 @@ def test_classify_loose_delta():
         outside = set(range(9)) - set(part.classes[i])
         assert set(cls.exceptional[i]) | set(cls.acceptable[i]) == outside
         assert not set(cls.exceptional[i]) & set(cls.acceptable[i])
+
+
+def test_classify_and_extremal_pack_refuse_a_non_partition():
+    g, _ = make_c3_blowup(9, 0)
+    overlap = [[0, 1, 2], [2, 3, 4, 5], [6, 7, 8]]
+    missing = [[0, 1, 2], [3, 4, 5], [6, 7]]
+    for parts, msg in ((overlap, "partition parts overlap"),
+                       (missing, "partition does not cover the vertex set")):
+        with pytest.raises(DomainError, match=f"^{msg}$"):
+            classify_vertices(g, parts, 0.1)
+        with pytest.raises(DomainError, match=f"^{msg}$"):
+            extremal_c3_pack(g, 0.05, partition=parts)
+    with pytest.raises(DomainError, match="^partition parts overlap$"):
+        classify_vertices(g, [[0, 1, 2], [3, 4, 5]], 0.1, b=[5, 6, 7, 8])
+    assert classify_vertices(Digraph.empty(0), [], 0.1).bad == ()
 
 
 def test_extremal_pack_balanced():
@@ -348,3 +388,80 @@ def test_extremal_pack_outputs_are_pinned():
         digest.update(json.dumps(row, sort_keys=True).encode())
     assert kinds == {"packed": 939, "failed": 203, "refused": 358}
     assert digest.hexdigest() == _PINNED_EXTREMAL[1]
+
+
+def _block_host(n, rng):
+    """Seeded digraph with one block A of about half the vertices: arcs run
+    inside A, inside the rest and across with their own chances, so the
+    matching lemma meets dense, near-independent and near-split hosts."""
+    a_mask = mask_of(rng.sample(range(n), n // 2 + rng.choice((-1, 0, 1))))
+    inside_a, inside_b, across = rng.choice(
+        ((0.8, 0.8, 0.8), (0.05, 0.9, 0.9), (0.9, 0.9, 0.05), (rng.random(),) * 3))
+    rows = [0] * n
+    for u in range(n):
+        for v in range(n):
+            if u == v:
+                continue
+            both = (a_mask >> u & 1) + (a_mask >> v & 1)
+            p = across if both == 1 else inside_a if both == 2 else inside_b
+            if rng.random() < p:
+                rows[u] |= 1 << v
+    return Digraph(n, rows)
+
+
+def _refusal_or(call, *args):
+    try:
+        return call(*args)
+    except DomainError as exc:
+        return ["refused", str(exc)]
+
+
+def _cert_row(host, cert):
+    if isinstance(cert, list):
+        return cert
+    validate_match_certificate(host, cert)
+    return [type(cert).__name__, dataclasses.asdict(cert)]
+
+
+def _graph_flow_rows():
+    """t3_pack packings and swap traces, matching certificates, d-matchings
+    and density cliques: every output that runs through the undirected
+    graph of a digraph, as JSON rows."""
+    for n in range(9, 31, 3):
+        for seed in range(20):
+            packing, trace = t3_pack(random_digraph_out_or_in(n, seed))
+            yield ["t3", [list(e.image) for e in packing.elements],
+                   [[s.rule, [list(e.image) for e in s.removed], [list(e.image) for e in s.inserted]]
+                    for s in trace.steps]]
+    for n in range(4, 31, 2):
+        for seed in range(25):
+            rng = random.Random(1900 + 100 * n + seed)
+            g = _block_host(n, rng) if seed % 5 else random_digraph_out_or_in(n, seed)
+            under = g.underlying()
+            for gamma in (0.1, 0.25, 0.4):
+                yield ["match", _cert_row(under, _refusal_or(matching_or_certificate, under, gamma))]
+                yield ["match-digraph",
+                       _cert_row(g, _refusal_or(matching_or_certificate_digraph, g, gamma))]
+            for d in range(4):
+                x = rng.sample(range(n), d)
+                yield ["d-match", _refusal_or(d_matching_covering_digraph, g, d, x)]
+            for r in (2, 3, 4):
+                yield ["clique", _refusal_or(find_kr_from_density, g, r)]
+
+
+# sha256 of the rows, computed while the undirected graph was still a class
+# of its own beside Digraph: 160 t3_pack rows (10 swaps in all), 1,809
+# perfect matchings, 12 independent-set and 12 close-partition certificates,
+# 267 refused matching calls, 1,400 d-matching rows and 1,050 clique rows
+_PINNED_GRAPH_FLOW = (4710, "9afcd4e5ec3ecb049d48a7265247e0a6a64dc0879abc1c330e0bd63b57669843")
+
+
+def test_outputs_through_the_undirected_graph_are_pinned():
+    digest = hashlib.sha256()
+    kinds = collections.Counter()
+    for row in _graph_flow_rows():
+        kinds[row[1][0] if row[0].startswith("match") else row[0]] += 1
+        digest.update(json.dumps(row, sort_keys=True).encode())
+    assert kinds == {"t3": 160, "PerfectMatching": 1809, "IndependentSetCertificate": 12,
+                     "ClosePartition": 12, "refused": 267, "d-match": 1400, "clique": 1050}
+    assert (sum(kinds.values()), digest.hexdigest()) == _PINNED_GRAPH_FLOW
