@@ -258,6 +258,8 @@ class Graph(Digraph):
 class Tournament(Digraph):
     """Digraph with exactly one arc between every pair of vertices."""
 
+    __slots__ = ()
+
     def __init__(self, n: int, out_rows):
         """Each vertex u must reach every other vertex one way exactly:
         out-row XOR in-row is every vertex but u.  The first failing row has

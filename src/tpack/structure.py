@@ -828,15 +828,12 @@ def extremal_c3_pack(
     # stage 5: exact solve on the remaining cyclically oriented cross arcs
     remaining = sorted(v for c in classes for v in c)
     if remaining:
-        pos = {v: k for k, v in enumerate(remaining)}
-        arcs = []
+        rows = [0] * n
         for i in range(3):
-            nxt = set(classes[(i + 1) % 3])
+            nxt = mask_of(classes[(i + 1) % 3])
             for u in classes[i]:
-                for w in g.out_neighbors(u):
-                    if w in nxt:
-                        arcs.append((pos[u], pos[w]))
-        host = Digraph.from_arcs(len(remaining), arcs)
+                rows[u] = g.out_mask(u) & nxt
+        host, _ = Digraph(n, rows).induced(remaining)
         cert = find_perfect_packing(host, _CYCLE, budget=budget)
         if not cert.found:
             raise StageFailed(

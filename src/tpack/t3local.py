@@ -8,6 +8,7 @@ moves that rebuild six vertices as two transitive triangles.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .core import (
@@ -48,29 +49,39 @@ def satisfies_out_or_in(g: Digraph, t: int | None = None) -> bool:
 def minimize_arcs_two_thirds(g: Digraph) -> Digraph:
     """Greedy arc removal to a local minimum preserving the two-thirds condition.
 
-    Scans arcs in lexicographic order, removing any arc whose removal keeps
-    every vertex at outdegree or indegree >= 2n/3, and repeats until a full
-    pass removes nothing.  The output satisfies the condition and no single
-    remaining arc is removable.
+    Scans arcs in lexicographic order and removes each arc whose removal
+    keeps every vertex at outdegree or indegree >= t = ceil(2n/3).  One pass
+    reaches the minimum: an arc is kept only while its tail or its head is at
+    its bound, and degrees only fall, so a kept arc never becomes removable
+    and a second pass would remove nothing.  Within row u only dout[u] and
+    the heads' indegrees change, so each row is cut as a mask of the heads
+    that can spare an in-arc: all of them when din[u] >= t, else the lowest
+    dout[u] - t, as the ascending scan would.  Raises DomainError when g
+    violates the condition.
     """
     n = g.n
     t = two_thirds_threshold(n)
-    if not satisfies_out_or_in(g, t):
-        raise DomainError("input violates the two-thirds out-or-in condition")
     rows = [g.out_mask(v) for v in range(n)]
-    dout = [g.d_out(v) for v in range(n)]
-    din = [g.d_in(v) for v in range(n)]
-    changed = True
-    while changed:
-        changed = False
-        for u in range(n):
-            for v in list(bits(rows[u])):
-                if max(dout[u] - 1, din[u]) >= t and max(dout[v], din[v] - 1) >= t:
-                    rows[u] ^= 1 << v
-                    dout[u] -= 1
-                    din[v] -= 1
-                    changed = True
-    return Digraph(n, rows)
+    cols = [g.in_mask(v) for v in range(n)]
+    dout = [row.bit_count() for row in rows]
+    din = [col.bit_count() for col in cols]
+    if not all(a >= t or b >= t for a, b in zip(dout, din)):
+        raise DomainError("input violates the two-thirds out-or-in condition")
+    heads = mask_of(v for v in range(n) if dout[v] >= t or din[v] > t)
+    for u in range(n):
+        cut = rows[u] & heads
+        if din[u] < t:
+            cut = mask_of(itertools.islice(bits(cut), dout[u] - t))
+        rows[u] ^= cut
+        dout[u] -= cut.bit_count()
+        for v in bits(cut):
+            cols[v] ^= 1 << u
+            din[v] -= 1
+            if din[v] == t and dout[v] < t:
+                heads ^= 1 << v
+        if dout[u] < t and din[u] <= t:
+            heads &= ~(1 << u)
+    return Digraph._from_rows(n, rows, cols)
 
 
 def _element_is_cyclic(e: Embedding) -> bool:
@@ -178,14 +189,13 @@ def _rebuild_pair(g: Digraph, triple, tverts, mode: str):
 def t3_pack(g: Digraph, budget: int = DEFAULT_BUDGET) -> tuple[Packing, SwapTrace]:
     """Perfect transitive-triangle packing under the two-thirds condition.
 
+    minimize_arcs_two_thirds refuses a host that violates the condition.
     Raises SwapNotFound if the swap loop ever sticks, which the degree
     argument rules out for valid inputs; treat an occurrence as a bug report.
     """
     n = g.n
     if n % 3:
         raise DomainError(f"3 must divide the host order, got {n}")
-    if not satisfies_out_or_in(g):
-        raise DomainError("input violates the two-thirds out-or-in condition")
     if n == 0:
         return Packing(0, ()), SwapTrace(())
 

@@ -307,6 +307,14 @@ def test_tournament_validation():
     assert c3.arc(0, 1) and c3.arc(1, 2) and c3.arc(2, 0)
 
 
+def test_tournament_has_no_instance_dict():
+    """Like Digraph and Graph, a tournament holds only the Digraph slots."""
+    t = Tournament.transitive(3)
+    assert not hasattr(t, "__dict__")
+    with pytest.raises(AttributeError):
+        t.label = "t3"
+
+
 def test_tournament_names_the_first_bad_pair():
     """With two faulty pairs the message names the first in (u, v) order."""
     def broken(drop, add):

@@ -390,6 +390,38 @@ def test_extremal_pack_outputs_are_pinned():
     assert digest.hexdigest() == _PINNED_EXTREMAL[1]
 
 
+def _relabelled_blowups():
+    """Balanced cyclic blow-ups at n = 15 to 45, each relabelled by four
+    seeded permutations, with the permuted classes as the witness: the
+    hosts that solve-packable hands to extremal_c3_pack, where stage 5
+    packs every vertex."""
+    rng = random.Random(4500)
+    for n in range(15, 46, 3):
+        g, part = make_c3_blowup(n, 0)
+        for _ in range(4):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            host = Digraph.from_arcs(n, [(perm[u], perm[v]) for u, v in g.arcs()])
+            yield host, [sorted(perm[v] for v in c) for c in part.classes]
+
+
+# sha256 of the packings, computed while stage 5 still built its remainder
+# arc by arc with from_arcs
+_PINNED_BLOWUP_PACKS = (44, "12ab03cc16fd3a2a4170f5dbd31c44047a51b5fe6af45a3f54002c7ce370952b")
+
+
+def test_extremal_pack_on_relabelled_blowups_is_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    for host, classes in _relabelled_blowups():
+        pk = extremal_c3_pack(host, 0.05, classes)
+        assert verify_packing(host, Tournament.cyclic_triangle(), pk, require_perfect=True)
+        digest.update(json.dumps([[list(e.image), [e.pattern.out_mask(v) for v in range(3)]]
+                                  for e in pk.elements]).encode())
+        count += 1
+    assert (count, digest.hexdigest()) == _PINNED_BLOWUP_PACKS
+
+
 def _block_host(n, rng):
     """Seeded digraph with one block A of about half the vertices: arcs run
     inside A, inside the rest and across with their own chances, so the

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tpack.core import Digraph, DomainError, Embedding, Tournament, canonical_tournament_key
+from tpack.core import Digraph, DomainError, Embedding, Tournament, bits, canonical_tournament_key
 from tpack.constructions import random_digraph_out_or_in
 from tpack.solver import Packing, find_perfect_packing, verify_packing, PACKED
 from tpack.t3local import (
@@ -38,6 +38,65 @@ def test_minimize_keeps_condition_and_is_minimal():
         smaller = m.minus_arcs([(u, v)])
         assert not satisfies_out_or_in(smaller)
     assert m.num_arcs <= g.num_arcs
+
+
+def _two_pass_minimize(g):
+    """Reference minimisation, an arc at a time: scan arcs in lexicographic
+    order, remove each one whose removal keeps the condition, and repeat
+    until a full pass removes nothing.  Also returns
+    which row cuts it met: "all" for a row u with din[u] >= t that lost an
+    arc, "part" for a row with din[u] < t that kept an arc into a head that
+    could spare it."""
+    n = g.n
+    t = two_thirds_threshold(n)
+    rows = [g.out_mask(v) for v in range(n)]
+    dout = [g.d_out(v) for v in range(n)]
+    din = [g.d_in(v) for v in range(n)]
+    seen = set()
+    changed = True
+    while changed:
+        changed = False
+        for u in range(n):
+            for v in list(bits(rows[u])):
+                spare = max(dout[v], din[v] - 1) >= t
+                if max(dout[u] - 1, din[u]) >= t and spare:
+                    rows[u] ^= 1 << v
+                    dout[u] -= 1
+                    din[v] -= 1
+                    changed = True
+                    if din[u] >= t:
+                        seen.add("all")
+                elif spare:
+                    seen.add("part")
+    return Digraph(n, rows), seen
+
+
+def _minimize_hosts():
+    yield Digraph.empty(0)
+    for n in range(3, 46):
+        yield Digraph.complete(n)
+        for seed in range(8):
+            yield random_digraph_out_or_in(n, 100 * n + seed)
+        yield random_digraph_out_or_in(n, n, t=n - 1)
+
+
+def test_minimize_matches_the_two_pass_reference():
+    seen = set()
+    for g in _minimize_hosts():
+        want, cuts = _two_pass_minimize(g)
+        seen |= cuts
+        m = minimize_arcs_two_thirds(g)
+        assert m == want
+        # one pass reaches the local minimum, so a second changes nothing
+        assert minimize_arcs_two_thirds(m) == m
+    assert seen == {"all", "part"}
+
+
+def test_minimize_refuses_a_host_below_the_bound():
+    with pytest.raises(DomainError, match="violates the two-thirds out-or-in condition"):
+        minimize_arcs_two_thirds(Digraph.complete(2))
+    with pytest.raises(DomainError, match="violates the two-thirds out-or-in condition"):
+        t3_pack(Digraph.empty(6))
 
 
 def test_t3_pack_complete_host():
