@@ -69,7 +69,6 @@ from .t3local import (
     SwapStep,
     SwapTrace,
     minimize_arcs_two_thirds,
-    satisfies_out_or_in,
     swap_c3,
     t3_pack,
     two_thirds_threshold,
@@ -93,7 +92,6 @@ from .complexes import (
     is_downward_closed,
     matching_to_packing,
     packing_to_matching,
-    restricted_deficit,
     subtournaments_by_size,
     top_layer_matching,
 )
@@ -105,10 +103,7 @@ from .absorbing import (
     absorb,
     build_absorbing_family,
     count_connectors,
-    count_connectors_2c3,
-    estimate_connector_density,
     is_absorbing,
-    spans_two_cycles,
 )
 from .structure import (
     ClosePartition,

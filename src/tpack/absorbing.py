@@ -11,10 +11,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 
-from .core import (
-    Digraph, DomainError, Embedding, Tournament, bits, copy_masks, iter_copies, mask_of,
-    spans_copy,
-)
+from .core import Digraph, DomainError, Embedding, bits, mask_of, spans_copy
 from .solver import (
     DEFAULT_BUDGET,
     PACKED,
@@ -94,65 +91,6 @@ def count_connectors(g: Digraph, pattern: Digraph, x: int, y: int,
         if cap is not None and count >= cap:
             return ConnectorCount(count, tuple(samples), True)
     return ConnectorCount(count, tuple(samples), False)
-
-
-def estimate_connector_density(g: Digraph, pattern: Digraph, x: int, y: int,
-                               trials: int, seed: int) -> float:
-    """Fraction of uniform random (r-1)-sets that connect x and y."""
-    _check_endpoints(g, x, y)
-    rng = random.Random(seed)
-    others = [v for v in range(g.n) if v not in (x, y)]
-    r = pattern.n
-    if len(others) < r - 1 or trials < 1:
-        return 0.0
-    hits = 0
-    for _ in range(trials):
-        combo = tuple(sorted(rng.sample(others, r - 1)))
-        if (spans_copy(g, combo + (x,), pattern) is not None
-                and spans_copy(g, combo + (y,), pattern) is not None):
-            hits += 1
-    return hits / trials
-
-
-_C3 = Tournament.cyclic_triangle()
-
-
-def spans_two_cycles(g: Digraph, six) -> bool:
-    """Does the 6-set split into two vertex-disjoint cyclic triangles?
-
-    It does exactly when some cyclic triangle through its lowest vertex
-    leaves three vertices that span another.
-    """
-    vs = sorted(set(six))
-    if len(vs) != 6:
-        raise DomainError("need exactly 6 vertices")
-    if not (0 <= vs[0] and vs[-1] < g.n):
-        raise DomainError(f"6-set {vs} is outside 0..{g.n - 1}")
-    within = mask_of(vs)
-    return any(spans_copy(g, bits(within ^ mask), _C3) is not None
-               for mask, _ in iter_copies(g, _C3, within, vs[0]))
-
-
-def count_connectors_2c3(g: Digraph, x: int, y: int) -> int:
-    """5-sets X where X u {x} and X u {y} both split into two disjoint cycles.
-
-    X u {x} splits exactly when it is the union of two disjoint cyclic
-    triangles, one through x, so each endpoint's sets X come from pairs of
-    cyclic-triangle masks that avoid the other endpoint.  Both sets are built
-    in full, so the count has no early exit.
-    """
-    _check_endpoints(g, x, y)
-    if g.n < 7:
-        raise DomainError("need at least 7 vertices")
-    cycles = copy_masks(g, _C3)
-
-    def completions(a: int, b: int) -> set[int]:
-        ends = 1 << a | 1 << b
-        through = [m for m in cycles if m & ends == 1 << a]
-        rest = [m for m in cycles if not m & ends]
-        return {(m | o) ^ (1 << a) for m in through for o in rest if not m & o}
-
-    return len(completions(x, y) & completions(y, x))
 
 
 @dataclass(frozen=True)

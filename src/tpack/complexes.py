@@ -125,14 +125,6 @@ def check_matching_threshold(c: Complex, eps: float) -> tuple[bool, int | None]:
     return True, None
 
 
-def restricted_deficit(c: Complex, s, j: int) -> int:
-    """Top-layer edges carrying more than j vertices of s."""
-    if not 1 <= j <= c.k - 1:
-        raise DomainError(f"need 1 <= j <= {c.k - 1}, got {j}")
-    smask = mask_of(s)
-    return sum(1 for m in c.layers[c.k] if (m & smask).bit_count() > j)
-
-
 def top_layer_matching(c: Complex, mode: str = "greedy",
                        budget: int = DEFAULT_BUDGET) -> list[tuple[int, ...]]:
     """Disjoint top-layer edges: greedy gives a maximal set, exact a maximum one."""

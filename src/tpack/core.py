@@ -140,9 +140,6 @@ class Digraph:
     def d_in_from(self, u: int, vertex_mask: int) -> int:
         return (self._in[u] & vertex_mask).bit_count()
 
-    def out_neighbors(self, u: int):
-        return bits(self._out[u])
-
     @property
     def num_arcs(self) -> int:
         return self._m

@@ -2,16 +2,22 @@
 
 Every search stage runs one explicit-stack exact-cover loop (_search) that
 branches on the lowest uncovered vertex; the stages differ only in the
-branches they supply.  A capped first-fit (_first_fit) draws copies through
-that vertex lazily and can only prove that a perfect packing exists.  When
-it gives up, every r-set that spans a pattern is enumerated, in the mirror
-labelling (vertex v becomes n-1-v), where combination order is descending
-integer order.  The barrier stage (_barrier) looks among those sets for a
-space or divisibility barrier, the dense obstructions of Keevash and
-Mycroft's hypergraph matching theory, the latter by eliminating the sets'
-incidence columns, one per vertex, over GF(p); a barrier proves that no
-packing exists and comes back as an Obstruction, which validate_obstruction
-re-checks from the raw adjacency.  Failing that, the exact search (_cover)
+branches they supply.  The row stage (_row_barrier) runs first, on the
+host's rows alone: when every pattern joins every pair of its vertices, no
+copy meets two vertices that no arc joins (that no double edge joins, when
+every pattern is complete), so a greedy independent set of that pair graph
+with more than n/r vertices is a space barrier.  Two gates keep it off hosts
+too dense to hold one: the arc count, and some row of at most n - n//r - 1
+pair neighbours.  A capped first-fit (_first_fit) draws copies through the
+lowest uncovered vertex lazily and can only prove that a perfect packing
+exists.  When it gives up, every r-set that spans a pattern is enumerated,
+in the mirror labelling (vertex v becomes n-1-v), where combination order
+is descending integer order.  The barrier stage (_barrier) looks among
+those sets for a space or divisibility barrier, the dense obstructions of
+Keevash and Mycroft's hypergraph matching theory, the latter by eliminating
+the sets' incidence columns, one per vertex, over GF(p); a barrier proves
+that no packing exists and comes back as an Obstruction, which
+validate_obstruction re-checks from the raw adjacency.  Failing that, the exact search (_cover)
 branches over the sets.  A failed-subproblem memo keyed on the uncovered
 mask makes its non-existence proofs cheap to exhaust, and a node budget
 turns runaway searches into a distinct verdict instead of a wrong answer.
@@ -22,6 +28,7 @@ d growing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, permutations
 
 from .core import (
@@ -98,10 +105,10 @@ class Obstruction:
 class PackCertificate:
     """A verdict with its packing, if any.
 
-    An exhausted-none verdict carries an Obstruction when the barrier stage
-    found one, and nodes is 0 then; otherwise nodes counts the first-fit
-    nodes for a packing that stage found and the exact search's nodes for
-    every other verdict.
+    An exhausted-none verdict carries an Obstruction when the row stage or
+    the barrier stage found one, and nodes is 0 then; otherwise nodes counts
+    the first-fit nodes for a packing that stage found and the exact
+    search's nodes for every other verdict.
     """
 
     verdict: str
@@ -410,12 +417,15 @@ def _divisibility_barrier(n: int, cols: list[int], p: int) -> tuple[int, ...] | 
     return None
 
 
-def _barrier(n: int, r: int, masks: list[int], near: list[int]) -> Obstruction | None:
+def _barrier(n: int, r: int, masks: list[int] | None, near: list[int]) -> Obstruction | None:
     """A space or GF(p) divisibility barrier (p a prime up to r) against any
-    perfect packing by the mirrored masks, with weights in host labels."""
+    perfect packing by the mirrored masks, with weights in host labels.
+    masks None looks for a space barrier alone."""
     s = _space_barrier(n, r, near)
     if s is not None:
         return Obstruction(SPACE, tuple(s >> (n - 1 - v) & 1 for v in range(n)), None)
+    if masks is None:
+        return None
     cols = _columns(n, masks)
     for p in range(2, r + 1):
         w = _divisibility_barrier(n, cols, p) if all(p % q for q in range(2, p)) else None
@@ -425,21 +435,72 @@ def _barrier(n: int, r: int, masks: list[int], near: list[int]) -> Obstruction |
     return None
 
 
+@cache
+def _pair_op(fam: tuple[Digraph, ...]):
+    """The row operator of the family's pair graph, or None when it has none.
+
+    int.__and__ (arcs both ways) when every pattern is complete, else
+    int.__or__ (an arc either way) when every pattern joins every pair of
+    its vertices: every copy then spans an edge of that graph of the host
+    on each pair of its vertices.
+    """
+    r = fam[0].n
+    if all(pat._m == r * (r - 1) for pat in fam):
+        return int.__and__
+    full = (1 << r) - 1
+    if all(pat._out[v] | pat._in[v] | 1 << v == full for pat in fam for v in range(r)):
+        return int.__or__
+    return None
+
+
+def _row_barrier(g: Digraph, fam: tuple[Digraph, ...]) -> Obstruction | None:
+    """A space barrier among the host's rows (the row stage), or None.
+
+    No copy meets an independent set of the family's pair graph (_pair_op)
+    twice, so one with more than n/r vertices is a space barrier.  The
+    greedy of _space_barrier looks for one on the mirrored pair rows, each
+    with its own vertex, unless the degree gate rules it out: each of
+    k = n//r + 1 independent vertices misses k - 1 others, so some row must
+    have at most n - k bits.  The caller has applied the arc-count gate.
+    """
+    op = _pair_op(fam)
+    if op is None:
+        return None
+    n = g.n
+    rows = list(map(op, g._out, g._in))
+    if min(map(int.bit_count, rows), default=n) > n - n // fam[0].n - 1:
+        return None
+    return _barrier(n, fam[0].n, None, [_mirror(n, rows[n - 1 - v]) | 1 << v for v in range(n)])
+
+
 def find_perfect_family_packing(g: Digraph, family,
                                 budget: int = DEFAULT_BUDGET) -> PackCertificate:
     """Perfect packing of patterns from family, proof of non-existence, or
     budget verdict.
 
-    The first-fit stage runs first.  When it gives up, the barrier stage
-    looks for a space or divisibility barrier among the candidate copies; one
-    proves that no packing exists, with nodes 0.  Failing that, the exact
-    search runs with the full budget.  nodes counts the nodes of whichever
-    stage gave the verdict, so every other exhausted-none and every
-    budget-exceeded count is the exact search's own.
+    The row stage runs first on hosts that pass its two gates: at most
+    n(n-1) - k(k-1) arcs for k = n//r + 1, or n(n-1) - k(k-1)/2 when the
+    first pattern is complete, and some pair-graph row of at most n - k
+    bits.  A space barrier it finds proves that no packing exists, with
+    nodes 0.  Then the first-fit stage runs.  When it gives up, the barrier
+    stage looks for a space or divisibility barrier among the candidate
+    copies; one proves that no packing exists, with nodes 0.  Failing that,
+    the exact search runs with the full budget.  nodes counts the nodes of
+    whichever stage gave the verdict, so every other exhausted-none and
+    every budget-exceeded count is the exact search's own.
     """
     fam = normalize_patterns(family)
-    if g.n % fam[0].n:
-        raise DomainError(f"pattern order {fam[0].n} does not divide host order {g.n}")
+    n, r = g.n, fam[0].n
+    if n % r:
+        raise DomainError(f"pattern order {r} does not divide host order {n}")
+    # arc-count gate, paid by every solve, so it reads no cache: k = n//r + 1
+    # vertices that no copy meets twice miss k(k-1) arcs, or k(k-1)/2 when
+    # the patterns may be complete
+    k = n // r + 1
+    if g._m <= n * (n - 1) - k * (k - 1) // (2 if fam[0]._m == r * (r - 1) else 1):
+        obstruction = _row_barrier(g, fam)
+        if obstruction is not None:
+            return PackCertificate(EXHAUSTED_NONE, None, 0, obstruction)
     quick = _first_fit(g, fam, budget)
     if quick is not None:
         return quick
@@ -548,20 +609,32 @@ def verify_packing(g: Digraph, pattern_or_family, packing: Packing,
 def validate_obstruction(g: Digraph, pattern_or_family, obs: Obstruction) -> bool:
     """Whether obs proves that g has no perfect packing by the family.
 
-    Shares no code with the solver's copy searches: each r-set of vertices
-    whose weight breaks the barrier's rule (more than 1 for a space barrier,
-    not 0 mod the modulus for a divisibility one) is tried in every vertex
-    order against every pattern's arcs with Digraph.arc, and must span no
-    pattern.  The weights must also total more than n/r (space) or not 0 mod
-    the modulus (divisibility).
+    Shares no code with the solver's copy searches.  A space set is
+    accepted at once when every pattern joins every pair of its vertices
+    (read from the pattern's arcs) and no two vertices of the set are joined
+    by an arc (by arcs both ways, when every pattern is complete), checked
+    by |S|^2 Digraph.arc tests: no copy can then meet the set twice.
+    Otherwise each r-set of vertices whose weight breaks the barrier's rule
+    (more than 1 for a space barrier, not 0 mod the modulus for a
+    divisibility one) is tried in every vertex order against every pattern's
+    arcs with Digraph.arc, and must span no pattern.  The weights must also
+    total more than n/r (space) or not 0 mod the modulus (divisibility).
     """
     fam = normalize_patterns(pattern_or_family)
     n, r, w = g.n, fam[0].n, obs.weights
     if len(w) != n or n % r:
         return False
+    arc_lists = [list(pat.arcs()) for pat in fam]
     if obs.kind == SPACE:
         if obs.modulus is not None or any(x not in (0, 1) for x in w) or sum(w) * r <= n:
             return False
+        complete = all(len(arcs) == r * (r - 1) for arcs in arc_lists)
+        joined = complete or all(len({frozenset(a) for a in arcs}) == r * (r - 1) // 2
+                                 for arcs in arc_lists)
+        s = [v for v in range(n) if w[v]]
+        if joined and not any(g.arc(u, v) and (not complete or g.arc(v, u))
+                              for u in s for v in s):
+            return True
 
         def breaks(total: int) -> bool:
             return total > 1
@@ -575,7 +648,6 @@ def validate_obstruction(g: Digraph, pattern_or_family, obs: Obstruction) -> boo
             return total % p != 0
     else:
         return False
-    arc_lists = [list(pat.arcs()) for pat in fam]
     for xs in combinations(range(n), r):
         if breaks(sum(w[v] for v in xs)) and any(
                 all(g.arc(order[a], order[b]) for a, b in arcs)

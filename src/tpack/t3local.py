@@ -39,13 +39,6 @@ def two_thirds_threshold(n: int) -> int:
     return ceil_frac(2 * n, 3)
 
 
-def satisfies_out_or_in(g: Digraph, t: int | None = None) -> bool:
-    """Every vertex has outdegree >= t or indegree >= t (default t = ceil(2n/3))."""
-    if t is None:
-        t = two_thirds_threshold(g.n)
-    return all(max(g.d_out(v), g.d_in(v)) >= t for v in range(g.n))
-
-
 def minimize_arcs_two_thirds(g: Digraph) -> Digraph:
     """Greedy arc removal to a local minimum preserving the two-thirds condition.
 

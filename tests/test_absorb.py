@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from tpack.core import Digraph, DomainError, Tournament, mask_of, spans_copy
+from tpack.core import Digraph, DomainError, Tournament, mask_of
 from tpack.absorbing import (
     AbsorberFamily,
     AssignmentFailed,
@@ -13,22 +13,11 @@ from tpack.absorbing import (
     absorb,
     build_absorbing_family,
     count_connectors,
-    count_connectors_2c3,
-    estimate_connector_density,
     is_absorbing,
-    spans_two_cycles,
 )
 from tpack import absorbing
 from tpack.constructions import make_near_independent_extremal
 from tpack.solver import normalize_patterns
-
-
-def two_triangles():
-    g = Digraph.empty(6)
-    rows = [0] * 6
-    for a, b in [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]:
-        rows[a] |= 1 << b
-    return Digraph(6, rows)
 
 
 def test_connector_count_on_complete_host():
@@ -68,105 +57,6 @@ def test_connectors_through_independent_hole():
         assert count_connectors(g, t, x, y).count == 3
 
 
-def test_connector_density_estimate():
-    g = Digraph.complete(9)
-    t = Tournament.transitive(3)
-    assert estimate_connector_density(g, t, 0, 1, trials=50, seed=7) == 1.0
-    assert estimate_connector_density(g, t, 0, 1, trials=0, seed=7) == 0.0
-    with pytest.raises(DomainError):
-        estimate_connector_density(g, t, 3, 3, trials=10, seed=7)
-    # an endpoint outside the host is refused as count_connectors refuses it,
-    # even where no sample spans a copy through the other endpoint
-    small = Digraph.empty(6)
-    for x, y in ((0, 99), (0, 6), (2, -1)):
-        with pytest.raises(DomainError):
-            count_connectors(small, t, x, y)
-        with pytest.raises(DomainError):
-            estimate_connector_density(small, t, x, y, trials=10, seed=7)
-
-
-def test_spans_two_cycles():
-    assert spans_two_cycles(Digraph.complete(6), range(6))
-    g = two_triangles()
-    assert spans_two_cycles(g, (0, 1, 2, 3, 4, 5))
-    rows = [g.out_mask(v) for v in range(6)]
-    rows[2] &= ~1  # break the first cycle
-    assert not spans_two_cycles(Digraph(6, rows), range(6))
-    with pytest.raises(DomainError):
-        spans_two_cycles(g, (0, 1, 2))
-
-
-def ten_split_two_cycles(g, six):
-    """Reference: try the ten splits of the 6-set into triples containing
-    its lowest vertex and the rest."""
-    vs = sorted(six)
-    c3 = Tournament.cyclic_triangle()
-    for a in itertools.combinations(vs[1:], 2):
-        b = [v for v in vs[1:] if v not in a]
-        if spans_copy(g, (vs[0], *a), c3) and spans_copy(g, b, c3):
-            return True
-    return False
-
-
-def test_spans_two_cycles_matches_the_ten_splits():
-    rng = random.Random(23)
-    hits = 0
-    for trial in range(300):
-        n = rng.randint(6, 12)
-        density = (0.35, 0.5, 0.7)[trial % 3]
-        g = Digraph(n, [sum(1 << v for v in range(n) if v != u and rng.random() < density)
-                        for u in range(n)])
-        for _ in range(5):
-            six = rng.sample(range(n), 6)
-            want = ten_split_two_cycles(g, six)
-            assert spans_two_cycles(g, six) == want
-            hits += want
-    assert 100 < hits < 1400
-    for bad in ((0, 1, 2, 3, 4, 6), (-1, 0, 1, 2, 3, 4)):
-        with pytest.raises(DomainError, match="outside 0..5"):
-            spans_two_cycles(Digraph.complete(6), bad)
-
-
-def test_count_connectors_2c3():
-    g = Digraph.complete(9)
-    assert count_connectors_2c3(g, 0, 1) == math.comb(7, 5)
-    with pytest.raises(DomainError):
-        count_connectors_2c3(Digraph.complete(6), 0, 1)
-    with pytest.raises(DomainError):
-        count_connectors_2c3(g, 1, 1)
-
-
-def five_set_connectors_2c3(g, x, y, cap=None):
-    """Reference: scan every 5-set outside x and y for one that completes
-    both endpoints to two disjoint cyclic triangles."""
-    others = [v for v in range(g.n) if v not in (x, y)]
-    count = 0
-    for combo in itertools.combinations(others, 5):
-        if spans_two_cycles(g, combo + (x,)) and spans_two_cycles(g, combo + (y,)):
-            count += 1
-            if cap is not None and count >= cap:
-                return count
-    return count
-
-
-def test_count_connectors_2c3_matches_the_five_set_scan():
-    rng = random.Random(31)
-    nonzero = capped = 0
-    for trial in range(150):
-        n = rng.randint(7, 14)
-        density = (0.5, 0.7, 0.85)[trial % 3]
-        g = Digraph(n, [sum(1 << v for v in range(n) if v != u and rng.random() < density)
-                        for u in range(n)])
-        x, y = rng.sample(range(n), 2)
-        cap = rng.choice((None, None, 1, 3, 20))
-        want = five_set_connectors_2c3(g, x, y, cap)
-        got = count_connectors_2c3(g, x, y)
-        assert (got if cap is None else min(got, cap)) == want
-        nonzero += want > 0
-        capped += cap is not None and want == cap
-    assert nonzero > 50 and capped > 10
-
-
 def test_connector_counts_reject_bad_caps_and_endpoints():
     g = Digraph.complete(8)
     t = Tournament.transitive(3)
@@ -176,7 +66,7 @@ def test_connector_counts_reject_bad_caps_and_endpoints():
     for host in (g, Digraph.empty(8)):
         for x, y in ((0, 8), (8, 0), (-1, 2), (2, -1)):
             with pytest.raises(DomainError):
-                count_connectors_2c3(host, x, y)
+                count_connectors(host, t, x, y)
 
 
 def test_is_absorbing_basics():

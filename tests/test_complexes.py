@@ -12,7 +12,6 @@ from tpack.complexes import (
     is_downward_closed,
     matching_to_packing,
     packing_to_matching,
-    restricted_deficit,
     subtournaments_by_size,
     top_layer_matching,
 )
@@ -73,17 +72,6 @@ def test_degree_sequence_rejects_gap():
     c = Complex(3, 2, (frozenset({0}), frozenset(), frozenset({0b11})))
     with pytest.raises(InvariantViolation):
         degree_sequence(c)
-
-
-def test_restricted_deficit_complete():
-    c = build_complex(Digraph.complete(6), Tournament.transitive(3))
-    # triples meeting {0,1,2} in 2 vertices: 3*3; in all 3: 1
-    assert restricted_deficit(c, (0, 1, 2), 1) == 10
-    assert restricted_deficit(c, (0, 1, 2), 2) == 1
-    with pytest.raises(DomainError):
-        restricted_deficit(c, (0, 1, 2), 0)
-    with pytest.raises(DomainError):
-        restricted_deficit(c, (0, 1, 2), 3)
 
 
 def test_matching_modes_and_lifting():

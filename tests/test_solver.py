@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +24,7 @@ from tpack.core import (
 )
 from tpack import solver
 from tpack.harness import iter_min_semidegree_hosts
+from tpack.t3local import t3_pack
 from tpack.solver import (
     BUDGET_EXCEEDED,
     DEFAULT_BUDGET,
@@ -813,3 +815,139 @@ def test_mirror_host_in_rows_are_the_transpose(monkeypatch):
                 sum(1 << u for u in range(n) if rows[u] >> v & 1) for v in range(n)
             ]
             assert mirror.num_arcs == g.num_arcs
+
+
+def _meets_twice_in_some_copy(g, family, s):
+    """Reference r-set scan: some r-set holding two vertices of s spans a
+    pattern of the family, tried in every vertex order."""
+    r = family[0].n
+    for xs in itertools.combinations(range(g.n), r):
+        if sum(v in s for v in xs) > 1 and any(
+                all(g.arc(order[a], order[b]) for a, b in pat.arcs())
+                for order in itertools.permutations(xs) for pat in family):
+            return True
+    return False
+
+
+def _row_greedy_calls(monkeypatch):
+    """Count the row stage's greedy runs: _barrier called with masks None."""
+    calls = []
+    real = solver._barrier
+
+    def counted(n, r, masks, near):
+        if masks is None:
+            calls.append(n)
+        return real(n, r, masks, near)
+
+    monkeypatch.setattr(solver, "_barrier", counted)
+    return calls
+
+
+ROW_STAGE_FAMILIES = {"t3": [T3], "c3": [C3], "k3": [Digraph.complete(3)],
+                      "t3+c3": [T3, C3], "t4": [Tournament.transitive(4)]}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_STAGE_FAMILIES))
+def test_row_stage_keeps_verdicts_and_its_barriers_pass_the_rset_scan(name, monkeypatch):
+    family = ROW_STAGE_FAMILIES[name]
+    r = family[0].n
+    rng = random.Random(f"row-stage:{name}")
+    hosts = [random_digraph(n, rng.getrandbits(32), density)
+             for n in range(2 * r, 5 * r + 1, r)
+             for density in (0.3, 0.45, 0.6, 0.75, 0.85) for _ in range(100 // r)]
+    with_stage = [find_perfect_family_packing(g, family, 200_000) for g in hosts]
+    monkeypatch.setattr(solver, "_row_barrier", lambda g, fam: None)
+    row_barriers = 0
+    for g, cert in zip(hosts, with_stage):
+        without = find_perfect_family_packing(g, family, 200_000)
+        assert cert.verdict == without.verdict
+        if cert.obstruction is None or cert.obstruction == without.obstruction:
+            assert cert == without
+        else:
+            # a barrier the row stage found: 0 nodes, a space set, and no
+            # r-set meets it twice in a copy
+            assert cert.nodes == 0 and cert.obstruction.kind == "space"
+            s = {v for v in range(g.n) if cert.obstruction.weights[v]}
+            assert len(s) * r > g.n and not _meets_twice_in_some_copy(g, family, s)
+            assert validate_obstruction(g, family, cert.obstruction)
+            row_barriers += 1
+    assert row_barriers >= 20
+
+
+def _p3():
+    return Digraph.from_arcs(3, [(0, 1), (1, 2)])
+
+
+@pytest.mark.parametrize("family", [[_p3()], [Digraph.from_arcs(3, [(0, 1)])], [T3, _p3()]],
+                         ids=["path", "one-arc", "t3+path"])
+def test_row_stage_skips_a_family_that_leaves_a_pair_unjoined(family, monkeypatch):
+    calls = _row_greedy_calls(monkeypatch)
+    fam = normalize_patterns(family)
+    assert solver._pair_op(fam) is None
+    rng = random.Random(f"unjoined:{len(family)}:{fam[0].num_arcs}")
+    verdicts = set()
+    for n in (6, 9, 12):
+        for density in (0.05, 0.2, 0.4):
+            g = random_digraph(n, rng.getrandbits(32), density)
+            verdicts.add(find_perfect_family_packing(g, family).verdict)
+    assert calls == [] and verdicts == {PACKED, EXHAUSTED_NONE}
+    # a sparse host does run it for t3, which joins every pair
+    find_perfect_family_packing(Digraph.empty(6), [T3])
+    assert calls == [6]
+
+
+def test_row_greedy_never_runs_on_threshold_hosts(monkeypatch):
+    calls = _row_greedy_calls(monkeypatch)
+    for g in iter_min_semidegree_hosts(6, 4):
+        for family in ([T3], [C3]):
+            assert find_perfect_family_packing(g, family).found
+    for g, family in _pinned_perfect_cases("semidegree"):
+        find_perfect_family_packing(g, family)
+    # the exact solves and t3_pack of the packable bench ops: t3_pack solves
+    # the underlying graph for K3, which passes the arc-count gate
+    rng = random.Random("threshold-hosts")
+    for _ in range(4):
+        for family, n in (([T3], 30), ([C3], 30), ([Tournament.transitive(4)], 20)):
+            r = family[0].n
+            g = random_digraph_min_semidegree(n, ceil_frac((r - 1) * n, r), rng.getrandbits(30))
+            assert find_perfect_family_packing(g, family).found
+        g = random_digraph_out_or_in(30, rng.getrandbits(30))
+        packing, _ = t3_pack(g)
+        assert verify_packing(g, T3, packing, require_perfect=True)
+    assert calls == []
+
+
+@pytest.mark.parametrize("build, pattern", [
+    (lambda: make_near_independent_extremal(180, 3), T3),
+    (lambda: make_near_tournament_extremal(180, 3), Digraph.complete(3)),
+], ids=["near-independent-t3", "near-tournament-k3"])
+def test_large_space_barrier_hosts_solve_and_validate_quickly(build, pattern):
+    # each took about 2 s to solve and 2.7-3.5 s to validate through
+    # first-fit, enumeration and the r-set scan; the row stage and the pair
+    # check take a few milliseconds
+    g = _relabelled(build(), random.Random(180))
+    start = time.perf_counter()
+    cert = find_perfect_packing(g, pattern)
+    solved = time.perf_counter()
+    assert validate_obstruction(g, pattern, cert.obstruction)
+    validated = time.perf_counter()
+    assert cert.verdict == EXHAUSTED_NONE and cert.nodes == 0
+    assert cert.obstruction.kind == "space" and sum(cert.obstruction.weights) == 180 // 3 + 1
+    assert solved - start < 0.5 and validated - solved < 0.5
+
+
+def test_validate_obstruction_reads_the_pair_graph_from_the_patterns():
+    # the near-tournament set has no double edge but spans a tournament: a
+    # space set for K3, not for t3 or c3
+    g = make_near_tournament_extremal(15, 3)
+    obs = find_perfect_packing(g, Digraph.complete(3)).obstruction
+    assert obs.kind == "space" and validate_obstruction(g, Digraph.complete(3), obs)
+    for family in ([T3], [C3], [T3, C3]):
+        assert not validate_obstruction(g, family, obs)
+    # the near-independent set spans no arc, but a path u -> w -> v puts two
+    # of its vertices in one copy of a pattern that leaves a pair unjoined
+    g = make_near_independent_extremal(15, 3)
+    obs = find_perfect_packing(g, T3).obstruction
+    assert validate_obstruction(g, [T3, C3], obs)
+    assert not validate_obstruction(g, _p3(), obs)
+    assert not validate_obstruction(g, [T3, _p3()], obs)
