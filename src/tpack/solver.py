@@ -10,14 +10,16 @@ with more than n/r vertices is a space barrier.  Two gates keep it off hosts
 too dense to hold one: the arc count, and some row of at most n - n//r - 1
 pair neighbours.  A capped first-fit (_first_fit) draws copies through the
 lowest uncovered vertex lazily and can only prove that a perfect packing
-exists.  When it gives up, every r-set that spans a pattern is enumerated,
-in the mirror labelling (vertex v becomes n-1-v), where combination order
-is descending integer order.  The barrier stage (_barrier) looks among
-those sets for a space or divisibility barrier, the dense obstructions of
-Keevash and Mycroft's hypergraph matching theory, the latter by eliminating
-the sets' incidence columns, one per vertex, over GF(p); a barrier proves
-that no packing exists and comes back as an Obstruction, which
-validate_obstruction re-checks from the raw adjacency.  Failing that, the exact search (_cover)
+exists; it runs with half its slack first.  When it gives up, every r-set
+that spans a pattern is enumerated, in the mirror labelling (vertex v
+becomes n-1-v), where combination order is descending integer order.  The
+barrier stage (_barrier) looks among those sets for a space or
+divisibility barrier, the dense obstructions of Keevash and Mycroft's
+hypergraph matching theory, the latter by eliminating the sets' incidence
+columns over GF(p); the columns and _near come from one transpose.  A
+barrier proves that no packing exists and comes back as an Obstruction,
+which validate_obstruction re-checks from the raw adjacency.  Failing
+that, first-fit runs with its full slack, then the exact search (_cover)
 branches over the sets.  A failed-subproblem memo keyed on the uncovered
 mask makes its non-existence proofs cheap to exhaust, and a node budget
 turns runaway searches into a distinct verdict instead of a wrong answer.
@@ -28,8 +30,8 @@ d growing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
-from itertools import combinations, permutations
+from functools import cache, reduce
+from itertools import combinations, compress, permutations
 
 from .core import (
     Digraph, DomainError, Embedding, InvariantViolation, bits, copy_masks, spans_copy,
@@ -226,16 +228,14 @@ def _search(full: int, branches, limit: int):
     return items, nodes
 
 
-def _near(n: int, masks: list[int]) -> list[int]:
-    """near[v] for each vertex below n: the union of the masks through v."""
-    near = [0] * n
-    for m in masks:
-        rest = m
-        while rest:
-            low = rest & -rest
-            near[low.bit_length() - 1] |= m
-            rest ^= low
-    return near
+def _near(masks: list[int], cols: list[int]) -> list[int]:
+    """near[v] for each vertex: the union of the masks through v, read off
+    the masks' transpose cols (column v has bit i when masks[i] holds v).
+    That is the u whose column meets v's, found by one big-int AND per u;
+    through fewer masks than vertices, ORing v's masks costs less."""
+    pows = [1 << u for u in range(len(cols))]
+    return [sum(compress(pows, map(cv.__and__, cols))) if cv.bit_count() >= len(cols)
+            else reduce(int.__or__, map(masks.__getitem__, bits(cv)), 0) for cv in cols]
 
 
 def _by_vertex(n: int, masks: list[int]) -> list[list[int]]:
@@ -304,19 +304,20 @@ def find_perfect_packing(g: Digraph, pattern: Digraph,
     return find_perfect_family_packing(g, [pattern], budget)
 
 
-#: first-fit gives up after n/r + _FIRST_FIT_SLACK nodes (n/r when nothing backtracks)
+#: first-fit gives up after n/r + _FIRST_FIT_SLACK nodes (n/r when nothing
+#: backtracks); find_perfect_family_packing tries half the slack first
 _FIRST_FIT_SLACK = 32
 
 
-def _copies_through(g: Digraph, fam: tuple[Digraph, ...], within: int, a: int):
+def _copies_through(g: Digraph, plans, within: int, a: int):
     """(mask, (pattern, image)) for the first family copy through a inside
-    within on each vertex set, in iter_copies order.  Rooted plans whose
-    root an automorphism maps to a lower vertex are skipped (_plans): an
-    earlier plan has grown every set they grow."""
+    within on each vertex set, in iter_copies order.  plans pairs each
+    pattern with the roots of its _plans, which skip rooted plans whose root
+    an automorphism maps lower: an earlier plan grows every set they grow."""
     seen: set[int] = set()
     first = within & 1 << a
-    for pat in fam:
-        for mask, image in _copies(g, _plans(pat)[2], within, first):
+    for pat, roots in plans:
+        for mask, image in _copies(g, roots, within, first):
             if mask not in seen:
                 seen.add(mask)
                 yield mask, (pat, image)
@@ -329,12 +330,14 @@ def _first_fit(g: Digraph, fam: tuple[Digraph, ...], budget: int) -> PackCertifi
     through it inside the uncovered set, drawn lazily by _copies_through; a
     node whose copies run out is backtracked (_search).  It gives up after
     n/r + _FIRST_FIT_SLACK nodes (never more than budget), so None proves
-    nothing.
+    nothing.  The search is deterministic: a smaller budget finds the same
+    packing, in the same nodes, or gives up.
     """
     cap = min(g.n // fam[0].n + _FIRST_FIT_SLACK, budget)
+    plans = [(pat, _plans(pat)[2]) for pat in fam]
     chosen, nodes = _search(
         (1 << g.n) - 1,
-        lambda u, _: _copies_through(g, fam, u, (u & -u).bit_length() - 1), cap)
+        lambda u, _: _copies_through(g, plans, u, (u & -u).bit_length() - 1), cap)
     if chosen is None:
         return None
     elements = tuple([Embedding(pat, image) for pat, image in chosen])
@@ -383,11 +386,11 @@ def _gf_axpy(x: tuple[int, ...], y: tuple[int, ...], c: int, p: int) -> tuple[in
     return tuple(out)
 
 
-def _columns(n: int, masks: list[int]) -> list[int]:
-    """The masks' incidence columns: column j is the transpose's column j
-    (bit i when mask i holds vertex j) shifted above bit n, plus bit j, where
-    its combination over the vertices starts."""
-    return [col << n | 1 << j for j, col in enumerate(_transpose(n, masks))]
+def _columns(n: int, cols: list[int]) -> list[int]:
+    """The masks' incidence columns: their transpose's column j (bit i when
+    mask i holds vertex j) shifted above bit n, plus bit j, where its
+    combination over the vertices starts."""
+    return [col << n | 1 << j for j, col in enumerate(cols)]
 
 
 def _divisibility_barrier(n: int, cols: list[int], p: int) -> tuple[int, ...] | None:
@@ -417,18 +420,18 @@ def _divisibility_barrier(n: int, cols: list[int], p: int) -> tuple[int, ...] | 
     return None
 
 
-def _barrier(n: int, r: int, masks: list[int] | None, near: list[int]) -> Obstruction | None:
+def _barrier(n: int, r: int, cols: list[int] | None, near: list[int]) -> Obstruction | None:
     """A space or GF(p) divisibility barrier (p a prime up to r) against any
     perfect packing by the mirrored masks, with weights in host labels.
-    masks None looks for a space barrier alone."""
+    cols is the masks' transpose; None looks for a space barrier alone."""
     s = _space_barrier(n, r, near)
     if s is not None:
         return Obstruction(SPACE, tuple(s >> (n - 1 - v) & 1 for v in range(n)), None)
-    if masks is None:
+    if cols is None:
         return None
-    cols = _columns(n, masks)
+    shifted = _columns(n, cols)
     for p in range(2, r + 1):
-        w = _divisibility_barrier(n, cols, p) if all(p % q for q in range(2, p)) else None
+        w = _divisibility_barrier(n, shifted, p) if all(p % q for q in range(2, p)) else None
         if w is not None:
             return Obstruction(DIVISIBILITY,
                                tuple(_gf_value(w, n - 1 - v) for v in range(n)), p)
@@ -482,12 +485,15 @@ def find_perfect_family_packing(g: Digraph, family,
     n(n-1) - k(k-1) arcs for k = n//r + 1, or n(n-1) - k(k-1)/2 when the
     first pattern is complete, and some pair-graph row of at most n - k
     bits.  A space barrier it finds proves that no packing exists, with
-    nodes 0.  Then the first-fit stage runs.  When it gives up, the barrier
-    stage looks for a space or divisibility barrier among the candidate
-    copies; one proves that no packing exists, with nodes 0.  Failing that,
-    the exact search runs with the full budget.  nodes counts the nodes of
-    whichever stage gave the verdict, so every other exhausted-none and
-    every budget-exceeded count is the exact search's own.
+    nodes 0.  Then first-fit runs with n/r + _FIRST_FIT_SLACK // 2 nodes.
+    When it gives up, the barrier stage looks for a space or divisibility
+    barrier among the candidate copies; one proves that no packing exists,
+    with nodes 0.  Failing that, first-fit runs with its full cap (if budget
+    allows more nodes), then the exact search with the full budget.  The
+    certificates are those of the full cap run first: first-fit packs no
+    host with a barrier.  nodes counts the nodes of whichever stage gave the
+    verdict, so every other exhausted-none and every budget-exceeded count
+    is the exact search's own.
     """
     fam = normalize_patterns(family)
     n, r = g.n, fam[0].n
@@ -501,15 +507,20 @@ def find_perfect_family_packing(g: Digraph, family,
         obstruction = _row_barrier(g, fam)
         if obstruction is not None:
             return PackCertificate(EXHAUSTED_NONE, None, 0, obstruction)
-    quick = _first_fit(g, fam, budget)
+    first_cap = n // r + _FIRST_FIT_SLACK // 2
+    quick = _first_fit(g, fam, min(first_cap, budget))
     if quick is not None:
         return quick
     masks, embed = _candidate_embeddings(g, fam)
-    near = _near(g.n, masks)
-    obstruction = _barrier(g.n, fam[0].n, masks, near)
+    cols = _transpose(n, masks)
+    near = _near(masks, cols)
+    obstruction = _barrier(n, r, cols, near)
     if obstruction is not None:
         return PackCertificate(EXHAUSTED_NONE, None, 0, obstruction)
-    chosen, nodes = _cover(g.n, _by_vertex(g.n, masks), near, 0, budget)
+    quick = _first_fit(g, fam, budget) if budget > first_cap else None
+    if quick is not None:
+        return quick
+    chosen, nodes = _cover(n, _by_vertex(n, masks), near, 0, budget)
     if nodes > budget:
         return PackCertificate(BUDGET_EXCEEDED, None, nodes)
     if chosen is None:
@@ -527,7 +538,9 @@ def _max_cover(n: int, r: int, masks: list[int], budget: int) -> tuple[list[int]
     r - 1 vertices outside S.  The levels share the budget; once it is spent,
     chosen comes from _cover at d = n, which never backtracks (greedy).
     """
-    by_vertex, near = _by_vertex(n, masks), _near(n, masks)
+    # near from the lists _cover needs anyway; a transpose costs more here
+    by_vertex = _by_vertex(n, masks)
+    near = [reduce(int.__or__, through, 0) for through in by_vertex]
     s = _space_barrier(n, r, near)
     d = n % r if s is None else n - r * ((n - s.bit_count()) // (r - 1))
     nodes = 0

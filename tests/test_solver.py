@@ -21,6 +21,8 @@ from tpack.core import (
     iter_copies,
     mask_of,
     spans_copy,
+    _plans,
+    _transpose,
 )
 from tpack import solver
 from tpack.harness import iter_min_semidegree_hosts
@@ -609,7 +611,7 @@ def test_divisibility_barrier_exists_exactly_when_some_weighting_does(p, n):
         def fits(w):
             return (all(sum(w[v] for v in bits(m)) % p == 0 for m in masks)
                     and sum(w) % p != 0)
-        got = solver._divisibility_barrier(n, solver._columns(n, masks), p)
+        got = solver._divisibility_barrier(n, solver._columns(n, _transpose(n, masks)), p)
         exists = any(fits(w) for w in all_weights)
         assert (got is not None) == exists
         if got is not None:
@@ -637,7 +639,7 @@ _PINNED_BARRIERS = (240, "1eb0bb87ac813ca1dbde59c673ad68ab694005b243a701ff230815
 def test_divisibility_barrier_weights_are_pinned():
     rows = []
     for p, n, masks in _barrier_cases():
-        w = solver._divisibility_barrier(n, solver._columns(n, masks), p)
+        w = solver._divisibility_barrier(n, solver._columns(n, _transpose(n, masks)), p)
         rows.append([p, n, None if w is None else list(w)])
     assert {(p, w is None) for p, _, w in rows} == {(p, b) for p in (2, 3, 5) for b in (False, True)}
     assert _sha_rows(rows) == _PINNED_BARRIERS
@@ -762,11 +764,16 @@ def test_disjoint_cyclic_triangles_pack_without_recursion():
     assert verify_packing(g, C3, cert.packing, require_perfect=True)
 
 
+def _rooted(family):
+    """The plans first-fit hands _copies_through: each pattern with its roots."""
+    return [(pat, _plans(pat)[2]) for pat in family]
+
+
 @pytest.mark.parametrize("family", [(T3,), (C3,), (T3, C3)], ids=["t3", "c3", "t3+c3"])
 def test_copies_through_yields_each_vertex_set_once(family):
     for g in (Digraph.complete(6), random_digraph(9, 17, density=0.7)):
         full = (1 << g.n) - 1
-        masks = [mask for mask, _ in solver._copies_through(g, family, full, 0)]
+        masks = [mask for mask, _ in solver._copies_through(g, _rooted(family), full, 0)]
         assert len(masks) == len(set(masks)) > 0
         assert set(masks) == {mask for pat in family for mask, _ in iter_copies(g, pat, full, 0)}
 
@@ -792,7 +799,7 @@ def test_copies_through_is_iter_copies_first_per_set(family):
                 if mask not in seen:
                     seen.add(mask)
                     want.append((mask, (pat, image)))
-        assert list(solver._copies_through(g, family, within, a)) == want
+        assert list(solver._copies_through(g, _rooted(family), within, a)) == want
 
 
 def test_mirror_host_in_rows_are_the_transpose(monkeypatch):
@@ -951,3 +958,118 @@ def test_validate_obstruction_reads_the_pair_graph_from_the_patterns():
     assert validate_obstruction(g, [T3, C3], obs)
     assert not validate_obstruction(g, _p3(), obs)
     assert not validate_obstruction(g, [T3, _p3()], obs)
+
+
+def _union_through(n, masks):
+    """Reference near: for each vertex below n, the union of the masks
+    through it, read mask by mask and bit by bit."""
+    near = [0] * n
+    for m in masks:
+        for v in bits(m):
+            near[v] |= m
+    return near
+
+
+def _solve_in_stage_order(g, family, budget):
+    """find_perfect_family_packing with its stages in the order they ran
+    before first-fit was split: row stage, first-fit at its full cap,
+    enumeration, barrier stage, exact search."""
+    fam = normalize_patterns(family)
+    n, r = g.n, fam[0].n
+    # the row stage's arc-count gate only skips hosts where it finds nothing
+    obstruction = solver._row_barrier(g, fam)
+    if obstruction is not None:
+        return solver.PackCertificate(EXHAUSTED_NONE, None, 0, obstruction)
+    quick = _first_fit(g, fam, budget)
+    if quick is not None:
+        return quick
+    masks, embed = _candidate_embeddings(g, fam)
+    near = _union_through(n, masks)
+    obstruction = solver._barrier(n, r, _transpose(n, masks), near)
+    if obstruction is not None:
+        return solver.PackCertificate(EXHAUSTED_NONE, None, 0, obstruction)
+    by_vertex = [[m for m in masks if m >> v & 1] for v in range(n)]
+    chosen, nodes = solver._cover(n, by_vertex, near, 0, budget)
+    if nodes > budget:
+        return solver.PackCertificate(BUDGET_EXCEEDED, None, nodes)
+    if chosen is None:
+        return solver.PackCertificate(EXHAUSTED_NONE, None, nodes)
+    return solver.PackCertificate(PACKED, Packing(n, tuple(embed(m) for m in chosen)), nodes)
+
+
+IDENTITY_FAMILIES = {"t3": [T3], "c3": [C3], "k3": [Digraph.complete(3)], "t3+c3": [T3, C3],
+                     "t4": [Tournament.transitive(4)], "k3-minus": [k3_minus_pattern()]}
+
+
+@pytest.mark.parametrize("name", sorted(IDENTITY_FAMILIES))
+def test_split_first_fit_keeps_every_certificate(name, monkeypatch):
+    """First-fit at half its slack, the barrier stage, then first-fit at the
+    full slack gives the certificate of the old order on every host: same
+    verdict, nodes, packing images and obstruction."""
+    family = IDENTITY_FAMILIES[name]
+    r = family[0].n
+    rng = random.Random(f"split-first-fit:{name}")
+    second = []  # whether each first-fit call at the full cap packed
+    real = solver._first_fit
+
+    def counted(g, fam, budget):
+        cert = real(g, fam, budget)
+        if budget > g.n // r + solver._FIRST_FIT_SLACK // 2:
+            second.append(cert is not None)
+        return cert
+
+    monkeypatch.setattr(solver, "_first_fit", counted)
+    verdicts = set()
+    for n in range(2 * r, 7 * r + 1, r):
+        for density in (0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9):
+            for trial in range(10 if r == 3 else 14):
+                g = random_digraph(n, rng.getrandbits(32), density)
+                half = n // r + solver._FIRST_FIT_SLACK // 2
+                budget = (200_000, half - 1, half, half + 1, half + 5)[trial % 5]
+                cert = find_perfect_family_packing(g, family, budget)
+                assert cert == _solve_in_stage_order(g, family, budget)
+                verdicts.add(cert.verdict)
+    assert verdicts >= {PACKED, EXHAUSTED_NONE}
+    assert any(second)
+
+
+@given(st.integers(0, 20).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=40))))
+@settings(max_examples=300, deadline=None)
+def test_near_read_off_the_transpose_is_the_union_through_each_vertex(case):
+    n, masks = case
+    assert solver._near(masks, _transpose(n, masks)) == _union_through(n, masks)
+
+
+def test_near_covers_both_ways_of_reading_the_transpose():
+    # vertices 0 and 1, each through as many masks as there are vertices,
+    # take the AND path; 2 and 3 OR their masks; 4 lies in none
+    masks = [0b00011, 0b00101, 0b00110, 0b01001, 0b01010, 0b00111, 0b01011]
+    cols = _transpose(5, masks)
+    assert [c.bit_count() >= 5 for c in cols] == [True, True, False, False, False]
+    assert solver._near(masks, cols) == _union_through(5, masks) == [15, 15, 7, 11, 0]
+    assert solver._near([], _transpose(3, [])) == [0, 0, 0]
+
+
+@pytest.mark.parametrize("build, family", [
+    (lambda: make_k3minus_example(6), [k3_minus_pattern()]),
+    (lambda: make_c3_blowup(15, 1)[0], [C3]),
+    (lambda: make_c3_blowup(18, 1)[0], [C3]),
+], ids=["k3-minus-15", "shifted-blowup-15", "shifted-blowup-18"])
+def test_divisibility_barriers_arrive_within_half_the_first_fit_slack(build, family, monkeypatch):
+    branched = []  # one branch vertex per first-fit node
+    real = solver._copies_through
+
+    def counted(g, plans, within, a):
+        branched.append(a)
+        return real(g, plans, within, a)
+
+    monkeypatch.setattr(solver, "_copies_through", counted)
+    rng = random.Random(f"half-slack:{build().n}")
+    for _ in range(4):
+        g = _relabelled(build(), rng)
+        branched.clear()
+        cert = find_perfect_family_packing(g, family)
+        assert cert.verdict == EXHAUSTED_NONE and cert.obstruction.kind == "divisibility"
+        assert 0 < len(branched) <= g.n // 3 + 16
+        assert validate_obstruction(g, family, cert.obstruction)
