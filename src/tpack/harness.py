@@ -2,9 +2,11 @@
 
 Sweeps either enumerate every host meeting a degree condition (via the
 complement, feasible when each vertex misses at most one arc per direction)
-or sample seeded random hosts.  Each host is solved exactly; failures are
-kept as replayable counterexample payloads.  Reports are pure functions of
-their parameters and seed, so reruns are byte-identical.
+or sample seeded random hosts.  Each host is solved exactly, except that an
+exhaustive sweep first tries the packing it counted on the host before: the
+enumeration changes a row or two per host, so that packing usually still
+verifies.  Failures are kept as replayable counterexample payloads.  Reports
+are pure functions of their parameters and seed, so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .solver import (
     EXHAUSTED_NONE,
     PACKED,
     Obstruction,
+    Packing,
     _first_fit,
     find_perfect_family_packing,
     normalize_patterns,
@@ -280,15 +283,19 @@ def _sweep(
     samples: int,
     seed: int,
     budget: int,
-    fast: Callable[[Digraph], bool] | None = None,
+    fast: Callable[[Digraph], Packing | None] | None = None,
 ) -> SweepReport:
-    """Solve each host meeting a degree condition for a perfect pattern packing.
+    """Check each host meeting a degree condition for a perfect pattern packing.
 
     ``pattern`` and ``threshold`` are evaluated once r and n are known to
     be valid.  Hosts come from ``random_host(threshold, child_seed)`` or,
     in exhaustive mode, from ``all_hosts(threshold)``; ``None`` makes the
-    condition sampling-only.  ``fast(g)`` may prove a packing exists and so
-    skip the exact solver; only the exact solver can declare non-existence.
+    condition sampling-only.  ``fast(g)`` returns a perfect packing, which
+    skips the exact solver, or a falsy value when it gave up; only the exact
+    solver can declare non-existence.  An exhaustive sweep keeps the last
+    packing it counted and counts a host packed, without ``fast`` or the
+    solver, when that packing passes verify_packing on it.  Random hosts are
+    independent, so random mode reuses nothing.
     """
     _check_order(r, n)
     p = pattern()
@@ -320,16 +327,23 @@ def _sweep(
     start = time.perf_counter()
     examined = packed = over = 0
     cexs: list[Counterexample] = []
+    reuse, last = mode == "exhaustive", None
     for label, g in instances:
         examined += 1
-        if fast is not None and fast(g):
+        if last is not None and verify_packing(g, family, last, require_perfect=True):
             packed += 1
+            continue
+        found = fast(g) if fast is not None else None
+        if found:
+            packed += 1
+            last = found if reuse else None
             continue
         cert = find_perfect_family_packing(g, family, budget)
         if cert.verdict == PACKED:
             if not verify_packing(g, family, cert.packing, require_perfect=True):
                 raise InvariantViolation("solver produced an invalid packing")
             packed += 1
+            last = cert.packing if reuse else None
         elif cert.verdict == BUDGET_EXCEEDED:
             over += 1
         else:
@@ -380,10 +394,11 @@ def sweep_semidegree(
 _T3_FAMILY = (Tournament.transitive(3),)
 
 
-def _t3_first_fit(g: Digraph) -> bool:
-    """The solver's first-fit stage for transitive triangles: True proves a
-    perfect packing exists; False only means the stage gave up."""
-    return _first_fit(g, _T3_FAMILY, DEFAULT_BUDGET) is not None
+def _t3_first_fit(g: Digraph) -> Packing | None:
+    """The solver's first-fit stage for transitive triangles: a perfect
+    packing, or None when the stage gave up, which proves nothing."""
+    cert = _first_fit(g, _T3_FAMILY, DEFAULT_BUDGET)
+    return None if cert is None else cert.packing
 
 
 def sweep_out_or_in(
@@ -400,19 +415,22 @@ def sweep_out_or_in(
     For r = 3 the solver's first-fit stage confirms most hosts, the
     dedicated local-search packer handles what it misses, and the exact
     solver settles anything left; only the exact solver can declare
-    non-existence.
+    non-existence.  In exhaustive mode a host is first tried with the
+    packing counted on the host before it, and this chain runs only when
+    that packing does not fit.
     """
 
-    def t3_packs(g: Digraph) -> bool:
-        if _t3_first_fit(g):
-            return True
+    def t3_packs(g: Digraph) -> Packing | None:
+        packing = _t3_first_fit(g)
+        if packing:
+            return packing
         try:
             packing, _ = t3_pack(g, budget)
         except SwapNotFound:
-            return False
+            return None
         if not verify_packing(g, _T3_FAMILY, packing, require_perfect=True):
             raise InvariantViolation("local-search packing failed verification")
-        return True
+        return packing
 
     return _sweep(
         "out-or-in", r, n,

@@ -587,6 +587,12 @@ def max_disjoint_sets(n: int, masks, budget: int = DEFAULT_BUDGET) -> tuple[list
     return [_mirror(n, m) for m in chosen], exact
 
 
+@cache
+def _arc_table(fam: tuple[Digraph, ...]) -> dict:
+    """Each pattern's arcs, keyed by its out-rows, for verify_packing."""
+    return {p._out: tuple(p.arcs()) for p in fam}
+
+
 def verify_packing(g: Digraph, pattern_or_family, packing: Packing,
                    require_perfect: bool = False) -> bool:
     """Disjointness, arc validity, pattern membership, and optional coverage.
@@ -595,8 +601,7 @@ def verify_packing(g: Digraph, pattern_or_family, packing: Packing,
     on g's raw out-rows for range, injectivity and its pattern's arcs.  A
     pattern is in the family when its out-rows equal a member's.
     """
-    fam = normalize_patterns(pattern_or_family)
-    arcs = {p._out: tuple(p.arcs()) for p in fam}
+    arcs = _arc_table(normalize_patterns(pattern_or_family))
     n, out = g.n, g._out
     if packing.n != n:
         return False

@@ -17,8 +17,14 @@ from tpack.core import (
     digraph_to_text,
     min_semidegree,
 )
-from tpack.constructions import make_source_counterexample
-from tpack.solver import EXHAUSTED_NONE, Obstruction, PackCertificate, validate_obstruction
+from tpack.constructions import make_source_counterexample, random_digraph_out_or_in
+from tpack.solver import (
+    EXHAUSTED_NONE,
+    Obstruction,
+    PackCertificate,
+    validate_obstruction,
+    verify_packing,
+)
 from tpack.t3local import SwapNotFound
 from tpack.harness import (
     Counterexample,
@@ -154,13 +160,31 @@ def test_deficiency_zero_space_is_the_complete_digraph_alone():
     assert [(g.n, g._out, g._in) for g in hosts] == [(n, complete, complete)]
 
 
-def test_exhaustive_semidegree_sweep_n6():
-    for pattern in (Tournament.transitive(3), Tournament.cyclic_triangle()):
+def _counting_solver(monkeypatch):
+    """Patch the harness's exact solver to record each host it is called on."""
+    solved = []
+    real = harness.find_perfect_family_packing
+
+    def solve(g, family, budget):
+        solved.append(g)
+        return real(g, family, budget)
+
+    monkeypatch.setattr(harness, "find_perfect_family_packing", solve)
+    return solved
+
+
+def test_exhaustive_semidegree_sweep_n6(monkeypatch):
+    solved = _counting_solver(monkeypatch)
+    # most hosts take the packing counted on the host before them
+    for pattern, share in ((Tournament.transitive(3), 0.1),
+                           (Tournament.cyclic_triangle(), 0.2)):
+        solved.clear()
         rep = sweep_semidegree(3, pattern, 6, mode="exhaustive")
         assert rep.examined == 6600
         assert rep.packed == 6600
         assert rep.verdict == "consistent"
         assert not rep.counterexamples and rep.budget_exceeded == 0
+        assert 0 < len(solved) < share * 6600
 
 
 def test_random_sweep_determinism():
@@ -248,6 +272,13 @@ def _sha(text):
 def test_canonical_reports_are_pinned():
     reports = {
         "3081883a9d54abf6": sweep_semidegree(2, T2, 4, mode="exhaustive"),
+        # the n = 6 exhaustive sweeps, and t3 at budget 2 (191 hosts
+        # budget-exceeded): reusing the last packing must leave each report
+        # as the solver alone makes it
+        "c0953d70ca68ceb5": sweep_semidegree(3, T3, 6, mode="exhaustive"),
+        "cb82f92c7ccd9615": sweep_semidegree(3, Tournament.cyclic_triangle(), 6,
+                                             mode="exhaustive"),
+        "f5b438aaed68d9b6": sweep_semidegree(3, T3, 6, mode="exhaustive", budget=2),
         "10ed487e32286d84": sweep_semidegree(3, Tournament.cyclic_triangle(), 9,
                                              samples=25, seed=7),
         "5864a4878a49cd0b": sweep_out_or_in(3, 3, mode="exhaustive"),
@@ -359,6 +390,70 @@ def test_out_or_in_fallback_chain_gives_the_same_report(monkeypatch):
     exact = report()
     assert calls["t3_pack"] == calls["exact"] == 30
     assert first_fit == local == exact
+
+
+def test_a_host_the_last_packing_misses_reaches_the_solver(monkeypatch):
+    solved = _counting_solver(monkeypatch)
+    k6 = Digraph.complete(6)
+    e = harness.find_perfect_family_packing(k6, T3, 100).packing.elements[0]
+    a, b = next(iter(e.pattern.arcs()))
+    lacking = Digraph.from_arcs(6, [arc for arc in k6.arcs()
+                                    if arc != (e.image[a], e.image[b])])
+    empty = Digraph.empty(6)
+    hosts = [k6, lacking, lacking, empty]
+    monkeypatch.setattr(harness, "iter_min_semidegree_hosts", lambda n, t: iter(hosts))
+    solved.clear()
+    rep = sweep_semidegree(3, T3, 6, mode="exhaustive")
+    # the third host takes the second's packing; the packless one is solved
+    assert solved == [k6, lacking, empty]
+    assert (rep.examined, rep.packed, rep.budget_exceeded) == (4, 3, 0)
+    assert [c.label for c in rep.counterexamples] == ["enum:3"]
+
+    # random hosts are independent: even a repeated one is solved each time
+    monkeypatch.setattr(harness, "random_digraph_min_semidegree", lambda n, t, s: k6)
+    solved.clear()
+    rep = sweep_semidegree(3, T3, 6, samples=5)
+    assert solved == [k6] * 5 and rep.packed == 5
+
+
+def test_t3_first_fit_returns_a_verified_packing_or_none():
+    hosts = list(itertools.islice(iter_out_or_in_hosts(6, 4), 0, 30000, 97))
+    hosts += [random_digraph_out_or_in(n, seed, 2 * n // 3)
+              for n in (9, 18, 30) for seed in range(20)]
+    hosts += [Digraph.empty(6), make_source_counterexample(9)]
+    found = Counter()
+    for g in hosts:
+        packing = harness._t3_first_fit(g)
+        found[packing is None] += 1
+        assert packing is None or verify_packing(g, T3, packing, require_perfect=True)
+    assert found[True] and found[False]
+
+
+def test_exhaustive_out_or_in_sweep_reuses_both_fast_packers(monkeypatch):
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    real_hosts = harness.iter_out_or_in_hosts
+    monkeypatch.setattr(harness, "iter_out_or_in_hosts",
+                        lambda n, t: itertools.islice(real_hosts(n, t), 3000))
+    monkeypatch.setattr(harness, "_t3_first_fit",
+                        counted("first_fit", harness._t3_first_fit))
+    solved = _counting_solver(monkeypatch)
+    rep = sweep_out_or_in(3, 6, mode="exhaustive")
+    assert (rep.examined, rep.packed) == (3000, 3000)
+    assert 0 < counts["first_fit"] < 300 and not solved
+
+    # with first-fit off, local search's packings are the ones reused
+    monkeypatch.setattr(harness, "_t3_first_fit", lambda g: None)
+    monkeypatch.setattr(harness, "t3_pack", counted("t3_pack", harness.t3_pack))
+    rep = sweep_out_or_in(3, 6, mode="exhaustive")
+    assert (rep.examined, rep.packed) == (3000, 3000)
+    assert 0 < counts["t3_pack"] < 300 and not solved
 
 
 def test_out_or_in_sweeps():
