@@ -95,7 +95,7 @@ class Digraph:
         g.n = n
         g._out = tuple(out_rows)
         g._in = tuple(in_rows)
-        g._m = sum(row.bit_count() for row in g._out)
+        g._m = sum(map(int.bit_count, g._out))
         return g
 
     @classmethod

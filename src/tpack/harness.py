@@ -5,8 +5,10 @@ complement, feasible when each vertex misses at most one arc per direction)
 or sample seeded random hosts.  Each host is solved exactly, except that an
 exhaustive sweep first tries the packing it counted on the host before: the
 enumeration changes a row or two per host, so that packing usually still
-verifies.  Failures are kept as replayable counterexample payloads.  Reports
-are pure functions of their parameters and seed, so reruns are byte-identical.
+fits, and one comparison of the host's out-rows with the arc rows the
+packing needs decides it.  Failures are kept as replayable counterexample
+payloads.  Reports are pure functions of their parameters and seed, so
+reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -47,6 +49,8 @@ from .solver import (
     Obstruction,
     Packing,
     _first_fit,
+    _fits,
+    _packing_rows,
     find_perfect_family_packing,
     normalize_patterns,
     validate_obstruction,
@@ -292,10 +296,14 @@ def _sweep(
     in exhaustive mode, from ``all_hosts(threshold)``; ``None`` makes the
     condition sampling-only.  ``fast(g)`` returns a perfect packing, which
     skips the exact solver, or a falsy value when it gave up; only the exact
-    solver can declare non-existence.  An exhaustive sweep keeps the last
+    solver can declare non-existence.  Every packing, from ``fast`` or the
+    solver, must pass verify_packing on its host before it is counted.  An
+    exhaustive sweep keeps the arc rows (solver._packing_rows) of the last
     packing it counted and counts a host packed, without ``fast`` or the
-    solver, when that packing passes verify_packing on it.  Random hosts are
-    independent, so random mode reuses nothing.
+    solver, when its out-rows contain them (solver._fits): every host has
+    order n, so that is when the packing passes verify_packing on it.
+    Random hosts are independent, so random mode reuses nothing.  A host's
+    label is formatted only for a counterexample.
     """
     _check_order(r, n)
     p = pattern()
@@ -306,12 +314,10 @@ def _sweep(
             raise DomainError(
                 f"samples must lie in [0, {_SEED_STRIDE}), got {samples}"
             )
-        instances = (
-            (f"sample:{i}", random_host(t, _derived_seed(seed, i)))
-            for i in range(samples)
-        )
+        hosts = (random_host(t, _derived_seed(seed, i)) for i in range(samples))
+        prefix = "sample"
     elif mode == "exhaustive" and all_hosts is not None:
-        instances = ((f"enum:{i}", g) for i, g in enumerate(all_hosts(t)))
+        hosts, prefix = all_hosts(t), "enum"
     else:
         raise DomainError(f"unknown mode {mode!r}")
     params = {
@@ -328,22 +334,21 @@ def _sweep(
     examined = packed = over = 0
     cexs: list[Counterexample] = []
     reuse, last = mode == "exhaustive", None
-    for label, g in instances:
+    for i, g in enumerate(hosts):
         examined += 1
-        if last is not None and verify_packing(g, family, last, require_perfect=True):
+        if last is not None and _fits(last, g):
             packed += 1
             continue
-        found = fast(g) if fast is not None else None
-        if found:
+        packing = fast(g) if fast is not None else None
+        if not packing:
+            cert = find_perfect_family_packing(g, family, budget)
+            packing = cert.packing
+        if packing:
+            if not verify_packing(g, family, packing, require_perfect=True):
+                raise InvariantViolation("sweep produced an invalid packing")
             packed += 1
-            last = found if reuse else None
-            continue
-        cert = find_perfect_family_packing(g, family, budget)
-        if cert.verdict == PACKED:
-            if not verify_packing(g, family, cert.packing, require_perfect=True):
-                raise InvariantViolation("solver produced an invalid packing")
-            packed += 1
-            last = cert.packing if reuse else None
+            if reuse:
+                last = _packing_rows(packing)
         elif cert.verdict == BUDGET_EXCEEDED:
             over += 1
         else:
@@ -351,7 +356,7 @@ def _sweep(
                 edge_list=digraph_to_text(g),
                 verdict=EXHAUSTED_NONE,
                 nodes=cert.nodes,
-                label=label,
+                label=f"{prefix}:{i}",
                 patterns=(digraph_to_text(p),),
                 obstruction=cert.obstruction,
             )
@@ -425,12 +430,9 @@ def sweep_out_or_in(
         if packing:
             return packing
         try:
-            packing, _ = t3_pack(g, budget)
+            return t3_pack(g, budget)[0]
         except SwapNotFound:
             return None
-        if not verify_packing(g, _T3_FAMILY, packing, require_perfect=True):
-            raise InvariantViolation("local-search packing failed verification")
-        return packing
 
     return _sweep(
         "out-or-in", r, n,

@@ -624,6 +624,28 @@ def verify_packing(g: Digraph, pattern_or_family, packing: Packing,
     return not require_perfect or seen == (1 << n) - 1
 
 
+def _packing_rows(packing: Packing) -> tuple[int, ...]:
+    """The out-rows that the packing's own arcs need: bit image[b] of row
+    image[a] for each arc (a, b) of each element's pattern.
+
+    verify_packing reads a host only through its order and these arc
+    tests, so once the packing has passed it on one host of order n, it
+    passes on another host of order n exactly when that host's out-rows
+    contain these (_fits).
+    """
+    rows = [0] * packing.n
+    for e in packing.elements:
+        image = e.image
+        for a, b in e.pattern.arcs():
+            rows[image[a]] |= 1 << image[b]
+    return tuple(rows)
+
+
+def _fits(rows: tuple[int, ...], g: Digraph) -> bool:
+    """Whether g's out-rows contain rows, one row per vertex."""
+    return tuple(map(int.__and__, rows, g._out)) == rows
+
+
 def validate_obstruction(g: Digraph, pattern_or_family, obs: Obstruction) -> bool:
     """Whether obs proves that g has no perfect packing by the family.
 

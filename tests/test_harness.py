@@ -12,6 +12,7 @@ from tpack import harness
 from tpack.core import (
     Digraph,
     DomainError,
+    Embedding,
     InvariantViolation,
     Tournament,
     digraph_to_text,
@@ -22,6 +23,7 @@ from tpack.solver import (
     EXHAUSTED_NONE,
     Obstruction,
     PackCertificate,
+    Packing,
     validate_obstruction,
     verify_packing,
 )
@@ -272,13 +274,18 @@ def _sha(text):
 def test_canonical_reports_are_pinned():
     reports = {
         "3081883a9d54abf6": sweep_semidegree(2, T2, 4, mode="exhaustive"),
-        # the n = 6 exhaustive sweeps, and t3 at budget 2 (191 hosts
-        # budget-exceeded): reusing the last packing must leave each report
-        # as the solver alone makes it
+        # the n = 6 exhaustive sweeps, and t3 and c3 at budgets 2 and 3 (191,
+        # 26, 244 and 50 hosts budget-exceeded): reusing the last packing
+        # must leave each report as the solver alone makes it
         "c0953d70ca68ceb5": sweep_semidegree(3, T3, 6, mode="exhaustive"),
         "cb82f92c7ccd9615": sweep_semidegree(3, Tournament.cyclic_triangle(), 6,
                                              mode="exhaustive"),
         "f5b438aaed68d9b6": sweep_semidegree(3, T3, 6, mode="exhaustive", budget=2),
+        "58ee40b2fa2d035a": sweep_semidegree(3, T3, 6, mode="exhaustive", budget=3),
+        "b7982a75aa77fe42": sweep_semidegree(3, Tournament.cyclic_triangle(), 6,
+                                             mode="exhaustive", budget=2),
+        "5ae72b24e8daf48c": sweep_semidegree(3, Tournament.cyclic_triangle(), 6,
+                                             mode="exhaustive", budget=3),
         "10ed487e32286d84": sweep_semidegree(3, Tournament.cyclic_triangle(), 9,
                                              samples=25, seed=7),
         "5864a4878a49cd0b": sweep_out_or_in(3, 3, mode="exhaustive"),
@@ -414,6 +421,26 @@ def test_a_host_the_last_packing_misses_reaches_the_solver(monkeypatch):
     solved.clear()
     rep = sweep_semidegree(3, T3, 6, samples=5)
     assert solved == [k6] * 5 and rep.packed == 5
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "random"])
+def test_an_invalid_fast_packing_is_refused(monkeypatch, mode):
+    real = harness._t3_first_fit
+    lied = []
+
+    def lying(g):
+        # on a host missing an arc (u, v), a perfect packing whose copy needs it
+        missing = [(u, v) for u in range(g.n) for v in range(g.n) if u != v and not g.arc(u, v)]
+        if g.n != 3 or not missing:
+            return real(g)
+        u, v = missing[0]
+        lied.append(g)
+        return Packing(3, (Embedding(T3, (u, v, 3 - u - v)),))
+
+    monkeypatch.setattr(harness, "_t3_first_fit", lying)
+    with pytest.raises(InvariantViolation, match="invalid packing"):
+        sweep_out_or_in(3, 3, mode=mode, samples=20)
+    assert len(lied) == 1
 
 
 def test_t3_first_fit_returns_a_verified_packing_or_none():

@@ -257,6 +257,38 @@ def test_verify_packing_matches_the_is_valid_reference():
     assert checked == 5 * 4 * 18
 
 
+@given(st.sampled_from(["t3", "c3", "t4"]), st.integers(1, 4), st.integers(0, 10**6))
+@settings(max_examples=80, deadline=None)
+def test_packing_rows_decide_verify_packing_on_hosts_of_its_order(name, blocks, seed):
+    pattern = {"t3": T3, "c3": C3, "t4": Tournament.transitive(4)}[name]
+    r = pattern.n
+    n = r * min(blocks, 12 // r)
+    rng = random.Random(seed)
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+
+    def host(keep):
+        return Digraph.from_arcs(n, [arc for arc in pairs if rng.random() < keep])
+
+    # plant a packing on shuffled blocks so that h has one
+    perm = rng.sample(range(n), n)
+    planted = [(perm[i + a], perm[i + b]) for i in range(0, n, r) for a, b in pattern.arcs()]
+    h = Digraph.from_arcs(n, set(planted) | set(host(0.5).arcs()))
+    packing = find_perfect_family_packing(h, [pattern]).packing
+    assert verify_packing(h, [pattern], packing, require_perfect=True)
+    need = solver._packing_rows(packing)
+
+    def fits(g):
+        return solver._fits(need, g)
+
+    others = [host(keep) for keep in (0.6, 0.9, 0.97, 1.0) for _ in range(5)]
+    # a host without any one arc of the packing fails both
+    lacking = [h.minus_arcs([(e.image[a], e.image[b])])
+               for e in packing.elements for a, b in e.pattern.arcs()]
+    for g in [h, *others, *lacking]:
+        assert fits(g) == verify_packing(g, [pattern], packing, require_perfect=True)
+    assert fits(h) and not any(map(fits, lacking))
+
+
 def brute_max_triples(g, family):
     """Maximum number of disjoint pattern-spanning triples, by recursion."""
     spanning = [
