@@ -11,7 +11,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 
-from .core import Digraph, DomainError, Embedding, bits, mask_of, spans_copy
+from .core import Digraph, DomainError, Embedding, InvariantViolation, bits, mask_of, spans_copy
 from .solver import (
     DEFAULT_BUDGET,
     PACKED,
@@ -21,11 +21,11 @@ from .solver import (
 )
 
 
-class FamilyEmpty(RuntimeError):
+class FamilyEmpty(InvariantViolation):
     """No sampled candidate set verified as absorbing."""
 
 
-class AssignmentFailed(RuntimeError):
+class AssignmentFailed(InvariantViolation):
     """The leftover set cannot be routed to distinct absorbers."""
 
 

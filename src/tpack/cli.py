@@ -267,7 +267,7 @@ def _cmd_complex(args) -> int:
         {
             "n": c.n,
             "k": c.k,
-            "layer_sizes": [len(layer) for layer in c.layers],
+            "layer_sizes": list(c.layer_sizes()),
             "downward_closed": is_downward_closed(c),
             "degree_sequence": list(degree_sequence(c)),
             "threshold_check": {"eps": args.eps, "holds": ok, "failing_layer": failing},
@@ -281,16 +281,17 @@ def _family_to_json(fam: AbsorberFamily) -> dict:
     return {f.name: getattr(fam, f.name) for f in fields(fam) if f.name != "hits"}
 
 
-def _family_from_json(d: dict) -> AbsorberFamily:
-    return AbsorberFamily(
-        n=d["n"],
-        pattern_order=d["pattern_order"],
-        absorbers=tuple(tuple(a) for a in d["absorbers"]),
-        absorber_size=d["absorber_size"],
-        hits={},
-        xi=d["xi"],
-        seed=d["seed"],
-    )
+def _family_from_json(d) -> AbsorberFamily:
+    if not isinstance(d, dict):
+        raise DomainError("family file must hold a JSON object")
+    kw = {}
+    for f in fields(AbsorberFamily):
+        if f.name != "hits":
+            if f.name not in d:
+                raise DomainError(f"family file has no {f.name!r} field")
+            kw[f.name] = d[f.name]
+    kw["absorbers"] = tuple(tuple(a) for a in kw["absorbers"])
+    return AbsorberFamily(hits={}, **kw)
 
 
 def _cmd_absorb(args) -> int:
@@ -509,8 +510,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.run(args)
-    except (DomainError, InvariantViolation, StageFailed, OSError,
-            ValueError, json.JSONDecodeError) as exc:
+    except (InvariantViolation, StageFailed, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

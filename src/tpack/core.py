@@ -271,10 +271,6 @@ class Tournament(Digraph):
                 arcs = (row >> v & 1) + (col >> v & 1)
                 raise DomainError(f"pair ({u},{v}) carries {arcs} arcs, want exactly 1")
 
-    @property
-    def r(self) -> int:
-        return self.n
-
     @classmethod
     def transitive(cls, r: int) -> "Tournament":
         """Transitive tournament: arc i -> j exactly when i < j."""

@@ -492,6 +492,34 @@ class VertexClassification:
     externally_bad: tuple[tuple[int, ...], ...]
 
 
+def _internally_weak(g: Digraph, masks: Sequence[int], delta: float) -> int:
+    """The mask of class members with fewer than (1 - delta)(|class| - 1)
+    out- or in-neighbours inside their own class."""
+    weak = 0
+    for own in masks:
+        # inside the own class a vertex can reach at most size-1 others
+        thr = (1.0 - delta) * max(own.bit_count() - 1, 0)
+        for v in bits(own):
+            if not (at_least(g.d_out_to(v, own), thr) and at_least(g.d_in_from(v, own), thr)):
+                weak |= 1 << v
+    return weak
+
+
+def _externally_weak(g: Digraph, masks: Sequence[int], delta: float) -> int:
+    """The mask of members of each class i with fewer than (1 - delta)|class
+    i+1| out-neighbours in class i+1 or fewer than (1 - delta)|class i-1|
+    in-neighbours in class i-1, class indices taken mod 3."""
+    weak = 0
+    for i, own in enumerate(masks):
+        nxt, prv = masks[(i + 1) % 3], masks[(i + 2) % 3]
+        othr = (1.0 - delta) * nxt.bit_count()
+        pthr = (1.0 - delta) * prv.bit_count()
+        for v in bits(own):
+            if not (at_least(g.d_out_to(v, nxt), othr) and at_least(g.d_in_from(v, prv), pthr)):
+                weak |= 1 << v
+    return weak
+
+
 def classify_vertices(
     g: Digraph,
     classes: Sequence[Iterable[int]],
@@ -558,32 +586,13 @@ def classify_vertices(
     ext_exc: list[tuple[int, ...]] = []
     ext_bad: list[tuple[int, ...]] = []
     if len(cls) == 3:
-        for i, ci in enumerate(cls):
-            own = masks[i]
-            nxt = masks[(i + 1) % 3]
-            prv = masks[(i + 2) % 3]
-            # inside the own class a vertex can reach at most size-1 others
-            ithr = (1.0 - delta) * max(len(ci) - 1, 0)
-            othr = (1.0 - delta) * len(cls[(i + 1) % 3])
-            pthr = (1.0 - delta) * len(cls[(i + 2) % 3])
-            ie, ib, ee, eb = [], [], [], []
-            for v in ci:
-                if at_least(g.d_out_to(v, own), ithr) and at_least(
-                    g.d_in_from(v, own), ithr
-                ):
-                    ie.append(v)
-                else:
-                    ib.append(v)
-                if at_least(g.d_out_to(v, nxt), othr) and at_least(
-                    g.d_in_from(v, prv), pthr
-                ):
-                    ee.append(v)
-                else:
-                    eb.append(v)
-            int_exc.append(tuple(ie))
-            int_bad.append(tuple(ib))
-            ext_exc.append(tuple(ee))
-            ext_bad.append(tuple(eb))
+        for weak, excellent_rows, bad_rows in (
+            (_internally_weak(g, masks, delta), int_exc, int_bad),
+            (_externally_weak(g, masks, delta), ext_exc, ext_bad),
+        ):
+            for m in masks:
+                excellent_rows.append(tuple(bits(m & ~weak)))
+                bad_rows.append(tuple(bits(m & weak)))
 
     return VertexClassification(
         n=n,
@@ -622,10 +631,6 @@ class StageFailed(RuntimeError):
 
 
 _CYCLE = Tournament.cyclic_triangle()
-
-
-def _class_degrees(g: Digraph, v: int, cmask: int) -> tuple[int, int]:
-    return g.d_out_to(v, cmask), g.d_in_from(v, cmask)
 
 
 def _first_cycle(g: Digraph, slots: Sequence[int]) -> Embedding | None:
@@ -693,15 +698,16 @@ def extremal_c3_pack(
         witness = alpha_contains_c3_blowup(g, alpha)
         if not witness.contains:
             raise DomainError("host does not contain the blow-up at this alpha")
-        classes = [list(c) for c in witness.partition.classes]
+        masks = list(witness.partition.masks)
     else:
-        classes = [list(_validate_vertex_set(n, c)) for c in partition]
+        classes = [_validate_vertex_set(n, c) for c in partition]
         if len(classes) != 3:
             raise DomainError("witness partition needs exactly 3 classes")
         _check_partition(n, classes)
-        if sorted(len(c) for c in classes) != sorted(_base_class_sizes(n)):
+        masks = [mask_of(c) for c in classes]
+        if sorted(m.bit_count() for m in masks) != sorted(_base_class_sizes(n)):
             raise DomainError("witness class sizes are not near-equal")
-        deficit = blowup_deficit(g, [mask_of(c) for c in classes])
+        deficit = blowup_deficit(g, masks)
         if deficit > alpha * n * n + FLOAT_SLACK:
             raise DomainError(
                 f"witness deficit {deficit} exceeds alpha * n^2 = {alpha * n * n}"
@@ -710,130 +716,87 @@ def extremal_c3_pack(
     elements: list[Embedding] = []
     diagnostics: dict = {"moved": [], "parity": None, "cover": [], "balance": []}
 
-    # stage 1: relocate vertices with weak degrees inside their own class
-    weak: list[int] = []
-    for i, ci in enumerate(classes):
-        cmask = mask_of(ci)
-        ithr = (1.0 - gamma) * max(len(ci) - 1, 0)
-        for v in ci:
-            dto, dfrom = _class_degrees(g, v, cmask)
-            if not (at_least(dto, ithr) and at_least(dfrom, ithr)):
-                weak.append(v)
-    for v in sorted(weak):
-        masks = [mask_of(c) for c in classes]
-        both: list[int] = []
-        scored: list[tuple[tuple[float, float], int]] = []
+    def pack(emb: Embedding) -> tuple[int, ...]:
+        elements.append(emb)
         for i in range(3):
-            dto, dfrom = _class_degrees(g, v, masks[i] & ~(1 << v))
-            if at_least(dto, n / 10) and at_least(dfrom, n / 10):
-                both.append(i)
-            scored.append(((min(dto, dfrom), dto + dfrom), i))
-        if both:
-            target = both[0]
-        else:
-            # degree too damaged for the two-way rule; take the best class
-            scored.sort(key=lambda t: (-t[0][0], -t[0][1], t[1]))
-            target = scored[0][1]
-        src = next(i for i, c in enumerate(classes) if v in c)
+            masks[i] &= ~emb.vertex_mask
+        return emb.image
+
+    # stage 1: relocate vertices with weak degrees inside their own class
+    for v in bits(_internally_weak(g, masks, gamma)):
+        degrees = []
+        for i, m in enumerate(masks):
+            if m >> v & 1:
+                src = i
+            others = m & ~(1 << v)
+            degrees.append((g.d_out_to(v, others), g.d_in_from(v, others)))
+        both = [i for i, d in enumerate(degrees) if at_least(min(d), n / 10)]
+        # with no class taking v both ways the degree is too damaged for the
+        # two-way rule; take the class of best smaller, then total, degree
+        target = both[0] if both else max(
+            range(3), key=lambda i: (min(degrees[i]), sum(degrees[i]), -i))
         if src != target:
-            classes[src].remove(v)
-            classes[target].append(v)
-            classes[target].sort()
+            masks[src] ^= 1 << v
+            masks[target] ^= 1 << v
             diagnostics["moved"].append((v, src, target))
 
     # stage 2: one triangle to equalize class sizes mod 3
-    sizes = [len(c) for c in classes]
+    sizes = [m.bit_count() for m in masks]
     if len({s % 3 for s in sizes}) > 1:
-        found = None
-        masks = [mask_of(c) for c in classes]
         for counts in itertools.product(range(4), repeat=3):
-            if sum(counts) != 3:
-                continue
-            residues = {(sizes[i] - counts[i]) % 3 for i in range(3)}
-            if len(residues) != 1:
-                continue
-            found = _first_cycle(g, [masks[i] for i in range(3) for _ in range(counts[i])])
-            if found is not None:
-                break
-        if found is None:
+            if sum(counts) == 3 and len({(sizes[i] - counts[i]) % 3 for i in range(3)}) == 1:
+                found = _first_cycle(g, [masks[i] for i in range(3) for _ in range(counts[i])])
+                if found is not None:
+                    break
+        else:
             raise StageFailed(
                 "parity",
                 "no cyclic triangle equalizes the class sizes mod 3",
                 {"sizes": sizes, "stages": diagnostics},
             )
-        elements.append(found)
-        diagnostics["parity"] = found.image
-        for v in found.vertex_set:
-            for c in classes:
-                if v in c:
-                    c.remove(v)
-                    break
-    if len({len(c) % 3 for c in classes}) > 1:
+        diagnostics["parity"] = pack(found)
+    if len({m.bit_count() % 3 for m in masks}) > 1:
         raise StageFailed("parity", "class sizes still disagree mod 3", {})
 
-    # stage 3: cover vertices with weak cross degrees by in-class triangles
-    def externally_weak() -> list[int]:
-        out = []
-        masks = [mask_of(c) for c in classes]
-        for i, ci in enumerate(classes):
-            othr = (1.0 - 2 * gamma) * len(classes[(i + 1) % 3])
-            pthr = (1.0 - 2 * gamma) * len(classes[(i + 2) % 3])
-            for v in ci:
-                if not (
-                    at_least(g.d_out_to(v, masks[(i + 1) % 3]), othr)
-                    and at_least(g.d_in_from(v, masks[(i + 2) % 3]), pthr)
-                ):
-                    out.append(v)
-        return sorted(out)
-
-    removed_by_cover: set[int] = set()
-    for v in externally_weak():
-        if v in removed_by_cover:
-            continue
-        idx = next(i for i, c in enumerate(classes) if v in c)
-        pool = mask_of(u for u in classes[idx] if u != v and u not in removed_by_cover)
-        emb = _first_cycle(g, (1 << v, pool, pool))
-        if emb is None:
-            raise StageFailed(
-                "cover",
-                f"no in-class cyclic triangle covers vertex {v}",
-                {"vertex": v, "class": idx, "stages": diagnostics},
-            )
-        elements.append(emb)
-        diagnostics["cover"].append(emb.image)
-        removed_by_cover.update(emb.vertex_set)
-    for c in classes:
-        c[:] = [v for v in c if v not in removed_by_cover]
+    # stage 3: cover vertices with weak cross degrees by in-class triangles;
+    # a vertex an earlier triangle took is in no class any more, and the
+    # pool may hold v, which is no neighbour of itself
+    for v in bits(_externally_weak(g, masks, 2 * gamma)):
+        for idx, pool in enumerate(masks):
+            if pool >> v & 1:
+                emb = _first_cycle(g, (1 << v, pool, pool))
+                if emb is None:
+                    raise StageFailed(
+                        "cover",
+                        f"no in-class cyclic triangle covers vertex {v}",
+                        {"vertex": v, "class": idx, "stages": diagnostics},
+                    )
+                diagnostics["cover"].append(pack(emb))
 
     # stage 4: shave the larger classes down to a common size
     for _ in range(n):
-        sizes = [len(c) for c in classes]
+        sizes = [m.bit_count() for m in masks]
         if len(set(sizes)) == 1:
             break
         idx = max(range(3), key=lambda i: (sizes[i], -i))
-        pool = mask_of(classes[idx])
-        emb = _first_cycle(g, (pool, pool, pool))
+        emb = _first_cycle(g, (masks[idx],) * 3)
         if emb is None:
             raise StageFailed(
                 "balance",
                 f"no cyclic triangle inside class {idx} of size {sizes[idx]}",
                 {"sizes": sizes, "stages": diagnostics},
             )
-        elements.append(emb)
-        diagnostics["balance"].append(emb.image)
-        classes[idx] = [v for v in classes[idx] if v not in emb.vertex_set]
-    if len({len(c) for c in classes}) != 1:
+        diagnostics["balance"].append(pack(emb))
+    if len({m.bit_count() for m in masks}) != 1:
         raise StageFailed("balance", "class sizes still differ", {})
 
     # stage 5: exact solve on the remaining cyclically oriented cross arcs
-    remaining = sorted(v for c in classes for v in c)
+    rows = [0] * n
+    for i in range(3):
+        for u in bits(masks[i]):
+            rows[u] = g.out_mask(u) & masks[(i + 1) % 3]
+    host, remaining = Digraph(n, rows).induced(bits(masks[0] | masks[1] | masks[2]))
     if remaining:
-        rows = [0] * n
-        for i in range(3):
-            nxt = mask_of(classes[(i + 1) % 3])
-            for u in classes[i]:
-                rows[u] = g.out_mask(u) & nxt
-        host, _ = Digraph(n, rows).induced(remaining)
         cert = find_perfect_packing(host, _CYCLE, budget=budget)
         if not cert.found:
             raise StageFailed(

@@ -350,3 +350,41 @@ def test_absorb_refuses_missing_vertex_lists(tmp_path, capsys):
                         ("apply", "apply needs --family-file and --w")):
         code, out, err = run(capsys, "absorb", action, "--graph", path)
         assert (code, out) == (1, "") and msg in err
+
+
+def _absorb_apply(tmp_path, host, family):
+    fam = tmp_path / "family.json"
+    fam.write_text(json.dumps(family))
+    return ["absorb", "apply", "--graph", write_graph(tmp_path, host),
+            "--tournament", "t3", "--family-file", str(fam), "--w", "3,4,5"]
+
+
+_UNROUTABLE = {"n": 6, "pattern_order": 3, "absorbers": [[0, 1, 2]], "absorber_size": 3,
+               "xi": 0.3, "seed": 0}
+
+# each input makes the library raise; (argv builder, text the error line holds)
+_FAILURES = {
+    "family-empty": (lambda tmp_path: [
+        "absorb", "build", "--graph", write_graph(tmp_path, Digraph.empty(36)),
+        "--tournament", "t3", "--samples", "5"], "no absorbing candidate"),
+    "assignment-failed": (lambda tmp_path: _absorb_apply(
+        tmp_path, Digraph.empty(6), _UNROUTABLE), "cannot be routed"),
+    "family-missing-field": (lambda tmp_path: _absorb_apply(
+        tmp_path, Digraph.complete(6), {"n": 36}), "'pattern_order'"),
+    "family-not-an-object": (lambda tmp_path: _absorb_apply(
+        tmp_path, Digraph.complete(6), [1, 2]), "JSON object"),
+    # the shifted blow-up with a near-equal witness: stage 1 hands vertex 2
+    # back to its class, and no cyclic triangle then fixes the parity
+    "stage-failed": (lambda tmp_path: [
+        "lemma", "expack", "--graph", write_graph(tmp_path, make_c3_blowup(9, 1)[0]),
+        "--alpha", "0.2", "--partition", "0,1,2;3,4,5;6,7,8", "--no-degree-check"], "parity:"),
+}
+
+
+@pytest.mark.parametrize("case", list(_FAILURES))
+def test_library_failures_end_in_one_error_line(tmp_path, capsys, case):
+    argv, text = _FAILURES[case]
+    code, out, err = run(capsys, *argv(tmp_path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1 and text in err
+    assert "Traceback" not in err

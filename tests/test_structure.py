@@ -497,3 +497,73 @@ def test_outputs_through_the_undirected_graph_are_pinned():
     assert kinds == {"t3": 160, "PerfectMatching": 1809, "IndependentSetCertificate": 12,
                      "ClosePartition": 12, "refused": 267, "d-match": 1400, "clique": 1050}
     assert (sum(kinds.values()), digest.hexdigest()) == _PINNED_GRAPH_FLOW
+
+
+def _damaged_witnesses(count):
+    """Seeded n=9..45 cyclic blow-ups with shift 0 or 1, random arcs removed
+    (a few vertices lose most of theirs) and vertices relabelled, with a
+    witness of near-equal class sizes: the blow-up's classes, or for shift 1
+    those classes with one vertex handed back to the first class, which
+    stage 1 then relocates."""
+    rng = random.Random("extremal-classes")
+    for _ in range(count):
+        n = 3 * rng.randint(3, 15)
+        g, part = make_c3_blowup(n, rng.randint(0, 1))
+        classes = [list(c) for c in part.classes]
+        if part.shift:
+            classes[0].append(classes[1].pop(0))
+        rows = [g.out_mask(v) for v in range(n)]
+        p = rng.choice((0.0, 0.03, 0.08, 0.15))
+        heavy = set(rng.sample(range(n), rng.choice((0, 1, 2))))
+        for u in range(n):
+            for v in range(n):
+                if rows[u] >> v & 1 and rng.random() < (0.7 if heavy & {u, v} else p):
+                    rows[u] ^= 1 << v
+        perm = list(range(n))
+        rng.shuffle(perm)
+        relabelled = [0] * n
+        for u in range(n):
+            for v in range(n):
+                if rows[u] >> v & 1:
+                    relabelled[perm[u]] |= 1 << perm[v]
+        yield Digraph(n, relabelled), [sorted(perm[v] for v in c) for c in classes]
+
+
+def _class_rows(g, classes):
+    """extremal_c3_pack at three gammas, with the witness and (at n = 9,
+    where the containment search is exact and quick) without it, then
+    classify_vertices on the witness classes at delta = gamma."""
+    for gamma in (0.1, 0.25, 0.4):
+        for partition in (classes, None) if g.n == 9 else (classes,):
+            try:
+                pk = extremal_c3_pack(g, 0.2, partition, gamma=gamma, require_degree=False)
+                yield ["packed", [list(e.image) for e in pk.elements]]
+            except StageFailed as exc:
+                yield ["failed", exc.stage, str(exc), exc.details]
+            except DomainError as exc:
+                yield ["refused", str(exc)]
+        yield ["classify", dataclasses.asdict(classify_vertices(g, classes, gamma))]
+
+
+# sha256 of the rows, computed while the packer held its classes as lists
+# and stated its weak-vertex tests apart from classify_vertices: 342 packed,
+# 410 parity, 158 cover, 5 balance and 3 finish failures, 33 refusals, and
+# 900 classifications listing 6,954 internally and 7,227 externally bad
+_PINNED_CLASSES = (300, "7ff1179fef8c87c5bb43cb03cc341a7ccb142bde2fa32fa32f8b578f0f6813ac")
+
+
+def test_extremal_pack_and_classification_are_pinned():
+    digest = hashlib.sha256()
+    kinds = collections.Counter()
+    weak = collections.Counter()
+    for g, classes in _damaged_witnesses(_PINNED_CLASSES[0]):
+        for row in _class_rows(g, classes):
+            kinds[row[0] if row[0] != "failed" else row[1]] += 1
+            if row[0] == "classify":
+                weak["internal"] += sum(map(len, row[1]["internally_bad"]))
+                weak["external"] += sum(map(len, row[1]["externally_bad"]))
+            digest.update(json.dumps(row, sort_keys=True).encode())
+    assert kinds == {"packed": 342, "parity": 410, "cover": 158, "balance": 5,
+                     "finish": 3, "refused": 33, "classify": 900}
+    assert weak == {"internal": 6954, "external": 7227}
+    assert digest.hexdigest() == _PINNED_CLASSES[1]
