@@ -290,6 +290,18 @@ def _family_from_json(d) -> AbsorberFamily:
             if f.name not in d:
                 raise DomainError(f"family file has no {f.name!r} field")
             kw[f.name] = d[f.name]
+    for name, x in kw.items():
+        if name == "absorbers":
+            kind = "a list of integer lists"
+            ok = isinstance(x, list) and all(
+                isinstance(a, list) and all(type(v) is int for v in a) for a in x
+            )
+        elif name == "xi":
+            kind, ok = "a number", type(x) in (int, float)
+        else:
+            kind, ok = "an integer", type(x) is int
+        if not ok:
+            raise DomainError(f"family file's {name!r} field must be {kind}")
     kw["absorbers"] = tuple(tuple(a) for a in kw["absorbers"])
     return AbsorberFamily(hits={}, **kw)
 

@@ -342,10 +342,6 @@ class Embedding:
     image: tuple[int, ...]
 
     @property
-    def vertex_set(self) -> frozenset[int]:
-        return frozenset(self.image)
-
-    @property
     def vertex_mask(self) -> int:
         return mask_of(self.image)
 

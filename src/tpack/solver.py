@@ -18,20 +18,20 @@ divisibility barrier, the dense obstructions of Keevash and Mycroft's
 hypergraph matching theory, the latter by eliminating the sets' incidence
 columns over GF(p); the columns and _near come from one transpose.  A
 barrier proves that no packing exists and comes back as an Obstruction,
-which validate_obstruction re-checks from the raw adjacency.  Failing
-that, first-fit runs with its full slack, then the exact search (_cover)
-branches over the sets.  A failed-subproblem memo keyed on the uncovered
-mask makes its non-existence proofs cheap to exhaust, and a node budget
-turns runaway searches into a distinct verdict instead of a wrong answer.
-The maximum search (_max_cover) asks it for covers of all but d vertices,
-d growing.
+which validate_obstruction re-checks by growing copies on the host's raw
+rows.  Failing that, first-fit runs with its full slack, then the exact
+search (_cover) branches over the sets.  A failed-subproblem memo keyed on
+the uncovered mask makes its non-existence proofs cheap to exhaust, and a
+node budget turns runaway searches into a distinct verdict instead of a
+wrong answer.  The maximum search (_max_cover) asks it for covers of all
+but d vertices, d growing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, reduce
-from itertools import combinations, compress, permutations
+from itertools import compress
 
 from .core import (
     Digraph, DomainError, Embedding, InvariantViolation, bits, copy_masks, spans_copy,
@@ -649,48 +649,48 @@ def _fits(rows: tuple[int, ...], g: Digraph) -> bool:
 def validate_obstruction(g: Digraph, pattern_or_family, obs: Obstruction) -> bool:
     """Whether obs proves that g has no perfect packing by the family.
 
-    Shares no code with the solver's copy searches.  A space set is
-    accepted at once when every pattern joins every pair of its vertices
-    (read from the pattern's arcs) and no two vertices of the set are joined
-    by an arc (by arcs both ways, when every pattern is complete), checked
-    by |S|^2 Digraph.arc tests: no copy can then meet the set twice.
-    Otherwise each r-set of vertices whose weight breaks the barrier's rule
-    (more than 1 for a space barrier, not 0 mod the modulus for a
-    divisibility one) is tried in every vertex order against every pattern's
-    arcs with Digraph.arc, and must span no pattern.  The weights must also
-    total more than n/r (space) or not 0 mod the modulus (divisibility).
+    Shares no code with the solver's copy searches.  Space: the weights
+    mark a set S of more than n/r vertices, and no copy may meet S twice.
+    Divisibility: the total must not be 0 mod the modulus, and every copy's
+    must be.  Each pattern's image grows one vertex at a time on g's raw
+    rows, and the last vertex's candidates are ANDed with each weight class
+    that would break the rule.  A copy breaks S only by meeting it twice,
+    so that growth starts with each pair of pattern vertices in S.
     """
     fam = normalize_patterns(pattern_or_family)
-    n, r, w = g.n, fam[0].n, obs.weights
-    if len(w) != n or n % r:
+    n, r, w, p = g.n, fam[0].n, obs.weights, obs.modulus
+    space = obs.kind == SPACE and p is None
+    if not space and (obs.kind != DIVISIBILITY or type(p) is not int or p < 2):
         return False
-    arc_lists = [list(pat.arcs()) for pat in fam]
-    if obs.kind == SPACE:
-        if obs.modulus is not None or any(x not in (0, 1) for x in w) or sum(w) * r <= n:
-            return False
-        complete = all(len(arcs) == r * (r - 1) for arcs in arc_lists)
-        joined = complete or all(len({frozenset(a) for a in arcs}) == r * (r - 1) // 2
-                                 for arcs in arc_lists)
-        s = [v for v in range(n) if w[v]]
-        if joined and not any(g.arc(u, v) and (not complete or g.arc(v, u))
-                              for u in s for v in s):
-            return True
-
-        def breaks(total: int) -> bool:
-            return total > 1
-    elif obs.kind == DIVISIBILITY:
-        p = obs.modulus
-        if (type(p) is not int or p < 2 or any(not 0 <= x < p for x in w)
-                or sum(w) % p == 0):
-            return False
-
-        def breaks(total: int) -> bool:
-            return total % p != 0
-    else:
+    top = 2 if space else p
+    if (len(w) != n or n % r or any(x not in range(top) for x in w)
+            or (sum(w) * r <= n if space else sum(w) % p == 0)):
         return False
-    for xs in combinations(range(n), r):
-        if breaks(sum(w[v] for v in xs)) and any(
-                all(g.arc(order[a], order[b]) for a, b in arcs)
-                for order in permutations(xs) for arcs in arc_lists):
-            return False
+
+    def breaks(total: int) -> bool:
+        return total > 1 if space else total % p != 0
+
+    classes = [sum(1 << v for v in range(n) if w[v] == k) for k in range(top)]
+    # the vertices each position of the growth order may take
+    domains = ([classes[1]] * 2 if space else []) + [(1 << n) - 1] * r
+
+    def grow(links, image, used, total) -> bool:
+        i = len(image)
+        cand = domains[i] & ~used
+        for j, rows in links[i]:
+            cand &= rows[image[j]]
+        if i == r - 1:
+            return any(cand & classes[k] for k in range(top) if breaks(total + k))
+        return any(grow(links, image + (v,), used | 1 << v, total + w[v]) for v in bits(cand))
+
+    for pat in fam:
+        arcs = set(pat.arcs())
+        for start in [(a, b) for b in range(r) for a in range(b)] if space else [()]:
+            order = list(start) + [v for v in range(r) if v not in start]
+            # links[i]: (j, g's rows) for each arc between order[j], j < i, and order[i]
+            links = [[(j, g._out) for j in range(i) if (order[j], order[i]) in arcs]
+                     + [(j, g._in) for j in range(i) if (order[i], order[j]) in arcs]
+                     for i in range(r)]
+            if grow(links, (), 0, 0):
+                return False
     return True

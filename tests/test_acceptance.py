@@ -142,8 +142,7 @@ def test_criterion_02_exhaustive_tightness(capsys):
             assert time.perf_counter() - start < 60.0
             if g.n == 63:
                 assert cert.obstruction is not None
-            # the validator tries every r-set in every order: kept to n <= 45
-            elif cert.obstruction is not None:
+            if cert.obstruction is not None:
                 assert validate_obstruction(g, pattern, cert.obstruction)
 
 

@@ -373,6 +373,12 @@ _FAILURES = {
         tmp_path, Digraph.complete(6), {"n": 36}), "'pattern_order'"),
     "family-not-an-object": (lambda tmp_path: _absorb_apply(
         tmp_path, Digraph.complete(6), [1, 2]), "JSON object"),
+    "family-absorbers-not-a-list": (lambda tmp_path: _absorb_apply(
+        tmp_path, Digraph.complete(6), {**_UNROUTABLE, "absorbers": 5}),
+        "'absorbers' field must be a list of integer lists"),
+    "family-absorber-not-integers": (lambda tmp_path: _absorb_apply(
+        tmp_path, Digraph.complete(6), {**_UNROUTABLE, "absorbers": [[0, "x", 2]]}),
+        "'absorbers' field must be a list of integer lists"),
     # the shifted blow-up with a near-equal witness: stage 1 hands vertex 2
     # back to its class, and no cyclic triangle then fixes the parity
     "stage-failed": (lambda tmp_path: [

@@ -551,8 +551,7 @@ def test_tightness_obstructions_validate(monkeypatch):
         return solved[-1][2]
 
     monkeypatch.setattr(harness, "find_perfect_family_packing", solve)
-    # validate_obstruction tries every r-set in every order: kept to n <= 45
-    for r, n in ((3, 9), (3, 39), (3, 45), (4, 16), (5, 10)):
+    for r, n in ((3, 9), (3, 39), (3, 45), (3, 63), (4, 16), (5, 10)):
         tightness_suite(r, n)
     kinds = set()
     for g, family, cert in solved:

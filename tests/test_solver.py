@@ -24,7 +24,7 @@ from tpack.core import (
     _plans,
     _transpose,
 )
-from tpack import solver
+from tpack import core, solver
 from tpack.harness import iter_min_semidegree_hosts
 from tpack.t3local import t3_pack
 from tpack.solver import (
@@ -856,16 +856,73 @@ def test_mirror_host_in_rows_are_the_transpose(monkeypatch):
             assert mirror.num_arcs == g.num_arcs
 
 
-def _meets_twice_in_some_copy(g, family, s):
-    """Reference r-set scan: some r-set holding two vertices of s spans a
-    pattern of the family, tried in every vertex order."""
-    r = family[0].n
+def _breaks_in_some_copy(g, family, obs):
+    """Reference r-set scan: some r-set whose weight breaks obs's rule (more
+    than 1 for a space set, not 0 mod the modulus for a divisibility one)
+    spans a pattern of the family, tried in every vertex order."""
+    r, w = family[0].n, obs.weights
     for xs in itertools.combinations(range(g.n), r):
-        if sum(v in s for v in xs) > 1 and any(
+        total = sum(w[v] for v in xs)
+        if (total > 1 if obs.kind == "space" else total % obs.modulus) and any(
                 all(g.arc(order[a], order[b]) for a, b in pat.arcs())
                 for order in itertools.permutations(xs) for pat in family):
             return True
     return False
+
+
+DIFFERENTIAL_FAMILIES = [[T3], [C3], [T3, C3], [Digraph.complete(3)], [k3_minus_pattern()]]
+
+
+def test_validate_obstruction_agrees_with_the_rset_scan():
+    # damaged c3 blow-ups with random space sets, random GF(2)/GF(3)
+    # weightings and weightings constant on each blow-up class
+    rng = random.Random("validator-vs-scan")
+    outcomes = set()
+    for trial in range(500):
+        n = rng.choice((6, 9, 12))
+        g, part = make_c3_blowup(n, rng.randrange(2))
+        rows = list(g._out)
+        for _ in range(rng.randrange(4)):
+            u, v = rng.sample(range(n), 2)
+            rows[u] ^= 1 << v
+        g = Digraph(n, rows)
+        family = DIFFERENTIAL_FAMILIES[trial % len(DIFFERENTIAL_FAMILIES)]
+        kind = rng.choice(("space", "gf", "classes"))
+        if kind == "space":
+            s = rng.sample(range(n), rng.randrange(n // 3 + 1, n // 2 + 2))
+            obs = solver.Obstruction("space", tuple(int(v in s) for v in range(n)), None)
+        else:
+            p = rng.choice((2, 3))
+            if kind == "gf":
+                w = [rng.randrange(p) for _ in range(n)]
+            else:
+                values = [rng.randrange(p) for _ in part.classes]
+                w = [values[i] for i, c in enumerate(part.classes) for _ in c]
+            obs = solver.Obstruction("divisibility", tuple(w), p)
+        total = sum(obs.weights)
+        whole = total * 3 > n if obs.kind == "space" else total % obs.modulus
+        expected = bool(whole) and not _breaks_in_some_copy(g, family, obs)
+        assert validate_obstruction(g, family, obs) == expected
+        outcomes.add((obs.kind, expected))
+    assert outcomes == {(kind, ok) for kind in ("space", "divisibility") for ok in (False, True)}
+
+
+def test_validate_obstruction_uses_no_copy_search(monkeypatch):
+    k3 = Digraph.complete(3)
+    cases = [(_relabelled(make_near_tournament_extremal(30, 3), random.Random(30)), k3),
+             (make_c3_blowup(30, 1)[0], C3)]
+    certs = [find_perfect_packing(g, pattern).obstruction for g, pattern in cases]
+    assert [(obs.kind, obs.modulus) for obs in certs] == [("space", None), ("divisibility", 3)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the validator called a copy search")
+
+    for name in ("_copies", "copy_masks", "spans_copy", "_plans"):
+        monkeypatch.setattr(core, name, refuse)
+        if hasattr(solver, name):
+            monkeypatch.setattr(solver, name, refuse)
+    for (g, pattern), obs in zip(cases, certs):
+        assert validate_obstruction(g, pattern, obs)
 
 
 def _row_greedy_calls(monkeypatch):
@@ -907,7 +964,7 @@ def test_row_stage_keeps_verdicts_and_its_barriers_pass_the_rset_scan(name, monk
             # r-set meets it twice in a copy
             assert cert.nodes == 0 and cert.obstruction.kind == "space"
             s = {v for v in range(g.n) if cert.obstruction.weights[v]}
-            assert len(s) * r > g.n and not _meets_twice_in_some_copy(g, family, s)
+            assert len(s) * r > g.n and not _breaks_in_some_copy(g, family, cert.obstruction)
             assert validate_obstruction(g, family, cert.obstruction)
             row_barriers += 1
     assert row_barriers >= 20
@@ -956,14 +1013,19 @@ def test_row_greedy_never_runs_on_threshold_hosts(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("build, pattern", [
-    (lambda: make_near_independent_extremal(180, 3), T3),
-    (lambda: make_near_tournament_extremal(180, 3), Digraph.complete(3)),
-], ids=["near-independent-t3", "near-tournament-k3"])
-def test_large_space_barrier_hosts_solve_and_validate_quickly(build, pattern):
-    # each took about 2 s to solve and 2.7-3.5 s to validate through
-    # first-fit, enumeration and the r-set scan; the row stage and the pair
-    # check take a few milliseconds
+@pytest.mark.parametrize("build, pattern, barrier, solve_s", [
+    (lambda: make_near_independent_extremal(180, 3), T3, ("space", None), 0.5),
+    (lambda: make_near_tournament_extremal(180, 3), Digraph.complete(3), ("space", None), 0.5),
+    (lambda: make_near_independent_extremal(180, 4), Tournament.transitive(4), ("space", None), 0.5),
+    # the barrier stage solves it in about 1.1 s, peaking near 200 MB
+    (lambda: make_c3_blowup(180, 1)[0], C3, ("divisibility", 3), 10.0),
+], ids=["near-independent-t3", "near-tournament-k3", "near-independent-t4", "shifted-blowup-c3"])
+def test_large_space_barrier_hosts_solve_and_validate_quickly(build, pattern, barrier, solve_s):
+    # the t3 and K3 rows each took about 2 s to solve and 2.7-3.5 s to
+    # validate through first-fit, enumeration and an r-set scan; the row
+    # stage takes a few milliseconds, and growing copies from pairs of the
+    # space set about 1 ms.  The blow-up took 4.5-5.2 s to validate by the
+    # r-set scan and takes about 0.05 s by growth
     g = _relabelled(build(), random.Random(180))
     start = time.perf_counter()
     cert = find_perfect_packing(g, pattern)
@@ -971,8 +1033,10 @@ def test_large_space_barrier_hosts_solve_and_validate_quickly(build, pattern):
     assert validate_obstruction(g, pattern, cert.obstruction)
     validated = time.perf_counter()
     assert cert.verdict == EXHAUSTED_NONE and cert.nodes == 0
-    assert cert.obstruction.kind == "space" and sum(cert.obstruction.weights) == 180 // 3 + 1
-    assert solved - start < 0.5 and validated - solved < 0.5
+    assert (cert.obstruction.kind, cert.obstruction.modulus) == barrier
+    if barrier[0] == "space":
+        assert sum(cert.obstruction.weights) == 180 // pattern.n + 1
+    assert solved - start < solve_s and validated - solved < 0.5
 
 
 def test_validate_obstruction_reads_the_pair_graph_from_the_patterns():
