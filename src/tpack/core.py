@@ -88,14 +88,15 @@ class Digraph:
         self._m = m
 
     @classmethod
-    def _from_rows(cls, n: int, out_rows, in_rows) -> "Digraph":
+    def _from_rows(cls, n: int, out_rows, in_rows, m: int | None = None) -> "Digraph":
         """Digraph from out-rows and their transpose, both already checked by
-        the caller; nothing is validated or re-derived."""
+        the caller; nothing is validated or re-derived.  A caller that knows
+        the arc count passes it as m, else the rows are counted."""
         g = cls.__new__(cls)
         g.n = n
         g._out = tuple(out_rows)
         g._in = tuple(in_rows)
-        g._m = sum(map(int.bit_count, g._out))
+        g._m = sum(map(int.bit_count, g._out)) if m is None else m
         return g
 
     @classmethod

@@ -151,18 +151,21 @@ def _complements(
     at most ``cap`` (0 or 1) in-arcs.
 
     Depth-first on an explicit stack: ``nxt[v]`` indexes v's next option,
-    ``put[v]`` is the row placed at v, and ``hit[v]`` the capped vertices
-    that may miss no further in-arc; a row entering it is refused.  Swapping
-    v's row flips bit v of the in-rows named by the old row XOR the new one.
+    ``put[v]`` is the row placed at v, ``hit[v]`` the capped vertices that
+    may miss no further in-arc (a row entering it is refused) and ``arcs[v]``
+    the host's arc count once rows 0..v-1 are placed, n(n-1) less their
+    bits, which each host is handed.  Swapping v's row flips bit v of the
+    in-rows named by the old row XOR the new one.
     """
     full = (1 << n) - 1
     out = [full ^ (1 << v) for v in range(n)]
     in_rows, nxt, put = out[:], [0] * n, [0] * n
     hit = [0 if cap else capped] + [0] * n
+    arcs = [n * (n - 1)] + [0] * n
     v = 0
     while v >= 0:
         if v == n:
-            yield Digraph._from_rows(n, out, in_rows)
+            yield Digraph._from_rows(n, out, in_rows, arcs[n])
             v -= 1
             continue
         opts, i, bit = options[v], nxt[v], 1 << v
@@ -181,6 +184,7 @@ def _complements(
             nxt[v] = i + 1
             out[v] = full ^ bit ^ row
             hit[v + 1] = hit[v] | row & capped
+            arcs[v + 1] = arcs[v] - row.bit_count()
             v += 1
 
 
@@ -298,10 +302,11 @@ def _sweep(
     skips the exact solver, or a falsy value when it gave up; only the exact
     solver can declare non-existence.  Every packing, from ``fast`` or the
     solver, must pass verify_packing on its host before it is counted.  An
-    exhaustive sweep keeps the arc rows (solver._packing_rows) of the last
-    packing it counted and counts a host packed, without ``fast`` or the
-    solver, when its out-rows contain them (solver._fits): every host has
-    order n, so that is when the packing passes verify_packing on it.
+    exhaustive sweep keeps the non-empty arc rows of the last packing it
+    counted, as (vertex, row) pairs (solver._packing_rows), and counts a
+    host packed, without ``fast`` or the solver, when its out-row at each
+    such vertex contains the row (solver._fits): every host has order n,
+    so that is when the packing passes verify_packing on it.
     Random hosts are independent, so random mode reuses nothing.  A host's
     label is formatted only for a counterexample.
     """
@@ -348,7 +353,7 @@ def _sweep(
                 raise InvariantViolation("sweep produced an invalid packing")
             packed += 1
             if reuse:
-                last = _packing_rows(packing)
+                last = _packing_rows(packing, family)
         elif cert.verdict == BUDGET_EXCEEDED:
             over += 1
         else:

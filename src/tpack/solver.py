@@ -589,7 +589,8 @@ def max_disjoint_sets(n: int, masks, budget: int = DEFAULT_BUDGET) -> tuple[list
 
 @cache
 def _arc_table(fam: tuple[Digraph, ...]) -> dict:
-    """Each pattern's arcs, keyed by its out-rows, for verify_packing."""
+    """Each pattern's arcs, keyed by its out-rows, for verify_packing and
+    _packing_rows."""
     return {p._out: tuple(p.arcs()) for p in fam}
 
 
@@ -624,26 +625,33 @@ def verify_packing(g: Digraph, pattern_or_family, packing: Packing,
     return not require_perfect or seen == (1 << n) - 1
 
 
-def _packing_rows(packing: Packing) -> tuple[int, ...]:
-    """The out-rows that the packing's own arcs need: bit image[b] of row
-    image[a] for each arc (a, b) of each element's pattern.
+def _packing_rows(packing: Packing, fam: tuple[Digraph, ...]) -> tuple[tuple[int, int], ...]:
+    """The out-rows that the packing's own arcs need, as (vertex, row) pairs
+    for the non-empty rows only: bit image[b] of row image[a] for each arc
+    (a, b) of each element's pattern, read from _arc_table(fam).
 
     verify_packing reads a host only through its order and these arc
     tests, so once the packing has passed it on one host of order n, it
     passes on another host of order n exactly when that host's out-rows
     contain these (_fits).
     """
+    arcs = _arc_table(fam)
     rows = [0] * packing.n
     for e in packing.elements:
         image = e.image
-        for a, b in e.pattern.arcs():
+        for a, b in arcs[e.pattern._out]:
             rows[image[a]] |= 1 << image[b]
-    return tuple(rows)
+    return tuple((v, row) for v, row in enumerate(rows) if row)
 
 
-def _fits(rows: tuple[int, ...], g: Digraph) -> bool:
-    """Whether g's out-rows contain rows, one row per vertex."""
-    return tuple(map(int.__and__, rows, g._out)) == rows
+def _fits(need: tuple[tuple[int, int], ...], g: Digraph) -> bool:
+    """Whether g's out-row at each vertex of need contains its row; the
+    first row that does not ends the test."""
+    out = g._out
+    for v, row in need:
+        if out[v] & row != row:
+            return False
+    return True
 
 
 def validate_obstruction(g: Digraph, pattern_or_family, obs: Obstruction) -> bool:

@@ -1,4 +1,6 @@
 import hashlib
+import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -245,3 +247,27 @@ def test_alpha_contains_heuristic_rejects_far_host():
     assert (w.contains, w.mode, w.deficit) == (False, "heuristic", 55)
     assert w.deficit == blowup_deficit(t, w.partition.masks)
     assert w.partition.classes == ((1, 2, 3, 4, 5), (6, 7, 8, 9, 10), (0, 11, 12, 13, 14))
+
+
+# sha256 of (contains, deficit, mode, partition masks), computed while each
+# candidate swap still called blowup_deficit from scratch
+_PINNED_HEURISTIC = "86c9b6d9e0d3fc4e0bcb22d3c6d71242dbe569a83d416ecb223653e50d824767"
+
+
+def test_alpha_contains_heuristic_is_pinned():
+    # relabelled blow-ups missing about a tenth of their arcs: at alpha = 0
+    # and 0.02 every restart runs, at 0.1 the first good descent returns
+    rng = random.Random("contains-heuristic")
+    digest = hashlib.sha256()
+    for n in (15, 18, 21, 24):
+        g, _ = make_c3_blowup(n, 0)
+        perm = rng.sample(range(n), n)
+        h = Digraph.from_arcs(n, [(perm[u], perm[v]) for u, v in g.arcs()
+                                  if rng.random() >= 0.1])
+        for alpha in (0, 0.02, 0.1):
+            w = alpha_contains_c3_blowup(h, alpha)
+            assert w.mode == "heuristic" and w.contains == (alpha == 0.1)
+            assert w.deficit == blowup_deficit(h, w.partition.masks)
+            row = [w.contains, w.deficit, w.mode, list(w.partition.masks)]
+            digest.update(json.dumps(row).encode())
+    assert digest.hexdigest() == _PINNED_HEURISTIC

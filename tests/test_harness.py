@@ -147,6 +147,18 @@ def test_enumerated_hosts_match_checked_construction():
     assert count == 109_496
 
 
+def test_enumerated_hosts_carry_their_arc_count_at_n6():
+    # the enumerator hands each host its arc count, carried down the walk;
+    # check it at the order the sweeps run, past the checks above
+    hosts = itertools.chain(iter_min_semidegree_hosts(6, 4),
+                            itertools.islice(iter_out_or_in_hosts(6, 4), 10**5))
+    count = 0
+    for g in hosts:
+        assert g.num_arcs == Digraph(6, g._out).num_arcs
+        count += 1
+    assert count == 6600 + 10**5
+
+
 def test_large_semidegree_space_yields_without_recursion():
     n = 1100
     g = next(iter_min_semidegree_hosts(n, n - 1))
@@ -177,16 +189,17 @@ def _counting_solver(monkeypatch):
 
 def test_exhaustive_semidegree_sweep_n6(monkeypatch):
     solved = _counting_solver(monkeypatch)
-    # most hosts take the packing counted on the host before them
-    for pattern, share in ((Tournament.transitive(3), 0.1),
-                           (Tournament.cyclic_triangle(), 0.2)):
+    # most hosts take the packing counted on the host before them; the
+    # solver calls were counted while the reuse test compared whole rows
+    for pattern, calls in ((Tournament.transitive(3), 256),
+                           (Tournament.cyclic_triangle(), 1051)):
         solved.clear()
         rep = sweep_semidegree(3, pattern, 6, mode="exhaustive")
         assert rep.examined == 6600
         assert rep.packed == 6600
         assert rep.verdict == "consistent"
         assert not rep.counterexamples and rep.budget_exceeded == 0
-        assert 0 < len(solved) < share * 6600
+        assert len(solved) == calls
 
 
 def test_random_sweep_determinism():
@@ -471,16 +484,17 @@ def test_exhaustive_out_or_in_sweep_reuses_both_fast_packers(monkeypatch):
     monkeypatch.setattr(harness, "_t3_first_fit",
                         counted("first_fit", harness._t3_first_fit))
     solved = _counting_solver(monkeypatch)
+    # both counts were taken while the reuse test compared whole rows
     rep = sweep_out_or_in(3, 6, mode="exhaustive")
     assert (rep.examined, rep.packed) == (3000, 3000)
-    assert 0 < counts["first_fit"] < 300 and not solved
+    assert counts["first_fit"] == 67 and not solved
 
     # with first-fit off, local search's packings are the ones reused
     monkeypatch.setattr(harness, "_t3_first_fit", lambda g: None)
     monkeypatch.setattr(harness, "t3_pack", counted("t3_pack", harness.t3_pack))
     rep = sweep_out_or_in(3, 6, mode="exhaustive")
     assert (rep.examined, rep.packed) == (3000, 3000)
-    assert 0 < counts["t3_pack"] < 300 and not solved
+    assert counts["t3_pack"] == 66 and not solved
 
 
 def test_out_or_in_sweeps():

@@ -275,7 +275,7 @@ def test_packing_rows_decide_verify_packing_on_hosts_of_its_order(name, blocks, 
     h = Digraph.from_arcs(n, set(planted) | set(host(0.5).arcs()))
     packing = find_perfect_family_packing(h, [pattern]).packing
     assert verify_packing(h, [pattern], packing, require_perfect=True)
-    need = solver._packing_rows(packing)
+    need = solver._packing_rows(packing, (pattern,))
 
     def fits(g):
         return solver._fits(need, g)
