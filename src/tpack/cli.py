@@ -89,6 +89,13 @@ class _Parser(argparse.ArgumentParser):
         raise DomainError(message)
 
 
+def _budget(text: str) -> int:
+    """The --budget type: a node budget, a non-negative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _ints(text: str) -> tuple[int, ...]:
     text = text.strip()
     if not text:
@@ -435,14 +442,14 @@ def _build_parser() -> _Parser:
                        help="comma-separated tournament names, overrides --tournament")
     solve.add_argument("--almost", action="store_true",
                        help="maximum packing instead of perfect-or-none")
-    solve.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    solve.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
     solve.add_argument("--out", default=None)
     solve.set_defaults(run=_cmd_solve)
 
     t3p = sub.add_parser("t3pack", help="local-search transitive triangle packing")
     t3p.add_argument("--graph", required=True)
     t3p.add_argument("--trace", default=None, help="write the swap trace here")
-    t3p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    t3p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
     t3p.add_argument("--out", default=None)
     t3p.set_defaults(run=_cmd_t3pack)
 
@@ -475,7 +482,7 @@ def _build_parser() -> _Parser:
     ab.add_argument("--w", default=None, help="leftover vertex list for apply")
     ab.add_argument("--family-file", default=None,
                     help="family JSON produced by build, for apply")
-    ab.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    ab.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
     ab.add_argument("--out", default=None)
     ab.set_defaults(run=_cmd_absorb)
 
@@ -495,7 +502,7 @@ def _build_parser() -> _Parser:
     lem.add_argument("--no-degree-check", action="store_true")
     lem.add_argument("--undirected", action="store_true",
                      help="run the underlying-graph variant")
-    lem.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    lem.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
     lem.add_argument("--out", default=None)
     lem.set_defaults(run=_cmd_lemma)
 
@@ -510,7 +517,7 @@ def _build_parser() -> _Parser:
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--tournament", default=None,
                      help="pattern for threshold sweeps, default t<r>")
-    ver.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    ver.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
     ver.add_argument("--out", default=None)
     ver.set_defaults(run=_cmd_verify)
 

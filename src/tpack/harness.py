@@ -5,8 +5,9 @@ complement, feasible when each vertex misses at most one arc per direction)
 or sample seeded random hosts.  Each host is solved exactly, except that an
 exhaustive sweep first tries the packing it counted on the host before: the
 enumeration changes a row or two per host, so that packing usually still
-fits, and one comparison of the host's out-rows with the arc rows the
-packing needs decides it.  Failures are kept as replayable counterexample
+fits.  The enumerator decides that itself, comparing the complement rows
+it places with the arc rows the packing needs, and never builds a host
+the packing fits.  Failures are kept as replayable counterexample
 payloads.  Reports are pure functions of their parameters and seed, so
 reruns are byte-identical.
 """
@@ -143,9 +144,26 @@ class SweepReport:
 # exhaustive complement enumeration
 
 
+def _last_need(
+    rows: tuple[tuple[int, int], ...] | None, put: list[int], last: int
+) -> int | None:
+    """The need row at vertex ``last`` (0 when it has none) if the rows put
+    at the other vertices miss every need row, else None."""
+    if rows is None:
+        return None
+    tail = 0
+    for u, want in rows:
+        if u == last:
+            tail = want
+        elif put[u] & want:
+            return None
+    return tail
+
+
 def _complements(
-    n: int, options: list[list[int]], capped: int, cap: int
-) -> Iterator[Digraph]:
+    n: int, options: list[list[int]], capped: int, cap: int,
+    need: list | None = None,
+) -> Iterator[Digraph | None]:
     """Every host K_n minus C, where C takes vertex v's out-row from
     ``options[v]`` (in order) and each vertex in the mask ``capped`` misses
     at most ``cap`` (0 or 1) in-arcs.
@@ -156,19 +174,46 @@ def _complements(
     the host's arc count once rows 0..v-1 are placed, n(n-1) less their
     bits, which each host is handed.  Swapping v's row flips bit v of the
     in-rows named by the old row XOR the new one.
+
+    The last vertex's allowed options are its node's hosts, taken in one
+    loop.  ``need`` is a one-item list holding None or the (vertex, row)
+    pairs of solver._packing_rows, which the consumer may replace between
+    hosts.  A host's out-row contains a need row exactly when its
+    complement row misses it, so at that node the rows put at vertices
+    0..n-2 are tested against the need once, and each option with one AND.
+    A host that contains every need row (solver._fits holds) is yielded as
+    None: no in-row is flipped and no Digraph built.  The need is read
+    again when it changes.  Without ``need`` every host is built.
     """
     full = (1 << n) - 1
     out = [full ^ (1 << v) for v in range(n)]
     in_rows, nxt, put = out[:], [0] * n, [0] * n
     hit = [0 if cap else capped] + [0] * n
     arcs = [n * (n - 1)] + [0] * n
-    v = 0
+    if need is None:
+        need = [None]
+    last, v = n - 1, 0
     while v >= 0:
-        if v == n:
-            yield Digraph._from_rows(n, out, in_rows, arcs[n])
-            v -= 1
-            continue
         opts, i, bit = options[v], nxt[v], 1 << v
+        if v == last:
+            rows = tail = None
+            for row in opts:
+                if row & hit[v]:
+                    continue
+                if need[0] is not rows:
+                    rows = need[0]
+                    tail = _last_need(rows, put, last)
+                if tail is not None and not row & tail:
+                    yield None
+                    continue
+                flip, put[v] = put[v] ^ row, row
+                while flip:
+                    low = flip & -flip
+                    in_rows[low.bit_length() - 1] ^= bit
+                    flip ^= low
+                out[v] = full ^ bit ^ row
+                yield Digraph._from_rows(n, out, in_rows, arcs[v] - row.bit_count())
+            i = len(opts)  # node done: undo its row below and step back
         while i < len(opts) and opts[i] & hit[v]:
             i += 1
         row = opts[i] if i < len(opts) else 0
@@ -202,29 +247,35 @@ def _deficiency(n: int, threshold: int) -> int:
     return slack
 
 
-def iter_min_semidegree_hosts(n: int, dmin: int) -> Iterator[Digraph]:
+def iter_min_semidegree_hosts(
+    n: int, dmin: int, need: list | None = None
+) -> Iterator[Digraph | None]:
     """Every digraph on n vertices with min semidegree at least dmin.
 
     Feasible only when each vertex may miss at most one arc per direction
     (dmin at least n-2); larger deficiencies are refused.  The complements
     are the loop-free partial injections: each vertex misses no out-arc or
     one, and every vertex is capped.  At deficiency 0 only the empty row is
-    offered, since every other one would be refused.
+    offered, since every other one would be refused.  ``need`` goes to
+    _complements: a host that contains its rows comes as None.
     """
     slack = _deficiency(n, dmin)
     if slack < 0:
         return
     rows = [[0] + [1 << w for w in range(n) if w != v] if slack else [0] for v in range(n)]
-    yield from _complements(n, rows, (1 << n) - 1, slack)
+    yield from _complements(n, rows, (1 << n) - 1, slack, need)
 
 
-def iter_out_or_in_hosts(n: int, t: int) -> Iterator[Digraph]:
+def iter_out_or_in_hosts(
+    n: int, t: int, need: list | None = None
+) -> Iterator[Digraph | None]:
     """Every digraph where each vertex has out-degree >= t or in-degree >= t.
 
     Same feasibility rule as iter_min_semidegree_hosts.  Cases are split by
     the exact witness set W of vertices missing at most cap = n-1-t out-arcs:
     rows in W are light (at most cap arcs), rows outside W heavy, and the
-    vertices outside W are capped.
+    vertices outside W are capped.  ``need`` goes to _complements, as in
+    iter_min_semidegree_hosts.
     """
     cap = _deficiency(n, t)
     if cap < 0:
@@ -235,7 +286,7 @@ def iter_out_or_in_hosts(n: int, t: int) -> Iterator[Digraph]:
     heavy = [[m for m in r if m.bit_count() > cap] for r in rows]
     for wmask in range(1 << n):
         options = [light[v] if wmask >> v & 1 else heavy[v] for v in range(n)]
-        yield from _complements(n, options, full ^ wmask, cap)
+        yield from _complements(n, options, full ^ wmask, cap, need)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +337,7 @@ def _sweep(
     threshold: Callable[[], int],
     scope: str,
     random_host: Callable[[int, int], Digraph],
-    all_hosts: Callable[[int], Iterable[Digraph]] | None,
+    all_hosts: Callable[[int, list], Iterable[Digraph | None]] | None,
     mode: str,
     samples: int,
     seed: int,
@@ -297,16 +348,19 @@ def _sweep(
 
     ``pattern`` and ``threshold`` are evaluated once r and n are known to
     be valid.  Hosts come from ``random_host(threshold, child_seed)`` or,
-    in exhaustive mode, from ``all_hosts(threshold)``; ``None`` makes the
-    condition sampling-only.  ``fast(g)`` returns a perfect packing, which
+    in exhaustive mode, from ``all_hosts(threshold, need)``; ``None`` makes
+    the condition sampling-only.  ``fast(g)`` returns a perfect packing, which
     skips the exact solver, or a falsy value when it gave up; only the exact
     solver can declare non-existence.  Every packing, from ``fast`` or the
     solver, must pass verify_packing on its host before it is counted.  An
     exhaustive sweep keeps the non-empty arc rows of the last packing it
-    counted, as (vertex, row) pairs (solver._packing_rows), and counts a
-    host packed, without ``fast`` or the solver, when its out-row at each
-    such vertex contains the row (solver._fits): every host has order n,
-    so that is when the packing passes verify_packing on it.
+    counted, as (vertex, row) pairs (solver._packing_rows), in the one-item
+    list ``need``, and counts a host packed, without ``fast`` or the
+    solver, when its out-row at each such vertex contains the row
+    (solver._fits): every host has order n, so that is when the packing
+    passes verify_packing on it.  The enumerator yields such a host as
+    None, unbuilt (_complements); a built host is still tested, so a
+    source that builds every host gives the same report.
     Random hosts are independent, so random mode reuses nothing.  A host's
     label is formatted only for a counterexample.
     """
@@ -314,6 +368,7 @@ def _sweep(
     p = pattern()
     t = threshold()
     family = normalize_patterns(p)
+    need: list = [None]
     if mode == "random":
         if not 0 <= samples < _SEED_STRIDE:
             raise DomainError(
@@ -322,7 +377,7 @@ def _sweep(
         hosts = (random_host(t, _derived_seed(seed, i)) for i in range(samples))
         prefix = "sample"
     elif mode == "exhaustive" and all_hosts is not None:
-        hosts, prefix = all_hosts(t), "enum"
+        hosts, prefix = all_hosts(t, need), "enum"
     else:
         raise DomainError(f"unknown mode {mode!r}")
     params = {
@@ -338,10 +393,10 @@ def _sweep(
     start = time.perf_counter()
     examined = packed = over = 0
     cexs: list[Counterexample] = []
-    reuse, last = mode == "exhaustive", None
+    reuse = mode == "exhaustive"
     for i, g in enumerate(hosts):
         examined += 1
-        if last is not None and _fits(last, g):
+        if g is None or need[0] is not None and _fits(need[0], g):
             packed += 1
             continue
         packing = fast(g) if fast is not None else None
@@ -353,7 +408,7 @@ def _sweep(
                 raise InvariantViolation("sweep produced an invalid packing")
             packed += 1
             if reuse:
-                last = _packing_rows(packing, family)
+                need[0] = _packing_rows(packing, family)
         elif cert.verdict == BUDGET_EXCEEDED:
             over += 1
         else:
@@ -396,7 +451,7 @@ def sweep_semidegree(
         threshold=lambda: ceil_frac((r - 1) * n, r),
         scope=SCOPE_ASYMPTOTIC,
         random_host=lambda t, s: random_digraph_min_semidegree(n, t, s),
-        all_hosts=lambda t: iter_min_semidegree_hosts(n, t),
+        all_hosts=lambda t, need: iter_min_semidegree_hosts(n, t, need),
         mode=mode, samples=samples, seed=seed, budget=budget,
     )
 
@@ -445,7 +500,7 @@ def sweep_out_or_in(
         threshold=lambda: ceil_frac((r - 1) * n, r),
         scope=SCOPE_ALL_ORDERS if r == 3 else SCOPE_CONJECTURED,
         random_host=lambda t, s: random_digraph_out_or_in(n, s, t),
-        all_hosts=lambda t: iter_out_or_in_hosts(n, t),
+        all_hosts=lambda t, need: iter_out_or_in_hosts(n, t, need),
         mode=mode, samples=samples, seed=seed, budget=budget,
         fast=t3_packs if r == 3 else None,
     )

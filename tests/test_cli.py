@@ -379,12 +379,27 @@ _FAILURES = {
     "family-absorber-not-integers": (lambda tmp_path: _absorb_apply(
         tmp_path, Digraph.complete(6), {**_UNROUTABLE, "absorbers": [[0, "x", 2]]}),
         "'absorbers' field must be a list of integer lists"),
+    "solve-negative-budget": (lambda tmp_path: [
+        "solve", "--graph", write_graph(tmp_path, Digraph.complete(6)), "--budget", "-5"],
+        "--budget: must be a non-negative integer, got '-5'"),
+    "verify-negative-budget": (lambda tmp_path: [
+        "verify", "threshold", "--r", "3", "--n", "3", "--mode", "exhaustive",
+        "--budget", "-1"], "--budget: must be a non-negative integer, got '-1'"),
     # the shifted blow-up with a near-equal witness: stage 1 hands vertex 2
     # back to its class, and no cyclic triangle then fixes the parity
     "stage-failed": (lambda tmp_path: [
         "lemma", "expack", "--graph", write_graph(tmp_path, make_c3_blowup(9, 1)[0]),
         "--alpha", "0.2", "--partition", "0,1,2;3,4,5;6,7,8", "--no-degree-check"], "parity:"),
 }
+
+
+def test_budget_zero_is_valid(tmp_path, capsys):
+    code, out, _ = run(capsys, "solve", "--graph", write_graph(tmp_path, Digraph.complete(6)),
+                       "--budget", "0")
+    assert code == 0 and json.loads(out)["verdict"] == "budget-exceeded"
+    code, out, _ = run(capsys, "verify", "threshold", "--r", "3", "--n", "3",
+                       "--mode", "exhaustive", "--budget", "0")
+    assert code == 0 and json.loads(out)["budget_exceeded"] == 1
 
 
 @pytest.mark.parametrize("case", list(_FAILURES))

@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from tpack import harness
+from tpack import harness, solver
 from tpack.core import (
     Digraph,
     DomainError,
@@ -200,6 +200,50 @@ def test_exhaustive_semidegree_sweep_n6(monkeypatch):
         assert rep.verdict == "consistent"
         assert not rep.counterexamples and rep.budget_exceeded == 0
         assert len(solved) == calls
+
+
+def test_the_walk_skips_exactly_the_hosts_the_need_rows_fit(monkeypatch):
+    # the walk yields None in place of a host whose out-rows contain the
+    # need rows; every other host must equal the plain walk's, and the need
+    # may be replaced, or emptied, between any two hosts
+    t3 = (Tournament.transitive(3),)
+    spaces = [(iter_min_semidegree_hosts, 6600), (iter_out_or_in_hosts, 10**5)]
+    for space, count in spaces:
+        plain = itertools.islice(space(6, 4), count)
+        needs = [solver._packing_rows(harness.find_perfect_family_packing(
+            g, t3, 100).packing, t3) for g in itertools.islice(space(6, 4), 0, count, count // 5)]
+        assert len(set(needs)) > 1
+        schedule = needs + [None]
+        need = [None]
+        walk = itertools.islice(space(6, 4, need), count)
+        skipped = built = 0
+        for i, (g, h) in enumerate(itertools.zip_longest(plain, walk, fillvalue="end")):
+            if need[0] is not None and solver._fits(need[0], g):
+                assert h is None
+                skipped += 1
+            else:
+                assert (h._out, h._in, h.num_arcs) == (g._out, g._in, g.num_arcs)
+                built += 1
+            if i % 997 == 3:
+                need[0] = schedule[i // 997 % len(schedule)]
+        assert skipped and built and skipped + built == count
+
+    # the sweep builds only the hosts that the last packing misses, and
+    # hands each one to the solver
+    solved = _counting_solver(monkeypatch)
+    real = harness.iter_min_semidegree_hosts
+    hosts = []
+
+    def recorded(n, t, need=None):
+        for g in real(n, t, need):
+            if g is not None:
+                hosts.append(g)
+            yield g
+
+    monkeypatch.setattr(harness, "iter_min_semidegree_hosts", recorded)
+    rep = sweep_semidegree(3, Tournament.transitive(3), 6, mode="exhaustive")
+    assert (rep.examined, rep.packed) == (6600, 6600)
+    assert len(hosts) == 256 and solved == hosts
 
 
 def test_random_sweep_determinism():
@@ -421,7 +465,9 @@ def test_a_host_the_last_packing_misses_reaches_the_solver(monkeypatch):
                                     if arc != (e.image[a], e.image[b])])
     empty = Digraph.empty(6)
     hosts = [k6, lacking, lacking, empty]
-    monkeypatch.setattr(harness, "iter_min_semidegree_hosts", lambda n, t: iter(hosts))
+    # a source that ignores the need rows builds every host, as this one does
+    monkeypatch.setattr(harness, "iter_min_semidegree_hosts",
+                        lambda n, t, need=None: iter(hosts))
     solved.clear()
     rep = sweep_semidegree(3, T3, 6, mode="exhaustive")
     # the third host takes the second's packing; the packless one is solved
@@ -480,7 +526,7 @@ def test_exhaustive_out_or_in_sweep_reuses_both_fast_packers(monkeypatch):
 
     real_hosts = harness.iter_out_or_in_hosts
     monkeypatch.setattr(harness, "iter_out_or_in_hosts",
-                        lambda n, t: itertools.islice(real_hosts(n, t), 3000))
+                        lambda n, t, need=None: itertools.islice(real_hosts(n, t, need), 3000))
     monkeypatch.setattr(harness, "_t3_first_fit",
                         counted("first_fit", harness._t3_first_fit))
     solved = _counting_solver(monkeypatch)
