@@ -152,6 +152,12 @@ def _random_total(args) -> Digraph:
     return random_digraph_total_min_degree(args.n, args.t, args.seed)
 
 
+def _random_semi(args) -> Digraph:
+    if args.t is not None:
+        raise DomainError("random-semi takes its minimum semidegree from --d, not --t")
+    return random_digraph_min_semidegree(args.n, args.d, args.seed)
+
+
 # gen's families in usage order, each building its host from the options
 _GEN = {
     "blowup": lambda a: make_c3_blowup(a.n, a.c)[0],
@@ -159,7 +165,7 @@ _GEN = {
     "source": lambda a: make_source_counterexample(a.n),
     "k3minus": lambda a: make_k3minus_example(a.m),
     "neartour": lambda a: make_near_tournament_extremal(a.n, a.r),
-    "random-semi": lambda a: random_digraph_min_semidegree(a.n, a.d, a.seed),
+    "random-semi": _random_semi,
     "random-outin": lambda a: random_digraph_out_or_in(a.n, a.seed, a.t),
     "random-total": _random_total,
     "tournament": lambda a: random_tournament(a.r, a.seed),

@@ -114,8 +114,11 @@ def degree_sequence(c: Complex) -> tuple[int, ...]:
 def check_matching_threshold(c: Complex, eps: float) -> tuple[bool, int | None]:
     """Degree sequence against (n, (1 - 1/k - eps)n, ..., (1/k - eps)n).
 
-    Returns (holds, first failing layer index or None).
+    Returns (holds, first failing layer index or None).  eps must lie in
+    [0, 1): past that every bound below layer 0 is negative.
     """
+    if not 0 <= eps < 1:
+        raise DomainError(f"eps must lie in [0, 1), got {eps}")
     degs = degree_sequence(c)
     n, k = c.n, c.k
     for i, d in enumerate(degs):

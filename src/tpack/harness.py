@@ -3,13 +3,15 @@
 Sweeps either enumerate every host meeting a degree condition (via the
 complement, feasible when each vertex misses at most one arc per direction)
 or sample seeded random hosts.  Each host is solved exactly, except that an
-exhaustive sweep first tries the packing it counted on the host before: the
-enumeration changes a row or two per host, so that packing usually still
-fits.  The enumerator decides that itself, comparing the complement rows
-it places with the arc rows the packing needs, and never builds a host
-the packing fits.  Failures are kept as replayable counterexample
-payloads.  Reports are pure functions of their parameters and seed, so
-reruns are byte-identical.
+exhaustive sweep first tries every packing it has counted, the one used
+last first: the enumeration changes a row or two per host, so one of them
+usually still fits.  For the one used last the enumerator decides that
+itself, comparing the complement rows it places with the arc rows the
+packing needs, and never builds a host that packing fits.  Only the hosts
+that no counted packing fits reach the solver, so an exhaustive report's
+budget-exceeded hosts are those of them the solver gave up on.  Failures
+are kept as replayable counterexample payloads.  Reports are pure
+functions of their parameters and seed, so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -104,6 +106,13 @@ def _obstruction_dict(obs: Obstruction | None) -> dict | None:
 
 @dataclass(frozen=True)
 class SweepReport:
+    """A sweep's tallies.  ``budget_exceeded`` counts the hosts that the
+    solver reached but could not settle within the budget.  An exhaustive
+    sweep hands the solver only the hosts that no packing it counted
+    earlier fits, so a host the solver alone would give up on counts as
+    packed when such a packing fits it; counterexamples and
+    ``packed + budget_exceeded`` are the solver's alone."""
+
     kind: str
     params: tuple[tuple[str, object], ...]
     claim_scope: str
@@ -329,6 +338,17 @@ def _tournament_of_order(pattern: Digraph, r: int) -> Digraph:
     return pattern
 
 
+def _fit_to_front(kept: list, g: Digraph) -> bool:
+    """Whether any need rows in ``kept`` fit g (solver._fits), tried front
+    first; the first that fits moves to the front."""
+    for j, rows in enumerate(kept):
+        if _fits(rows, g):
+            if j:
+                kept.insert(0, kept.pop(j))
+            return True
+    return False
+
+
 def _sweep(
     kind: str,
     r: int,
@@ -353,16 +373,19 @@ def _sweep(
     skips the exact solver, or a falsy value when it gave up; only the exact
     solver can declare non-existence.  Every packing, from ``fast`` or the
     solver, must pass verify_packing on its host before it is counted.  An
-    exhaustive sweep keeps the non-empty arc rows of the last packing it
-    counted, as (vertex, row) pairs (solver._packing_rows), in the one-item
-    list ``need``, and counts a host packed, without ``fast`` or the
-    solver, when its out-row at each such vertex contains the row
-    (solver._fits): every host has order n, so that is when the packing
-    passes verify_packing on it.  The enumerator yields such a host as
-    None, unbuilt (_complements); a built host is still tested, so a
-    source that builds every host gives the same report.
-    Random hosts are independent, so random mode reuses nothing.  A host's
-    label is formatted only for a counterexample.
+    exhaustive sweep keeps the need rows (solver._packing_rows) of every
+    packing it counts in ``kept``, most recently used first, and counts a
+    host packed, without ``fast`` or the solver, when some kept packing
+    fits it (solver._fits): every host has order n, so that is when the
+    packing passes verify_packing on it.  The first that fits moves to the
+    front (_fit_to_front).  The front is the one item of ``need``, and the
+    enumerator yields a host it fits as None, unbuilt (_complements); a
+    built host is tested against every kept packing, so a source that
+    builds every host gives the same report.  The hosts that reach
+    ``fast`` and the solver, those that no packing counted before them
+    fits, do not depend on the order (see SweepReport).  Random hosts are
+    independent, so random mode keeps nothing.  A host's label is
+    formatted only for a counterexample.
     """
     _check_order(r, n)
     p = pattern()
@@ -394,9 +417,11 @@ def _sweep(
     examined = packed = over = 0
     cexs: list[Counterexample] = []
     reuse = mode == "exhaustive"
+    kept: list = []  # the need rows of every packing counted, front first
     for i, g in enumerate(hosts):
         examined += 1
-        if g is None or need[0] is not None and _fits(need[0], g):
+        if g is None or _fit_to_front(kept, g):
+            need[0] = kept[0]
             packed += 1
             continue
         packing = fast(g) if fast is not None else None
@@ -408,7 +433,8 @@ def _sweep(
                 raise InvariantViolation("sweep produced an invalid packing")
             packed += 1
             if reuse:
-                need[0] = _packing_rows(packing, family)
+                kept.insert(0, _packing_rows(packing, family))
+                need[0] = kept[0]
         elif cert.verdict == BUDGET_EXCEEDED:
             over += 1
         else:
@@ -480,9 +506,8 @@ def sweep_out_or_in(
     For r = 3 the solver's first-fit stage confirms most hosts, the
     dedicated local-search packer handles what it misses, and the exact
     solver settles anything left; only the exact solver can declare
-    non-existence.  In exhaustive mode a host is first tried with the
-    packing counted on the host before it, and this chain runs only when
-    that packing does not fit.
+    non-existence.  In exhaustive mode a host is first tried with every
+    packing counted before it, and this chain runs only when none fits.
     """
 
     def t3_packs(g: Digraph) -> Packing | None:

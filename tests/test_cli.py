@@ -385,6 +385,18 @@ _FAILURES = {
     "verify-negative-budget": (lambda tmp_path: [
         "verify", "threshold", "--r", "3", "--n", "3", "--mode", "exhaustive",
         "--budget", "-1"], "--budget: must be a non-negative integer, got '-1'"),
+    "random-semi-given-t": (lambda tmp_path: [
+        "gen", "random-semi", "--n", "6", "--t", "4", "--seed", "1"],
+        "random-semi takes its minimum semidegree from --d, not --t"),
+    "complex-eps-above-range": (lambda tmp_path: [
+        "complex", "--graph", write_graph(tmp_path, make_c3_blowup(9, 0)[0]), "--eps", "5"],
+        "eps must lie in [0, 1), got 5.0"),
+    "complex-eps-below-range": (lambda tmp_path: [
+        "complex", "--graph", write_graph(tmp_path, make_c3_blowup(9, 0)[0]), "--eps", "-1"],
+        "eps must lie in [0, 1), got -1.0"),
+    "complex-eps-nan": (lambda tmp_path: [
+        "complex", "--graph", write_graph(tmp_path, make_c3_blowup(9, 0)[0]), "--eps", "nan"],
+        "eps must lie in [0, 1), got nan"),
     # the shifted blow-up with a near-equal witness: stage 1 hands vertex 2
     # back to its class, and no cyclic triangle then fixes the parity
     "stage-failed": (lambda tmp_path: [

@@ -61,6 +61,15 @@ def test_blowup_layer_counts():
     assert check_matching_threshold(c1, 0.15) == (False, 2)
 
 
+def test_matching_threshold_refuses_eps_outside_unit_interval():
+    c = build_complex(make_c3_blowup(9, 0)[0], Tournament.transitive(3))
+    assert check_matching_threshold(c, 0.0) == (True, None)
+    assert check_matching_threshold(c, 0.999) == (True, None)
+    for eps in (1.0, 5.0, -1.0, -1e-9, float("nan"), float("inf")):
+        with pytest.raises(DomainError, match=r"eps must lie in \[0, 1\)"):
+            check_matching_threshold(c, eps)
+
+
 def test_layer_validation():
     with pytest.raises(DomainError):
         Complex(3, 2, (frozenset({0}), frozenset({1})))

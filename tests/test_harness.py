@@ -174,25 +174,32 @@ def test_deficiency_zero_space_is_the_complete_digraph_alone():
     assert [(g.n, g._out, g._in) for g in hosts] == [(n, complete, complete)]
 
 
-def _counting_solver(monkeypatch):
-    """Patch the harness's exact solver to record each host it is called on."""
-    solved = []
-    real = harness.find_perfect_family_packing
+SOLVE = "find_perfect_family_packing"
 
-    def solve(g, family, budget):
-        solved.append(g)
-        return real(g, family, budget)
 
-    monkeypatch.setattr(harness, "find_perfect_family_packing", solve)
-    return solved
+def _recorded(monkeypatch, *names, calls=None):
+    """Patch each named harness function (the exact solver, a fast packer)
+    to append the host of each call to calls[name]; returns calls."""
+    calls = {} if calls is None else calls
+    for name in names:
+        real, hosts = getattr(harness, name), calls.setdefault(name, [])
+
+        def wrapper(g, *args, _real=real, _hosts=hosts, **kwargs):
+            _hosts.append(g)
+            return _real(g, *args, **kwargs)
+
+        monkeypatch.setattr(harness, name, wrapper)
+    return calls
 
 
 def test_exhaustive_semidegree_sweep_n6(monkeypatch):
-    solved = _counting_solver(monkeypatch)
-    # most hosts take the packing counted on the host before them; the
-    # solver calls were counted while the reuse test compared whole rows
-    for pattern, calls in ((Tournament.transitive(3), 256),
-                           (Tournament.cyclic_triangle(), 1051)):
+    solved = _recorded(monkeypatch, SOLVE)[SOLVE]
+    # a host reaches the solver only when no packing counted earlier in the
+    # sweep fits it; that set of hosts does not depend on the order in which
+    # the kept packings are tried (256 and 1,051 calls when only the last
+    # packing was tried)
+    for pattern, calls in ((Tournament.transitive(3), 20),
+                           (Tournament.cyclic_triangle(), 12)):
         solved.clear()
         rep = sweep_semidegree(3, pattern, 6, mode="exhaustive")
         assert rep.examined == 6600
@@ -228,9 +235,11 @@ def test_the_walk_skips_exactly_the_hosts_the_need_rows_fit(monkeypatch):
                 need[0] = schedule[i // 997 % len(schedule)]
         assert skipped and built and skipped + built == count
 
-    # the sweep builds only the hosts that the last packing misses, and
-    # hands each one to the solver
-    solved = _counting_solver(monkeypatch)
+    # the sweep builds only the hosts that the front packing misses (575),
+    # and hands the solver exactly those that no packing counted before
+    # them fits (20); a built host that an older packing fits moves that
+    # packing to the front
+    solved = _recorded(monkeypatch, SOLVE)[SOLVE]
     real = harness.iter_min_semidegree_hosts
     hosts = []
 
@@ -243,7 +252,56 @@ def test_the_walk_skips_exactly_the_hosts_the_need_rows_fit(monkeypatch):
     monkeypatch.setattr(harness, "iter_min_semidegree_hosts", recorded)
     rep = sweep_semidegree(3, Tournament.transitive(3), 6, mode="exhaustive")
     assert (rep.examined, rep.packed) == (6600, 6600)
-    assert len(hosts) == 256 and solved == hosts
+    counted, unfit = [], []
+    for g in hosts:
+        if not any(verify_packing(g, t3, p, require_perfect=True) for p in counted):
+            unfit.append(g)
+            counted.append(solver.find_perfect_family_packing(g, t3).packing)
+    assert (len(hosts), len(unfit)) == (575, 20) and solved == unfit
+
+
+def _tally(hosts, family, budget, counted=None):
+    """(packed, budget-exceeded, counterexample labels) over the hosts. With
+    a list ``counted``, a host is packed without the solver when any packing
+    in it passes verify_packing there, and each packing the solver finds on
+    another host is appended; without it every host is solved."""
+    packed = over = 0
+    labels = []
+    for i, g in enumerate(hosts):
+        if counted is not None and any(
+                verify_packing(g, family, p, require_perfect=True) for p in counted):
+            packed += 1
+            continue
+        cert = solver.find_perfect_family_packing(g, family, budget)
+        if cert.packing:
+            packed += 1
+            if counted is not None:
+                counted.append(cert.packing)
+        elif cert.verdict == solver.BUDGET_EXCEEDED:
+            over += 1
+        else:
+            labels.append(f"enum:{i}")
+    return packed, over, labels
+
+
+@pytest.mark.parametrize("pattern", [Tournament.transitive(3), Tournament.cyclic_triangle()],
+                         ids=["t3", "c3"])
+def test_exhaustive_sweeps_match_a_reference_that_keeps_every_packing(pattern):
+    # the reference builds every host (no need rows), uses neither _fits nor
+    # move-to-front, and tries each packing counted so far by verify_packing
+    family = (pattern,)
+    hosts = list(iter_min_semidegree_hosts(6, 4))
+    for budget in (2, 3, solver.DEFAULT_BUDGET):
+        ref = _tally(hosts, family, budget, [])
+        rep = sweep_semidegree(3, pattern, 6, mode="exhaustive", budget=budget)
+        labels = [c.label for c in rep.counterexamples]
+        assert ref == (rep.packed, rep.budget_exceeded, labels), budget
+        # against the solver alone: the same counterexamples and the same
+        # hosts packed or budget-exceeded, never more of the latter
+        packed, over, alone_labels = _tally(hosts, family, budget)
+        assert alone_labels == labels
+        assert packed + over == rep.packed + rep.budget_exceeded
+        assert rep.budget_exceeded <= over
 
 
 def test_random_sweep_determinism():
@@ -331,17 +389,21 @@ def _sha(text):
 def test_canonical_reports_are_pinned():
     reports = {
         "3081883a9d54abf6": sweep_semidegree(2, T2, 4, mode="exhaustive"),
-        # the n = 6 exhaustive sweeps, and t3 and c3 at budgets 2 and 3 (191,
-        # 26, 244 and 50 hosts budget-exceeded): reusing the last packing
-        # must leave each report as the solver alone makes it
+        # the n = 6 exhaustive sweeps, and t3 and c3 at budgets 2 and 3 (121,
+        # 26, 62 and 9 hosts budget-exceeded). An exhaustive sweep's
+        # budget-exceeded hosts are those that no packing counted earlier in
+        # the sweep fits and the solver cannot settle within the budget; the
+        # solver alone gives up on 191, 26, 244 and 50 (see
+        # test_exhaustive_sweeps_match_a_reference_that_keeps_every_packing).
+        # At the default budget the reports are the solver's alone.
         "c0953d70ca68ceb5": sweep_semidegree(3, T3, 6, mode="exhaustive"),
         "cb82f92c7ccd9615": sweep_semidegree(3, Tournament.cyclic_triangle(), 6,
                                              mode="exhaustive"),
-        "f5b438aaed68d9b6": sweep_semidegree(3, T3, 6, mode="exhaustive", budget=2),
+        "3fc664ac756a6759": sweep_semidegree(3, T3, 6, mode="exhaustive", budget=2),
         "58ee40b2fa2d035a": sweep_semidegree(3, T3, 6, mode="exhaustive", budget=3),
-        "b7982a75aa77fe42": sweep_semidegree(3, Tournament.cyclic_triangle(), 6,
+        "c2372c1859aa922a": sweep_semidegree(3, Tournament.cyclic_triangle(), 6,
                                              mode="exhaustive", budget=2),
-        "5ae72b24e8daf48c": sweep_semidegree(3, Tournament.cyclic_triangle(), 6,
+        "02b6f7bb2f57a9cd": sweep_semidegree(3, Tournament.cyclic_triangle(), 6,
                                              mode="exhaustive", budget=3),
         "10ed487e32286d84": sweep_semidegree(3, Tournament.cyclic_triangle(), 9,
                                              samples=25, seed=7),
@@ -425,39 +487,32 @@ def test_sweep_counterexample_branch(monkeypatch):
 
 
 def test_out_or_in_fallback_chain_gives_the_same_report(monkeypatch):
-    calls = Counter()
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
     def give_up(*args, **kwargs):
         raise SwapNotFound("forced onto the exact solver")
 
     def report():
-        calls.clear()
-        return sweep_out_or_in(3, 9, mode="random", samples=30, seed=3).to_json()
+        for hosts in calls.values():
+            hosts.clear()
+        rep = sweep_out_or_in(3, 9, mode="random", samples=30, seed=3).to_json()
+        return rep, len(calls["t3_pack"]), len(calls[SOLVE])
 
-    monkeypatch.setattr(harness, "t3_pack", counted("t3_pack", harness.t3_pack))
-    monkeypatch.setattr(harness, "find_perfect_family_packing",
-                        counted("exact", harness.find_perfect_family_packing))
-    first_fit = report()
-    assert calls["t3_pack"] == calls["exact"] == 0
+    calls = _recorded(monkeypatch, "t3_pack", SOLVE)
+    first_fit, *counts = report()
+    assert counts == [0, 0]
 
     monkeypatch.setattr(harness, "_t3_first_fit", lambda g: False)
-    local = report()
-    assert calls["t3_pack"] == 30 and calls["exact"] == 0
+    local, *counts = report()
+    assert counts == [30, 0]
 
-    monkeypatch.setattr(harness, "t3_pack", counted("t3_pack", give_up))
-    exact = report()
-    assert calls["t3_pack"] == calls["exact"] == 30
+    monkeypatch.setattr(harness, "t3_pack", give_up)
+    _recorded(monkeypatch, "t3_pack", calls=calls)
+    exact, *counts = report()
+    assert counts == [30, 30]
     assert first_fit == local == exact
 
 
 def test_a_host_the_last_packing_misses_reaches_the_solver(monkeypatch):
-    solved = _counting_solver(monkeypatch)
+    solved = _recorded(monkeypatch, SOLVE)[SOLVE]
     k6 = Digraph.complete(6)
     e = harness.find_perfect_family_packing(k6, T3, 100).packing.elements[0]
     a, b = next(iter(e.pattern.arcs()))
@@ -516,31 +571,22 @@ def test_t3_first_fit_returns_a_verified_packing_or_none():
 
 
 def test_exhaustive_out_or_in_sweep_reuses_both_fast_packers(monkeypatch):
-    counts = Counter()
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
     real_hosts = harness.iter_out_or_in_hosts
     monkeypatch.setattr(harness, "iter_out_or_in_hosts",
                         lambda n, t, need=None: itertools.islice(real_hosts(n, t, need), 3000))
-    monkeypatch.setattr(harness, "_t3_first_fit",
-                        counted("first_fit", harness._t3_first_fit))
-    solved = _counting_solver(monkeypatch)
-    # both counts were taken while the reuse test compared whole rows
+    calls = _recorded(monkeypatch, "_t3_first_fit", SOLVE)
+    # the fast path runs only on hosts that no packing counted earlier fits
+    # (67 first-fit and 66 local-search calls when only the last was tried)
     rep = sweep_out_or_in(3, 6, mode="exhaustive")
     assert (rep.examined, rep.packed) == (3000, 3000)
-    assert counts["first_fit"] == 67 and not solved
+    assert len(calls["_t3_first_fit"]) == 13 and not calls[SOLVE]
 
     # with first-fit off, local search's packings are the ones reused
     monkeypatch.setattr(harness, "_t3_first_fit", lambda g: None)
-    monkeypatch.setattr(harness, "t3_pack", counted("t3_pack", harness.t3_pack))
+    _recorded(monkeypatch, "t3_pack", calls=calls)
     rep = sweep_out_or_in(3, 6, mode="exhaustive")
     assert (rep.examined, rep.packed) == (3000, 3000)
-    assert counts["t3_pack"] == 66 and not solved
+    assert len(calls["t3_pack"]) == 20 and not calls[SOLVE]
 
 
 def test_out_or_in_sweeps():
