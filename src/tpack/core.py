@@ -88,15 +88,14 @@ class Digraph:
         self._m = m
 
     @classmethod
-    def _from_rows(cls, n: int, out_rows, in_rows, m: int | None = None) -> "Digraph":
+    def _from_rows(cls, n: int, out_rows, in_rows) -> "Digraph":
         """Digraph from out-rows and their transpose, both already checked by
-        the caller; nothing is validated or re-derived.  A caller that knows
-        the arc count passes it as m, else the rows are counted."""
+        the caller; nothing is validated or re-derived."""
         g = cls.__new__(cls)
         g.n = n
         g._out = tuple(out_rows)
         g._in = tuple(in_rows)
-        g._m = sum(map(int.bit_count, g._out)) if m is None else m
+        g._m = sum(map(int.bit_count, g._out))
         return g
 
     @classmethod

@@ -178,11 +178,9 @@ def _complements(
     at most ``cap`` (0 or 1) in-arcs.
 
     Depth-first on an explicit stack: ``nxt[v]`` indexes v's next option,
-    ``put[v]`` is the row placed at v, ``hit[v]`` the capped vertices that
-    may miss no further in-arc (a row entering it is refused) and ``arcs[v]``
-    the host's arc count once rows 0..v-1 are placed, n(n-1) less their
-    bits, which each host is handed.  Swapping v's row flips bit v of the
-    in-rows named by the old row XOR the new one.
+    ``put[v]`` is the row placed at v, and ``hit[v]`` the capped vertices
+    that may miss no further in-arc; a row entering it is refused.  Swapping
+    v's row flips bit v of the in-rows named by the old row XOR the new one.
 
     The last vertex's allowed options are its node's hosts, taken in one
     loop.  ``need`` is a one-item list holding None or the (vertex, row)
@@ -198,7 +196,6 @@ def _complements(
     out = [full ^ (1 << v) for v in range(n)]
     in_rows, nxt, put = out[:], [0] * n, [0] * n
     hit = [0 if cap else capped] + [0] * n
-    arcs = [n * (n - 1)] + [0] * n
     if need is None:
         need = [None]
     last, v = n - 1, 0
@@ -221,7 +218,7 @@ def _complements(
                     in_rows[low.bit_length() - 1] ^= bit
                     flip ^= low
                 out[v] = full ^ bit ^ row
-                yield Digraph._from_rows(n, out, in_rows, arcs[v] - row.bit_count())
+                yield Digraph._from_rows(n, out, in_rows)
             i = len(opts)  # node done: undo its row below and step back
         while i < len(opts) and opts[i] & hit[v]:
             i += 1
@@ -238,7 +235,6 @@ def _complements(
             nxt[v] = i + 1
             out[v] = full ^ bit ^ row
             hit[v + 1] = hit[v] | row & capped
-            arcs[v + 1] = arcs[v] - row.bit_count()
             v += 1
 
 

@@ -3,15 +3,17 @@ extremal cyclic-triangle packing procedure.
 
 The matching routines return certificate objects that can be re-validated
 against the host graph, so every claim the algorithms make is checkable
-after the fact.  The packing procedure mirrors the staged structure of the
-degree-extremal argument: relocate, fix parity, cover, balance, finish.
+after the fact.  They keep one partner array (``mate[v]``, -1 when v is
+free) and hold every vertex set as a mask.  The packing procedure mirrors
+the staged structure of the degree-extremal argument: relocate, fix
+parity, cover, balance, finish.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import ceil
+from math import ceil, inf
 from typing import Iterable, Sequence
 
 from .core import (
@@ -138,6 +140,8 @@ def validate_match_certificate(host: Digraph, cert: MatchCertificate) -> None:
             )
         return
     if isinstance(cert, ClosePartition):
+        if any(not 0 <= v < n for v in (*cert.a, *cert.b)):
+            raise InvariantViolation("sides out of range")
         amask = mask_of(cert.a)
         bmask = mask_of(cert.b)
         if amask & bmask or (amask | bmask) != (1 << n) - 1:
@@ -181,43 +185,54 @@ def _check_partition(n: int, parts: Iterable[Iterable[int]]) -> None:
         raise DomainError("partition does not cover the vertex set")
 
 
-def _greedy_maximal_matching(graph: Graph) -> list[tuple[int, int]]:
-    used = 0
-    out: list[tuple[int, int]] = []
+def _lowest(mask: int, k: int) -> int:
+    """The mask of the k lowest vertices of mask (all of them if it has fewer)."""
+    return mask_of(itertools.islice(bits(mask), max(k, 0)))
+
+
+def _greedy_maximal_matching(graph: Graph) -> list[int]:
+    """Partner array (-1 for a free vertex) of the greedy maximal matching
+    over graph.edges()."""
+    mate = [-1] * graph.n
     for u, v in graph.edges():
-        pm = (1 << u) | (1 << v)
-        if not (used & pm):
-            out.append((u, v))
-            used |= pm
-    return out
+        if mate[u] < 0 and mate[v] < 0:
+            mate[u], mate[v] = v, u
+    return mate
 
 
-def _matching_of_size(graph: Graph, d: int) -> list[tuple[int, int]]:
-    """d pairwise disjoint edges, given min degree >= d and order >= 2d.
+def _matching_of_size(graph: Graph, d: int) -> list[int]:
+    """Partner array of d pairwise disjoint edges, given min degree >= d and
+    order >= 2d.
 
     Starts from the greedy maximal matching M, whose unmatched vertices are
-    pairwise non-adjacent.  While |M| < d, two unmatched vertices u and w
-    have at least 2d > 2|M| neighbours between them, all matched, so some
-    edge ab of M has u ~ a and w ~ b, and ua, wb replace it.
+    pairwise non-adjacent, cut to its first d pairs if it has more.  While
+    |M| < d, two unmatched vertices u and w have at least 2d > 2|M|
+    neighbours between them, all matched, so some edge ab of M has u ~ a
+    and w ~ b, and ua, wb replace it.
     """
-    matching = _greedy_maximal_matching(graph)
-    free = (1 << graph.n) - 1
-    for a, b in matching:
-        free ^= 1 << a | 1 << b
-    while len(matching) < d:
+    mate = _greedy_maximal_matching(graph)
+    for a in [v for v in range(graph.n) if v < mate[v]][d:]:
+        b = mate[a]
+        mate[a] = mate[b] = -1
+    free = mask_of(v for v in range(graph.n) if mate[v] < 0)
+    for _ in range(d - (graph.n - free.bit_count()) // 2):
         u, w = itertools.islice(bits(free), 2)
         nu, nw = graph.adj_mask(u), graph.adj_mask(w)
-        for i, (a, b) in enumerate(matching):
+        # a pair holding a once-free vertex joins no free vertex, so only
+        # greedy pairs qualify, taken by their lower end as greedy made them
+        for a in bits(~free & (1 << graph.n) - 1):
+            b = mate[a]
+            if a > b:
+                continue
             if not (nu >> a & 1 and nw >> b & 1):
                 a, b = b, a
             if nu >> a & 1 and nw >> b & 1:
-                matching[i] = (u, a)
-                matching.append((w, b))
                 break
         else:
             raise InvariantViolation("no matched edge joins two unmatched vertices")
+        mate[u], mate[a], mate[w], mate[b] = a, u, b, w
         free ^= 1 << u | 1 << w
-    return matching[:d]
+    return mate
 
 
 def d_matching_covering(
@@ -227,9 +242,10 @@ def d_matching_covering(
 
     Requires min degree at least d, order at least 2d, and ``x_set`` of size
     exactly d.  Starts from any d edges and repairs coverage by local
-    exchanges: attach an uncovered target to a free neighbour and drop an
-    edge avoiding the target set, or steal a neighbour whose partner lies
-    outside the target set.  Under the preconditions a repair always exists.
+    exchanges: attach the lowest uncovered target x to its lowest free
+    neighbour and drop the lowest pair avoiding the target set, or, with no
+    free neighbour, steal x's first neighbour whose partner lies outside the
+    target set.  Under the preconditions a repair always exists.
     """
     if d < 0:
         raise DomainError("matching size must be non-negative")
@@ -242,54 +258,30 @@ def d_matching_covering(
         raise DomainError(f"min degree {graph.min_degree()} below {d}")
     if d == 0:
         return ()
-    edges = sorted(tuple(sorted(e)) for e in _matching_of_size(graph, d))
+    mate = _matching_of_size(graph, d)
+    covered = mask_of(v for v in range(graph.n) if mate[v] >= 0)
     xmask = mask_of(xs)
-
     for _ in range(d + 1):
-        covered = 0
-        for u, v in edges:
-            covered |= (1 << u) | (1 << v)
-        missing = [x for x in xs if not (covered >> x) & 1]
+        missing = xmask & ~covered
         if not missing:
             break
-        x = missing[0]
+        x = (missing & -missing).bit_length() - 1
         free = graph.adj_mask(x) & ~covered
-        if free:
-            y = (free & -free).bit_length() - 1
-            drop = None
-            for idx, (u, v) in enumerate(edges):
-                if not ((xmask >> u) & 1) and not ((xmask >> v) & 1):
-                    drop = idx
-                    break
-            if drop is None:
-                raise InvariantViolation("no droppable edge outside the target set")
-            edges.pop(drop)
-            edges.append(tuple(sorted((x, y))))
-            edges.sort()
-            continue
-        partner = {}
-        for u, v in edges:
-            partner[u] = v
-            partner[v] = u
-        stolen = False
-        for w in bits(graph.adj_mask(x)):
-            z = partner.get(w)
-            if z is not None and not ((xmask >> z) & 1):
-                edges.remove(tuple(sorted((w, z))))
-                edges.append(tuple(sorted((x, w))))
-                edges.sort()
-                stolen = True
-                break
-        if not stolen:
-            raise InvariantViolation(
-                "no exchange applies; preconditions rule this out"
-            )
-    covered = 0
-    for u, v in edges:
-        covered |= (1 << u) | (1 << v)
-    if covered & xmask != xmask or len(edges) != d:
+        # the pair to drop: the lowest one outside the target set, or the
+        # one through x's first neighbour whose partner lies outside it
+        pool = covered & ~xmask if free else graph.adj_mask(x)
+        z = next((v for v in bits(pool) if not xmask >> mate[v] & 1), None)
+        if z is None:
+            raise InvariantViolation("no droppable edge outside the target set" if free
+                                     else "no exchange applies; preconditions rule this out")
+        y = (free & -free).bit_length() - 1 if free else z
+        w = mate[z]
+        mate[z] = mate[w] = -1
+        mate[x], mate[y] = y, x
+        covered ^= (1 << z | 1 << w) ^ (1 << x | 1 << y)
+    if covered & xmask != xmask or covered.bit_count() != 2 * d:
         raise InvariantViolation("exchange loop failed to cover the target set")
-    return tuple(edges)
+    return tuple((u, mate[u]) for u in bits(covered) if u < mate[u])
 
 
 def d_matching_covering_digraph(
@@ -335,92 +327,41 @@ def matching_or_certificate(graph: Graph, gamma: float) -> MatchCertificate:
             f"min degree {graph.min_degree()} below (1/2 - {gamma}) * {n}"
         )
     factor = 3.0 * gamma
-    partner = [-1] * n
-    for u, v in _greedy_maximal_matching(graph):
-        partner[u] = v
-        partner[v] = u
-
-    def link(u: int, v: int) -> None:
-        partner[u] = v
-        partner[v] = u
-
+    full = (1 << n) - 1
+    mate = _greedy_maximal_matching(graph)
+    free = mask_of(v for v in range(n) if mate[v] < 0)
     for _ in range(n + 1):
-        free = [v for v in range(n) if partner[v] < 0]
         if not free:
-            pairs = tuple(
-                sorted((v, partner[v]) for v in range(n) if v < partner[v])
-            )
-            return PerfectMatching(pairs)
-        x, y = free[0], free[1]
-        shadow: list[list[int]] = []
-        for src in (x, y):
-            names = set()
-            for w in bits(graph.adj_mask(src)):
-                if partner[w] < 0:
-                    raise InvariantViolation(
-                        "free vertex with a free neighbour; matching not maximal"
-                    )
-                names.add(partner[w])
-            shadow.append(sorted(names))
-        snx, sny = shadow
-        swap = None
-        for z in snx:
-            for zp in sny:
-                if z != zp and graph.has_edge(z, zp):
-                    swap = (z, zp)
-                    break
-            if swap:
+            return PerfectMatching(tuple((v, mate[v]) for v in range(n) if v < mate[v]))
+        x, y = itertools.islice(bits(free), 2)
+        if (graph.adj_mask(x) | graph.adj_mask(y)) & free:
+            raise InvariantViolation("free vertex with a free neighbour; matching not maximal")
+        sx, sy = (mask_of(mate[w] for w in bits(graph.adj_mask(v))) for v in (x, y))
+        for z in bits(sx):
+            hit = graph.adj_mask(z) & sy
+            if hit:
                 break
-        if swap is not None:
-            z, zp = swap
-            if partner[z] == zp:
-                if not (graph.has_edge(x, zp) and graph.has_edge(y, z)):
-                    raise InvariantViolation("shadow edges missing for the swap")
-                link(x, zp)
-                link(y, z)
-            else:
-                w, wp = partner[z], partner[zp]
-                if not (graph.has_edge(x, w) and graph.has_edge(y, wp)):
-                    raise InvariantViolation("shadow edges missing for the swap")
-                link(x, w)
-                link(y, wp)
-                link(z, zp)
-            continue
-        snx_set, sny_set = set(snx), set(sny)
-        core = sorted(snx_set & sny_set)
-        if core:
-            target = ceil(n / 2)
-            padded = list(core)
-            if len(padded) < target:
-                core_set = set(core)
-                for v in range(n):
-                    if v not in core_set:
-                        padded.append(v)
-                        if len(padded) >= target:
-                            break
-            return IndependentSetCertificate(
-                tuple(core), tuple(sorted(padded)), factor
-            )
-        half = n // 2
-        a_side = list(snx)
-        if len(a_side) > half:
-            a_side = a_side[:half]
         else:
-            taken = set(a_side)
-            for pool in (
-                [v for v in range(n) if v not in snx_set and v not in sny_set],
-                sny,
-            ):
-                for v in pool:
-                    if len(a_side) >= half:
-                        break
-                    if v not in taken:
-                        a_side.append(v)
-                        taken.add(v)
-        a_sorted = tuple(sorted(a_side))
-        b_sorted = tuple(v for v in range(n) if v not in set(a_sorted))
-        cross = _pairs_between(graph, mask_of(a_sorted), mask_of(b_sorted))
-        return ClosePartition(a_sorted, b_sorted, cross, factor)
+            core = sx & sy
+            if core:
+                padded = core | _lowest(full & ~core, ceil(n / 2) - core.bit_count())
+                return IndependentSetCertificate(tuple(bits(core)), tuple(bits(padded)), factor)
+            # the lowest half of sx, topped up from the vertices in neither
+            # shadow, then from sy
+            a = _lowest(sx, n // 2)
+            a |= _lowest(full & ~sx & ~sy, n // 2 - a.bit_count())
+            a |= _lowest(sy, n // 2 - a.bit_count())
+            cross = _pairs_between(graph, a, full & ~a)
+            return ClosePartition(tuple(bits(a)), tuple(bits(full & ~a)), cross, factor)
+        # x ~ w = mate[z] and y ~ wp = mate[zp]: match z zp, x w and y wp,
+        # which is x zp and y z when z and zp are partners already
+        zp = (hit & -hit).bit_length() - 1
+        w, wp = mate[z], mate[zp]
+        if not (graph.has_edge(x, w) and graph.has_edge(y, wp)):
+            raise InvariantViolation("shadow edges missing for the swap")
+        for u, v in ((z, zp), (x, w), (y, wp)):
+            mate[u], mate[v] = v, u
+        free ^= 1 << x | 1 << y
     raise InvariantViolation("exchange loop failed to terminate")
 
 
@@ -536,79 +477,58 @@ def classify_vertices(
     cls = tuple(_validate_vertex_set(n, c) for c in classes)
     rem = _validate_vertex_set(n, b) if b is not None else ()
     _check_partition(n, (*cls, rem))
-    if delta < 0:
-        raise DomainError("delta must be non-negative")
+    if not 0 <= delta < inf:
+        raise DomainError(f"delta must be a non-negative finite number, got {delta}")
 
     masks = [mask_of(c) for c in cls]
     thr = delta * n
-    bad: list[tuple[int, ...]] = []
-    good: list[tuple[int, ...]] = []
-    exceptional: list[tuple[int, ...]] = []
-    acceptable: list[tuple[int, ...]] = []
-    excellent: list[tuple[int, ...]] = []
-    for i, ci in enumerate(cls):
-        cmask = masks[i]
-        size = len(ci)
-        bi, gi, exci, acci, xli = [], [], [], [], []
-        for v in range(n):
-            dto = g.d_out_to(v, cmask)
-            dfrom = g.d_in_from(v, cmask)
-            if (cmask >> v) & 1:
-                if at_least(dto, thr) or at_least(dfrom, thr):
-                    bi.append(v)
-                else:
-                    gi.append(v)
-            else:
-                if dto <= thr + FLOAT_SLACK and dfrom <= thr + FLOAT_SLACK:
-                    exci.append(v)
-                else:
-                    acci.append(v)
-                if at_least(dto, size - thr) and at_least(dfrom, size - thr):
-                    xli.append(v)
-        bad.append(tuple(bi))
-        good.append(tuple(gi))
-        exceptional.append(tuple(exci))
-        acceptable.append(tuple(acci))
-        excellent.append(tuple(xli))
+    rows = [(g.out_mask(v), g.in_mask(v)) for v in range(n)]
+    # at_least(d, t) is d >= t - FLOAT_SLACK; the bounds are taken once
+    heavy_at, light_to = thr - FLOAT_SLACK, thr + FLOAT_SLACK
 
-    bmask = mask_of(rem)
-    bsize = len(rem)
-    b_exc = tuple(
-        v
-        for v in range(n)
-        if not ((bmask >> v) & 1)
-        and at_least(g.d_out_to(v, bmask), bsize - thr)
-        and at_least(g.d_in_from(v, bmask), bsize - thr)
-    )
+    def tables(m: int) -> tuple[tuple[int, ...], ...]:
+        """The bad and good members of the vertex set m, and its exceptional,
+        acceptable and excellent outside vertices, in one pass."""
+        close_at = m.bit_count() - thr - FLOAT_SLACK
+        bad, good, exceptional, acceptable, excellent = [], [], [], [], []
+        for v, (out, inn) in enumerate(rows):
+            dto, dfrom = (out & m).bit_count(), (inn & m).bit_count()
+            if m >> v & 1:
+                (bad if dto >= heavy_at or dfrom >= heavy_at else good).append(v)
+                continue
+            (exceptional if dto <= light_to and dfrom <= light_to else acceptable).append(v)
+            if dto >= close_at and dfrom >= close_at:
+                excellent.append(v)
+        return tuple(map(tuple, (bad, good, exceptional, acceptable, excellent)))
 
-    int_exc: list[tuple[int, ...]] = []
-    int_bad: list[tuple[int, ...]] = []
-    ext_exc: list[tuple[int, ...]] = []
-    ext_bad: list[tuple[int, ...]] = []
+    per_class = [tables(m) for m in masks]
+    bad, good, exceptional, acceptable, excellent = (
+        tuple(t[k] for t in per_class) for k in range(5))
+    b_exc = tables(mask_of(rem))[4]
+
+    int_exc = int_bad = ext_exc = ext_bad = ()
     if len(cls) == 3:
-        for weak, excellent_rows, bad_rows in (
-            (_internally_weak(g, masks, delta), int_exc, int_bad),
-            (_externally_weak(g, masks, delta), ext_exc, ext_bad),
-        ):
-            for m in masks:
-                excellent_rows.append(tuple(bits(m & ~weak)))
-                bad_rows.append(tuple(bits(m & weak)))
+        weak_in = _internally_weak(g, masks, delta)
+        weak_ex = _externally_weak(g, masks, delta)
+        int_exc, int_bad, ext_exc, ext_bad = (
+            tuple(tuple(bits(m & w)) for m in masks)
+            for w in (~weak_in, weak_in, ~weak_ex, weak_ex))
 
     return VertexClassification(
         n=n,
         delta=delta,
         classes=cls,
         b=rem,
-        bad=tuple(bad),
-        good=tuple(good),
-        exceptional=tuple(exceptional),
-        acceptable=tuple(acceptable),
-        excellent=tuple(excellent),
+        bad=bad,
+        good=good,
+        exceptional=exceptional,
+        acceptable=acceptable,
+        excellent=excellent,
         b_excellent=b_exc,
-        internally_excellent=tuple(int_exc),
-        internally_bad=tuple(int_bad),
-        externally_excellent=tuple(ext_exc),
-        externally_bad=tuple(ext_bad),
+        internally_excellent=int_exc,
+        internally_bad=int_bad,
+        externally_excellent=ext_exc,
+        externally_bad=ext_bad,
     )
 
 

@@ -397,6 +397,14 @@ _FAILURES = {
     "complex-eps-nan": (lambda tmp_path: [
         "complex", "--graph", write_graph(tmp_path, make_c3_blowup(9, 0)[0]), "--eps", "nan"],
         "eps must lie in [0, 1), got nan"),
+    "lemma-classify-delta-nan": (lambda tmp_path: [
+        "lemma", "classify", "--graph", write_graph(tmp_path, make_c3_blowup(9, 0)[0]),
+        "--classes", "0,1,2;3,4,5;6,7,8", "--delta", "nan"],
+        "delta must be a non-negative finite number, got nan"),
+    "lemma-classify-delta-inf": (lambda tmp_path: [
+        "lemma", "classify", "--graph", write_graph(tmp_path, make_c3_blowup(9, 0)[0]),
+        "--classes", "0,1,2;3,4,5;6,7,8", "--delta", "inf"],
+        "delta must be a non-negative finite number, got inf"),
     # the shifted blow-up with a near-equal witness: stage 1 hands vertex 2
     # back to its class, and no cyclic triangle then fixes the parity
     "stage-failed": (lambda tmp_path: [

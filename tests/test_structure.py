@@ -202,6 +202,9 @@ def test_validator_rejects_bad_certificates():
     with pytest.raises(InvariantViolation):
         validate_match_certificate(
             sparse, PerfectMatching(edges=((0, 1), (2, 3))))
+    for a, b in (((-1, 0, 1), (2, 3, 4)), ((0, 1, 2), (3, 4, -5))):
+        with pytest.raises(InvariantViolation, match="sides out of range"):
+            validate_match_certificate(g, ClosePartition(a, b, 0, 0.5))
 
 
 def test_validator_counts_a_graph_in_edges_and_a_digraph_in_arcs():
@@ -497,6 +500,53 @@ def test_outputs_through_the_undirected_graph_are_pinned():
     assert kinds == {"t3": 160, "PerfectMatching": 1809, "IndependentSetCertificate": 12,
                      "ClosePartition": 12, "refused": 267, "d-match": 1400, "clique": 1050}
     assert (sum(kinds.values()), digest.hexdigest()) == _PINNED_GRAPH_FLOW
+
+
+def _extremal_graph(n, rng):
+    """Seeded undirected host near one of the lemma's two extremal cases: two
+    dense halves with sparse cross edges, or a sparse half joined densely to
+    a dense rest.  The side has n/2 - 1, n/2 or n/2 + 1 vertices."""
+    side = mask_of(rng.sample(range(n), n // 2 + rng.choice((-1, 0, 1))))
+    if rng.random() < 0.4:
+        inside_a, inside_b, across = 0.95, 0.95, rng.choice((0.0, 0.02, 0.05))
+    else:
+        inside_a, inside_b, across = rng.choice((0.0, 0.03, 0.08)), 0.9, 0.95
+    edges = []
+    for u, v in itertools.combinations(range(n), 2):
+        both = (side >> u & 1) + (side >> v & 1)
+        p = across if both == 1 else inside_a if both == 2 else inside_b
+        if rng.random() < p:
+            edges.append((u, v))
+    return Graph.from_edges(n, edges)
+
+
+def _certificate_rows(count):
+    """matching_or_certificate at four gammas and d_matching_covering for
+    d = 1, 2, 3 on seeded near-extremal hosts of even order 6..24."""
+    rng = random.Random("extremal-matchings")
+    for _ in range(count):
+        n = 2 * rng.randint(3, 12)
+        g = _extremal_graph(n, rng)
+        for gamma in (0.1, 0.2, 0.3, 0.4):
+            yield ["match", _cert_row(g, _refusal_or(matching_or_certificate, g, gamma))]
+        for d in (1, 2, 3):
+            yield ["d-match", _refusal_or(d_matching_covering, g, d, rng.sample(range(n), d))]
+
+
+# sha256 of the rows, computed while the matching routines kept edge lists,
+# partner dicts and sorted shadows
+_PINNED_CERTIFICATES = (500, "99aa673ab0ecb6b8bae5f4e9f5bbf53a81f8380f5dd0c5cccd399865553db7e9")
+
+
+def test_certificates_on_near_extremal_graphs_are_pinned():
+    digest = hashlib.sha256()
+    kinds = collections.Counter()
+    for row in _certificate_rows(_PINNED_CERTIFICATES[0]):
+        kinds[row[1][0] if row[0] == "match" or row[1][:1] == ["refused"] else row[0]] += 1
+        digest.update(json.dumps(row, sort_keys=True).encode())
+    assert kinds == {"PerfectMatching": 1339, "IndependentSetCertificate": 134,
+                     "ClosePartition": 142, "refused": 471, "d-match": 1414}
+    assert digest.hexdigest() == _PINNED_CERTIFICATES[1]
 
 
 def _damaged_witnesses(count):
