@@ -47,22 +47,24 @@ from .constructions import (
     random_digraph_total_min_degree,
     random_tournament,
 )
+from .check import (
+    Obstruction,
+    Packing,
+    normalize_patterns,
+    validate_obstruction,
+    verify_packing,
+)
 from .solver import (
     BUDGET_EXCEEDED,
     DEFAULT_BUDGET,
     EXHAUSTED_NONE,
     MaxPackingResult,
-    Obstruction,
     PACKED,
     PackCertificate,
-    Packing,
     find_max_packing,
     find_perfect_family_packing,
     find_perfect_packing,
     max_disjoint_sets,
-    normalize_patterns,
-    validate_obstruction,
-    verify_packing,
 )
 from .t3local import (
     SwapNotFound,

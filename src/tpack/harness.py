@@ -44,20 +44,22 @@ from .constructions import (
     random_digraph_out_or_in,
     random_digraph_total_min_degree,
 )
+from .check import (
+    Obstruction,
+    Packing,
+    _fits,
+    _packing_rows,
+    normalize_patterns,
+    validate_obstruction,
+    verify_packing,
+)
 from .solver import (
     BUDGET_EXCEEDED,
     DEFAULT_BUDGET,
     EXHAUSTED_NONE,
     PACKED,
-    Obstruction,
-    Packing,
     _first_fit,
-    _fits,
-    _packing_rows,
     find_perfect_family_packing,
-    normalize_patterns,
-    validate_obstruction,
-    verify_packing,
 )
 from .t3local import SwapNotFound, t3_pack
 
@@ -184,11 +186,11 @@ def _complements(
 
     The last vertex's allowed options are its node's hosts, taken in one
     loop.  ``need`` is a one-item list holding None or the (vertex, row)
-    pairs of solver._packing_rows, which the consumer may replace between
+    pairs of check._packing_rows, which the consumer may replace between
     hosts.  A host's out-row contains a need row exactly when its
     complement row misses it, so at that node the rows put at vertices
     0..n-2 are tested against the need once, and each option with one AND.
-    A host that contains every need row (solver._fits holds) is yielded as
+    A host that contains every need row (check._fits holds) is yielded as
     None: no in-row is flipped and no Digraph built.  The need is read
     again when it changes.  Without ``need`` every host is built.
     """
@@ -271,6 +273,11 @@ def iter_min_semidegree_hosts(
     yield from _complements(n, rows, (1 << n) - 1, slack, need)
 
 
+#: the largest order iter_out_or_in_hosts enumerates: its n * 2^n row
+#: masks come before the first host and double with each vertex
+_OUT_OR_IN_MAX_N = 16
+
+
 def iter_out_or_in_hosts(
     n: int, t: int, need: list | None = None
 ) -> Iterator[Digraph | None]:
@@ -280,8 +287,14 @@ def iter_out_or_in_hosts(
     the exact witness set W of vertices missing at most cap = n-1-t out-arcs:
     rows in W are light (at most cap arcs), rows outside W heavy, and the
     vertices outside W are capped.  ``need`` goes to _complements, as in
-    iter_min_semidegree_hosts.
+    iter_min_semidegree_hosts.  Orders above _OUT_OR_IN_MAX_N (16) are
+    refused before any row list is built.
     """
+    if n > _OUT_OR_IN_MAX_N:
+        raise DomainError(
+            f"exhaustive out-or-in enumeration builds n * 2^n row masks; "
+            f"n = {n} exceeds {_OUT_OR_IN_MAX_N}"
+        )
     cap = _deficiency(n, t)
     if cap < 0:
         return
@@ -335,7 +348,7 @@ def _tournament_of_order(pattern: Digraph, r: int) -> Digraph:
 
 
 def _fit_to_front(kept: list, g: Digraph) -> bool:
-    """Whether any need rows in ``kept`` fit g (solver._fits), tried front
+    """Whether any need rows in ``kept`` fit g (check._fits), tried front
     first; the first that fits moves to the front."""
     for j, rows in enumerate(kept):
         if _fits(rows, g):
@@ -369,10 +382,10 @@ def _sweep(
     skips the exact solver, or a falsy value when it gave up; only the exact
     solver can declare non-existence.  Every packing, from ``fast`` or the
     solver, must pass verify_packing on its host before it is counted.  An
-    exhaustive sweep keeps the need rows (solver._packing_rows) of every
+    exhaustive sweep keeps the need rows (check._packing_rows) of every
     packing it counts in ``kept``, most recently used first, and counts a
     host packed, without ``fast`` or the solver, when some kept packing
-    fits it (solver._fits): every host has order n, so that is when the
+    fits it (check._fits): every host has order n, so that is when the
     packing passes verify_packing on it.  The first that fits moves to the
     front (_fit_to_front).  The front is the one item of ``need``, and the
     enumerator yields a host it fits as None, unbuilt (_complements); a

@@ -31,7 +31,8 @@ from .core import (
     spans_copy,
 )
 from .constructions import alpha_contains_c3_blowup, blowup_deficit, _base_class_sizes
-from .solver import DEFAULT_BUDGET, Packing, find_perfect_packing, verify_packing
+from .check import Packing, verify_packing
+from .solver import DEFAULT_BUDGET, find_perfect_packing
 
 __all__ = [
     "PerfectMatching",
@@ -320,8 +321,8 @@ def matching_or_certificate(graph: Graph, gamma: float) -> MatchCertificate:
     n = graph.n
     if n == 0 or n % 2:
         raise DomainError("order must be positive and even")
-    if gamma < 0:
-        raise DomainError("gamma must be non-negative")
+    if not 0 <= gamma < inf:
+        raise DomainError(f"gamma must be a non-negative finite number, got {gamma}")
     if not at_least(graph.min_degree(), (0.5 - gamma) * n):
         raise DomainError(
             f"min degree {graph.min_degree()} below (1/2 - {gamma}) * {n}"
@@ -376,8 +377,8 @@ def matching_or_certificate_digraph(g: Digraph, gamma: float) -> MatchCertificat
     n = g.n
     if n == 0 or n % 2:
         raise DomainError("order must be positive and even")
-    if gamma < 0:
-        raise DomainError("gamma must be non-negative")
+    if not 0 <= gamma < inf:
+        raise DomainError(f"gamma must be a non-negative finite number, got {gamma}")
     bound = (0.5 - gamma) * n
     for v in range(n):
         if not (at_least(g.d_out(v), bound) or at_least(g.d_in(v), bound)):

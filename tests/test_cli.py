@@ -405,6 +405,15 @@ _FAILURES = {
         "lemma", "classify", "--graph", write_graph(tmp_path, make_c3_blowup(9, 0)[0]),
         "--classes", "0,1,2;3,4,5;6,7,8", "--delta", "inf"],
         "delta must be a non-negative finite number, got inf"),
+    "lemma-matchcert-gamma-inf": (lambda tmp_path: [
+        "lemma", "matchcert", "--graph", write_graph(tmp_path, Digraph.complete(6)),
+        "--gamma", "inf"], "gamma must be a non-negative finite number, got inf"),
+    "lemma-matchcert-gamma-nan": (lambda tmp_path: [
+        "lemma", "matchcert", "--graph", write_graph(tmp_path, Digraph.complete(6)),
+        "--gamma", "nan", "--undirected"], "gamma must be a non-negative finite number, got nan"),
+    "verify-outin-exhaustive-n64": (lambda tmp_path: [
+        "verify", "outin", "--r", "64", "--n", "64", "--mode", "exhaustive"],
+        "n = 64 exceeds 16"),
     # the shifted blow-up with a near-equal witness: stage 1 hands vertex 2
     # back to its class, and no cyclic triangle then fixes the parity
     "stage-failed": (lambda tmp_path: [

@@ -4,11 +4,12 @@ import itertools
 import json
 import math
 import time
+import tracemalloc
 from collections import Counter
 
 import pytest
 
-from tpack import harness, solver
+from tpack import check, harness, solver
 from tpack.core import (
     Digraph,
     DomainError,
@@ -86,6 +87,20 @@ def test_enumeration_refuses_deep_deficiency():
         list(iter_out_or_in_hosts(6, 2))
 
 
+def test_out_or_in_enumeration_refuses_large_orders_before_building_rows():
+    # n * 2^n row masks at n = 64 would never fit; the refusal must come
+    # from the order alone
+    tracemalloc.start()
+    try:
+        for n in (17, 64):
+            with pytest.raises(DomainError, match=f"n = {n} exceeds 16"):
+                next(iter_out_or_in_hosts(n, n - 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_out_or_in_host_counts_brute():
     for n, t in ((3, 2), (4, 3), (3, 1), (4, 2)):
         hosts = list(iter_out_or_in_hosts(n, t))
@@ -148,8 +163,9 @@ def test_enumerated_hosts_match_checked_construction():
 
 
 def test_enumerated_hosts_carry_their_arc_count_at_n6():
-    # the enumerator hands each host its arc count, carried down the walk;
-    # check it at the order the sweeps run, past the checks above
+    # each enumerated host's arc count, counted from the rows it is built
+    # from, must equal a fresh Digraph's; check it at the order the sweeps
+    # run, past the checks above
     hosts = itertools.chain(iter_min_semidegree_hosts(6, 4),
                             itertools.islice(iter_out_or_in_hosts(6, 4), 10**5))
     count = 0
@@ -217,7 +233,7 @@ def test_the_walk_skips_exactly_the_hosts_the_need_rows_fit(monkeypatch):
     spaces = [(iter_min_semidegree_hosts, 6600), (iter_out_or_in_hosts, 10**5)]
     for space, count in spaces:
         plain = itertools.islice(space(6, 4), count)
-        needs = [solver._packing_rows(harness.find_perfect_family_packing(
+        needs = [check._packing_rows(harness.find_perfect_family_packing(
             g, t3, 100).packing, t3) for g in itertools.islice(space(6, 4), 0, count, count // 5)]
         assert len(set(needs)) > 1
         schedule = needs + [None]
@@ -225,7 +241,7 @@ def test_the_walk_skips_exactly_the_hosts_the_need_rows_fit(monkeypatch):
         walk = itertools.islice(space(6, 4, need), count)
         skipped = built = 0
         for i, (g, h) in enumerate(itertools.zip_longest(plain, walk, fillvalue="end")):
-            if need[0] is not None and solver._fits(need[0], g):
+            if need[0] is not None and check._fits(need[0], g):
                 assert h is None
                 skipped += 1
             else:

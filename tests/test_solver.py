@@ -24,7 +24,7 @@ from tpack.core import (
     _plans,
     _transpose,
 )
-from tpack import core, solver
+from tpack import check, core, solver
 from tpack.harness import iter_min_semidegree_hosts
 from tpack.t3local import t3_pack
 from tpack.solver import (
@@ -275,10 +275,10 @@ def test_packing_rows_decide_verify_packing_on_hosts_of_its_order(name, blocks, 
     h = Digraph.from_arcs(n, set(planted) | set(host(0.5).arcs()))
     packing = find_perfect_family_packing(h, [pattern]).packing
     assert verify_packing(h, [pattern], packing, require_perfect=True)
-    need = solver._packing_rows(packing, (pattern,))
+    need = check._packing_rows(packing, (pattern,))
 
     def fits(g):
-        return solver._fits(need, g)
+        return check._fits(need, g)
 
     others = [host(keep) for keep in (0.6, 0.9, 0.97, 1.0) for _ in range(5)]
     # a host without any one arc of the packing fails both
