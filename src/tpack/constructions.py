@@ -7,6 +7,7 @@ ones); identical calls return identical digraphs.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 
@@ -336,18 +337,44 @@ def make_near_tournament_extremal(n: int, r: int) -> Digraph:
     return Digraph(n, rows)
 
 
+# Ordered pairs per getrandbits call in _random_base; a chunk's lane arithmetic
+# holds a few 64-bit words per pair, about 1 MB at this size, whatever n is.
+_CHUNK = 1 << 15
+_LANE = b"\x01" + bytes(7)
+_M26, _M27 = (1 << 26) - 1, (1 << 27) - 1
+_NO_ARC = bytes.maketrans(b"\x00\x01", b"10")
+
+
 def _random_base(n: int, rng: random.Random) -> tuple[list[int], list[int]]:
-    """Out-rows and in-rows of a random digraph of a random density in [0.1, 0.9]."""
+    """Out-rows and in-rows of a random digraph of a random density in [0.1, 0.9].
+
+    Each ordered pair (u, v), u != v, in row-major order, is an arc when the
+    next rng.random() is below p.  CPython's random() is ((a >> 5) * 2^26 +
+    (b >> 6)) / 2^53 for its next two 32-bit words a, b, and getrandbits(64k)
+    packs the next 2k words first word lowest, so the 64-bit lanes of one
+    draw hold, in order, the coins of as many random() calls.  Per lane,
+    x = (a >> 5) << 26 | b >> 6 and random() < p exactly when x < ceil(p * 2^53),
+    i.e. when bit 53 of x + 2^53 - ceil(p * 2^53) is clear.
+    """
     p = rng.uniform(0.1, 0.9)
-    rand = rng.random
-    rows = [0] * n
-    cols = [0] * n
-    for u in range(n):
-        bit = 1 << u
-        for v in range(n):
-            if u != v and rand() < p:
-                rows[u] |= 1 << v
-                cols[v] |= bit
+    bias = (1 << 53) - math.ceil(p * (1 << 53))
+    getrandbits = rng.getrandbits
+    total = n * (n - 1)
+    coins = []
+    for start in range(0, total, _CHUNK):
+        lanes = min(_CHUNK, total - start)
+        ones = int.from_bytes(_LANE * lanes, "little")
+        w = getrandbits(64 * lanes)
+        x = ((w >> 5) & ones * _M27) << 26 | (w >> 38) & ones * _M26
+        # every lane of x + bias is below 2^54, so after >> 53 a lane's low
+        # byte is its bit 53
+        coins.append(((x + ones * bias) >> 53).to_bytes(8 * lanes, "little")[0::8])
+    flat = b"".join(coins).translate(_NO_ARC)
+    # n - 1 coins separate consecutive diagonal cells; reversed, row u reads
+    # as the binary number of its mask
+    cells = b"0".join([b"", *(flat[i:i + n] for i in range(0, total, n)), b""])[::-1]
+    rows = [int(cells[i:i + n], 2) for i in range(n * n - n, -1, -n)]
+    cols = [int(cells[i::n], 2) for i in range(n - 1, -1, -1)]
     return rows, cols
 
 
@@ -356,17 +383,26 @@ def _add_arcs(own: list[int], other: list[int], v: int, k: int, rng: random.Rand
 
     own and other are (rows, cols) to add out-arcs at v and (cols, rows) to add
     in-arcs.  The candidate list is built once, ascending, and loses only the
-    vertex drawn, since no other arc at v is added meanwhile.
+    vertex drawn, since no other arc at v is added meanwhile.  Each draw is
+    rng.choice's own rejection draw (random._randbelow_with_getrandbits),
+    written out, so the vertices drawn are those rng.choice would pick.
     """
     if k <= 0:
         return
     n = len(own)
-    options = list(bits(((1 << n) - 1) & ~(own[v] | 1 << v)))
-    for _ in range(k):
-        u = rng.choice(options)
-        options.remove(u)
-        own[v] |= 1 << u
+    row = own[v]
+    missed = ((1 << n) - 1) & ~(row | 1 << v)
+    options = [u for u in range(n) if missed >> u & 1]
+    getrandbits = rng.getrandbits
+    for m in range(len(options), len(options) - k, -1):
+        width = m.bit_length()
+        i = getrandbits(width)
+        while i >= m:
+            i = getrandbits(width)
+        u = options.pop(i)
+        row |= 1 << u
         other[u] |= 1 << v
+    own[v] = row
 
 
 def random_digraph_min_semidegree(n: int, dmin: int, seed: int) -> Digraph:
@@ -422,20 +458,27 @@ def random_digraph_total_min_degree(n: int, t: int, seed: int) -> Digraph:
     rng = random.Random(seed)
     rows, cols = _random_base(n, rng)
     full = (1 << n) - 1
+    rand, getrandbits = rng.random, rng.getrandbits
     for v in range(n):
         need = t - rows[v].bit_count() - cols[v].bit_count()
         if need <= 0:
             continue
         bit = 1 << v
-        out_opts = list(bits(full & ~(rows[v] | bit)))
-        in_opts = list(bits(full & ~(cols[v] | bit)))
+        out_miss, in_miss = full & ~(rows[v] | bit), full & ~(cols[v] | bit)
+        out_opts = [u for u in range(n) if out_miss >> u & 1]
+        in_opts = [u for u in range(n) if in_miss >> u & 1]
         for _ in range(need):
-            if out_opts and (not in_opts or rng.random() < 0.5):
+            if out_opts and (not in_opts or rand() < 0.5):
                 own, other, options = rows, cols, out_opts
             else:
                 own, other, options = cols, rows, in_opts
-            u = rng.choice(options)
-            options.remove(u)
+            # rng.choice's rejection draw, as in _add_arcs
+            m = len(options)
+            width = m.bit_length()
+            i = getrandbits(width)
+            while i >= m:
+                i = getrandbits(width)
+            u = options.pop(i)
             own[v] |= 1 << u
             other[u] |= bit
     return Digraph._from_rows(n, rows, cols)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ from tpack.core import (
     Digraph,
     DomainError,
     Tournament,
+    bits,
     ceil_frac,
     digraph_to_text,
     load_digraph_text,
@@ -144,10 +146,10 @@ def test_random_total_degree_meets_threshold(seed):
         assert total_min_degree(g) >= t
 
 
-def _generator_cases(kind):
+def _generator_cases(kind, orders=(*range(1, 13), 30, 45), seeds=range(20)):
     """(n, t, seed) over small orders and the sweep sizes 30 and 45, with t at
     0, n//2, n-1 and the thresholds (None is out-or-in's default ceil(2n/3))."""
-    for n in (*range(1, 13), 30, 45):
+    for n in orders:
         if kind == "semi":
             ts, top = {0, n // 2, ceil_frac(2 * n, 3), n - 1}, n - 1
         elif kind == "outin":
@@ -157,7 +159,7 @@ def _generator_cases(kind):
             top = 2 * (n - 1)
         for t in sorted(ts, key=lambda x: -1 if x is None else x):
             if 0 <= (ceil_frac(2 * n, 3) if t is None else t) <= top:
-                for seed in range(20):
+                for seed in seeds:
                     yield n, t, seed
 
 
@@ -209,6 +211,143 @@ def test_generator_in_rows_are_the_transpose(kind):
             sum(1 << u for u in range(n) if rows[u] >> v & 1) for v in range(n)
         ]
         assert g.num_arcs == sum(row.bit_count() for row in rows)
+
+
+# The generators as they were written with one rng.random() per coin and
+# rng.choice plus list.remove per drawn vertex; the bulk draw must give the
+# same hosts.
+def _reference_base(n, rng):
+    p = rng.uniform(0.1, 0.9)
+    rand = rng.random
+    rows = [0] * n
+    cols = [0] * n
+    for u in range(n):
+        bit = 1 << u
+        for v in range(n):
+            if u != v and rand() < p:
+                rows[u] |= 1 << v
+                cols[v] |= bit
+    return rows, cols
+
+
+def _reference_add_arcs(own, other, v, k, rng):
+    if k <= 0:
+        return
+    n = len(own)
+    options = list(bits(((1 << n) - 1) & ~(own[v] | 1 << v)))
+    for _ in range(k):
+        u = rng.choice(options)
+        options.remove(u)
+        own[v] |= 1 << u
+        other[u] |= 1 << v
+
+
+def _reference_semi(n, dmin, seed):
+    rng = random.Random(seed)
+    rows, cols = _reference_base(n, rng)
+    for v in range(n):
+        _reference_add_arcs(rows, cols, v, dmin - rows[v].bit_count(), rng)
+    for v in range(n):
+        _reference_add_arcs(cols, rows, v, dmin - cols[v].bit_count(), rng)
+    return rows, cols
+
+
+def _reference_outin(n, t, seed):
+    if t is None:
+        t = ceil_frac(2 * n, 3)
+    rng = random.Random(seed)
+    rows, cols = _reference_base(n, rng)
+    for v in range(n):
+        dout, din = rows[v].bit_count(), cols[v].bit_count()
+        if dout >= din:
+            _reference_add_arcs(rows, cols, v, t - dout, rng)
+        else:
+            _reference_add_arcs(cols, rows, v, t - din, rng)
+    return rows, cols
+
+
+def _reference_total(n, t, seed):
+    rng = random.Random(seed)
+    rows, cols = _reference_base(n, rng)
+    full = (1 << n) - 1
+    for v in range(n):
+        need = t - rows[v].bit_count() - cols[v].bit_count()
+        if need <= 0:
+            continue
+        bit = 1 << v
+        out_opts = list(bits(full & ~(rows[v] | bit)))
+        in_opts = list(bits(full & ~(cols[v] | bit)))
+        for _ in range(need):
+            if out_opts and (not in_opts or rng.random() < 0.5):
+                own, other, options = rows, cols, out_opts
+            else:
+                own, other, options = cols, rows, in_opts
+            u = rng.choice(options)
+            options.remove(u)
+            own[v] |= 1 << u
+            other[u] |= bit
+    return rows, cols
+
+
+_REFERENCES = {"semi": _reference_semi, "outin": _reference_outin, "total": _reference_total}
+
+
+def _assert_matches_reference(kind, n, t, seed):
+    g = _GENERATORS[kind](n, t, seed)
+    rows, cols = _REFERENCES[kind](n, t, seed)
+    assert (list(g._out), list(g._in)) == (rows, cols), (kind, n, t, seed)
+
+
+@pytest.mark.parametrize("kind", sorted(_GENERATORS))
+def test_generators_match_per_call_reference(kind):
+    """Same out-rows and in-rows as one rng call per coin and per draw, on the
+    pinned cases, on every order 13..49 and on an n = 300 host, whose
+    n(n-1) coins take three getrandbits chunks."""
+    for n, t, seed in _generator_cases(kind):
+        _assert_matches_reference(kind, n, t, seed)
+    for n, t, seed in _generator_cases(kind, orders=range(13, 50), seeds=range(3)):
+        _assert_matches_reference(kind, n, t, seed)
+    _assert_matches_reference(kind, 300, 200 if kind != "total" else 400, 5)
+
+
+def test_cpython_stream_contract():
+    """The bulk draws rely on CPython's Mersenne Twister contract: random()
+    is ((a >> 5) * 2^26 + (b >> 6)) / 2^53 for its next two 32-bit words a,
+    b; getrandbits(32k) packs the next k words, first word lowest; choice(seq)
+    is seq[i] for the first getrandbits(len(seq).bit_length()) draw below
+    len(seq)."""
+    contract = "CPython's random()/getrandbits()/choice() stream contract changed"
+    for s in range(1000):
+        w = random.Random(s).getrandbits(64)
+        rebuilt = ((w & 0xFFFFFFFF) >> 5 << 26 | w >> 38) / (1 << 53)
+        assert random.Random(s).random() == rebuilt, contract
+        a, b = random.Random(s), random.Random(s)
+        assert a.getrandbits(192) == sum(b.getrandbits(32) << 32 * i for i in range(6)), contract
+    for m in range(1, 65):
+        items = list(range(100, 100 + m))
+        a, b = random.Random(m), random.Random(m)
+        getrandbits = b.getrandbits
+        width = m.bit_length()
+        for _ in range(20):
+            i = getrandbits(width)
+            while i >= m:
+                i = getrandbits(width)
+            assert a.choice(items) == items[i], contract
+
+
+def test_large_generators_bounded_memory():
+    """n(n-1) coins are drawn in chunks of 2^15, so an n = 600 host peaks
+    at a few MB of traced allocation (one draw of all 359,400 coins peaked at
+    about 20 MB)."""
+    for kind, n, t in (("outin", 600, None), ("semi", 600, 400)):
+        tracemalloc.start()
+        try:
+            g = _GENERATORS[kind](n, t, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20, (kind, peak)
+        assert (list(g._out), list(g._in)) == _REFERENCES[kind](n, t, 3)
 
 
 def test_random_generators_deterministic():
