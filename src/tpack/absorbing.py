@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import Digraph, DomainError, Embedding, InvariantViolation, bits, mask_of, spans_copy
 from .solver import (
@@ -95,13 +95,12 @@ def count_connectors(g: Digraph, pattern: Digraph, x: int, y: int,
 
 @dataclass(frozen=True)
 class AbsorberFamily:
-    """Pairwise-disjoint verified absorbers plus their probe bookkeeping."""
+    """Pairwise-disjoint verified absorbers and the parameters that drew them."""
 
     n: int
     pattern_order: int
     absorbers: tuple[tuple[int, ...], ...]
     absorber_size: int
-    hits: dict[tuple[int, ...], tuple[int, ...]] = field(compare=False)
     xi: float = 0.0
     seed: int = 0
 
@@ -152,7 +151,6 @@ def build_absorbing_family(g: Digraph, pattern_or_family, xi: float, samples: in
         if cap < 1:
             continue
         kept: list[tuple[int, ...]] = []
-        hits: dict[tuple[int, ...], list[int]] = {}
         used = 0
         for _ in range(samples):
             cand = tuple(sorted(rng.sample(range(n), size)))
@@ -162,17 +160,12 @@ def build_absorbing_family(g: Digraph, pattern_or_family, xi: float, samples: in
             probe_sets = [
                 tuple(sorted(rng.sample(outside, r))) for _ in range(_PROBES)
             ]
-            good = [q for q in probe_sets
-                    if is_absorbing(g, fam, cand, q, budget)]
-            if not good:
+            if not any(is_absorbing(g, fam, cand, q, budget) for q in probe_sets):
                 continue
             if cmask & used:
                 continue
-            idx = len(kept)
             kept.append(cand)
             used |= cmask
-            for q in good:
-                hits.setdefault(q, []).append(idx)
             if len(kept) >= cap:
                 break
         if kept:
@@ -181,7 +174,6 @@ def build_absorbing_family(g: Digraph, pattern_or_family, xi: float, samples: in
                 pattern_order=r,
                 absorbers=tuple(kept),
                 absorber_size=size,
-                hits={q: tuple(ix) for q, ix in hits.items()},
                 xi=xi,
                 seed=seed,
             )

@@ -251,7 +251,7 @@ def _cmd_turan(args) -> int:
             "alpha": args.alpha,
             "bound": res.bound,
             "embedding": _embedding_json(res.embedding),
-            "independent": list(res.independent) if res.independent else None,
+            "independent": None if res.independent is None else list(res.independent),
         }
     else:  # consistent
         res = consistent_or_independent(g, args.r, args.alpha)
@@ -261,7 +261,7 @@ def _cmd_turan(args) -> int:
             "alpha": args.alpha,
             "bound": res.bound,
             "embedding": _embedding_json(res.embedding),
-            "independent": list(res.independent) if res.independent else None,
+            "independent": None if res.independent is None else list(res.independent),
             "states": [
                 {"vertices": list(s.vertices), "turning": s.turning}
                 for s in res.states
@@ -291,7 +291,7 @@ def _cmd_complex(args) -> int:
 
 
 def _family_to_json(fam: AbsorberFamily) -> dict:
-    return {f.name: getattr(fam, f.name) for f in fields(fam) if f.name != "hits"}
+    return {f.name: getattr(fam, f.name) for f in fields(fam)}
 
 
 def _family_from_json(d) -> AbsorberFamily:
@@ -299,10 +299,9 @@ def _family_from_json(d) -> AbsorberFamily:
         raise DomainError("family file must hold a JSON object")
     kw = {}
     for f in fields(AbsorberFamily):
-        if f.name != "hits":
-            if f.name not in d:
-                raise DomainError(f"family file has no {f.name!r} field")
-            kw[f.name] = d[f.name]
+        if f.name not in d:
+            raise DomainError(f"family file has no {f.name!r} field")
+        kw[f.name] = d[f.name]
     for name, x in kw.items():
         if name == "absorbers":
             kind = "a list of integer lists"
@@ -316,7 +315,7 @@ def _family_from_json(d) -> AbsorberFamily:
         if not ok:
             raise DomainError(f"family file's {name!r} field must be {kind}")
     kw["absorbers"] = tuple(tuple(a) for a in kw["absorbers"])
-    return AbsorberFamily(hits={}, **kw)
+    return AbsorberFamily(**kw)
 
 
 def _cmd_absorb(args) -> int:

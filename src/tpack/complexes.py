@@ -14,9 +14,9 @@ from .core import (
     DomainError,
     InvariantViolation,
     Tournament,
+    _first_per_class,
     at_least,
     bits,
-    canonical_tournament_key,
     copy_masks,
     mask_of,
     spans_copy,
@@ -50,19 +50,8 @@ class Complex:
 
 def subtournaments_by_size(t: Tournament) -> list[list[Digraph]]:
     """Induced subtournaments of t, one per isomorphism class, indexed by order."""
-    out: list[list[Digraph]] = [[] for _ in range(t.n + 1)]
-    for i in range(t.n + 1):
-        seen = set()
-        for sub in itertools.combinations(range(t.n), i):
-            induced, _ = t.induced(sub)
-            if i == 0:
-                key = ()
-            else:
-                key = canonical_tournament_key(induced)
-            if key not in seen:
-                seen.add(key)
-                out[i].append(induced)
-    return out
+    return [_first_per_class(t.induced(sub)[0] for sub in itertools.combinations(range(t.n), i))
+            for i in range(t.n + 1)]
 
 
 def build_complex(g: Digraph, t: Tournament) -> Complex:

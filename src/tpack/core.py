@@ -14,6 +14,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from operator import eq
+from typing import Iterable
 
 
 class DomainError(ValueError):
@@ -310,28 +311,35 @@ def canonical_tournament_key(t: Digraph) -> tuple[int, ...]:
     return best
 
 
+def _first_per_class(tournaments: Iterable[Digraph]) -> list:
+    """The first tournament of each canonical_tournament_key class, in order."""
+    seen: set[tuple[int, ...]] = set()
+    out = []
+    for t in tournaments:
+        key = canonical_tournament_key(t)
+        if key not in seen:
+            seen.add(key)
+            out.append(t)
+    return out
+
+
 def all_tournaments(r: int, up_to_iso: bool = True) -> list[Tournament]:
     """Every tournament on r vertices, one representative per isomorphism class by default."""
     if r < 1:
         raise DomainError("tournament order must be positive")
     pairs = list(itertools.combinations(range(r), 2))
-    seen: set[tuple[int, ...]] = set()
-    out: list[Tournament] = []
-    for choice in itertools.product((0, 1), repeat=len(pairs)):
-        rows = [0] * r
-        for (u, v), flip in zip(pairs, choice):
-            if flip:
-                rows[v] |= 1 << u
-            else:
-                rows[u] |= 1 << v
-        t = Tournament(r, rows)
-        if up_to_iso:
-            key = canonical_tournament_key(t)
-            if key in seen:
-                continue
-            seen.add(key)
-        out.append(t)
-    return out
+
+    def every():
+        for choice in itertools.product((0, 1), repeat=len(pairs)):
+            rows = [0] * r
+            for (u, v), flip in zip(pairs, choice):
+                if flip:
+                    rows[v] |= 1 << u
+                else:
+                    rows[u] |= 1 << v
+            yield Tournament(r, rows)
+
+    return _first_per_class(every()) if up_to_iso else list(every())
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
     Digraph,
@@ -155,15 +155,14 @@ class SweepReport:
 # exhaustive complement enumeration
 
 
-def _last_need(
-    rows: tuple[tuple[int, int], ...] | None, put: list[int], last: int
-) -> int | None:
-    """The need row at vertex ``last`` (0 when it has none) if the rows put
-    at the other vertices miss every need row, else None."""
-    if rows is None:
+def _last_need(kept: Sequence, put: list[int], last: int) -> int | None:
+    """The row that the front of ``kept`` needs at vertex ``last`` (0 when
+    none) if the rows put at the other vertices miss every row it needs,
+    else None; None too when ``kept`` is empty."""
+    if not kept:
         return None
     tail = 0
-    for u, want in rows:
+    for u, want in kept[0]:
         if u == last:
             tail = want
         elif put[u] & want:
@@ -172,8 +171,7 @@ def _last_need(
 
 
 def _complements(
-    n: int, options: list[list[int]], capped: int, cap: int,
-    need: list | None = None,
+    n: int, options: list[list[int]], capped: int, cap: int, kept: Sequence = ()
 ) -> Iterator[Digraph | None]:
     """Every host K_n minus C, where C takes vertex v's out-row from
     ``options[v]`` (in order) and each vertex in the mask ``capped`` misses
@@ -185,32 +183,28 @@ def _complements(
     v's row flips bit v of the in-rows named by the old row XOR the new one.
 
     The last vertex's allowed options are its node's hosts, taken in one
-    loop.  ``need`` is a one-item list holding None or the (vertex, row)
-    pairs of check._packing_rows, which the consumer may replace between
-    hosts.  A host's out-row contains a need row exactly when its
-    complement row misses it, so at that node the rows put at vertices
-    0..n-2 are tested against the need once, and each option with one AND.
-    A host that contains every need row (check._fits holds) is yielded as
-    None: no in-row is flipped and no Digraph built.  The need is read
-    again when it changes.  Without ``need`` every host is built.
+    loop.  ``kept`` is the consumer's list of need rows (check._packing_rows),
+    which it may change only after a host the walk built, and the walk
+    reads only its front.  A host's out-row contains a need row exactly
+    when its complement row misses it, so the rows put at vertices 0..n-2
+    are tested against the front on entering that node and again after
+    each built host, and each option with one AND.  A host that contains
+    every need row of the front (check._fits holds) is yielded as None: no
+    in-row is flipped and no Digraph built.  With ``kept`` empty every
+    host is built.
     """
     full = (1 << n) - 1
     out = [full ^ (1 << v) for v in range(n)]
     in_rows, nxt, put = out[:], [0] * n, [0] * n
     hit = [0 if cap else capped] + [0] * n
-    if need is None:
-        need = [None]
     last, v = n - 1, 0
     while v >= 0:
         opts, i, bit = options[v], nxt[v], 1 << v
         if v == last:
-            rows = tail = None
+            tail = _last_need(kept, put, last)
             for row in opts:
                 if row & hit[v]:
                     continue
-                if need[0] is not rows:
-                    rows = need[0]
-                    tail = _last_need(rows, put, last)
                 if tail is not None and not row & tail:
                     yield None
                     continue
@@ -221,6 +215,7 @@ def _complements(
                     flip ^= low
                 out[v] = full ^ bit ^ row
                 yield Digraph._from_rows(n, out, in_rows)
+                tail = _last_need(kept, put, last)
             i = len(opts)  # node done: undo its row below and step back
         while i < len(opts) and opts[i] & hit[v]:
             i += 1
@@ -255,7 +250,7 @@ def _deficiency(n: int, threshold: int) -> int:
 
 
 def iter_min_semidegree_hosts(
-    n: int, dmin: int, need: list | None = None
+    n: int, dmin: int, kept: Sequence = ()
 ) -> Iterator[Digraph | None]:
     """Every digraph on n vertices with min semidegree at least dmin.
 
@@ -263,14 +258,14 @@ def iter_min_semidegree_hosts(
     (dmin at least n-2); larger deficiencies are refused.  The complements
     are the loop-free partial injections: each vertex misses no out-arc or
     one, and every vertex is capped.  At deficiency 0 only the empty row is
-    offered, since every other one would be refused.  ``need`` goes to
-    _complements: a host that contains its rows comes as None.
+    offered, since every other one would be refused.  ``kept`` goes to
+    _complements: a host that contains its front need rows comes as None.
     """
     slack = _deficiency(n, dmin)
     if slack < 0:
         return
     rows = [[0] + [1 << w for w in range(n) if w != v] if slack else [0] for v in range(n)]
-    yield from _complements(n, rows, (1 << n) - 1, slack, need)
+    yield from _complements(n, rows, (1 << n) - 1, slack, kept)
 
 
 #: the largest order iter_out_or_in_hosts enumerates: its n * 2^n row
@@ -279,14 +274,14 @@ _OUT_OR_IN_MAX_N = 16
 
 
 def iter_out_or_in_hosts(
-    n: int, t: int, need: list | None = None
+    n: int, t: int, kept: Sequence = ()
 ) -> Iterator[Digraph | None]:
     """Every digraph where each vertex has out-degree >= t or in-degree >= t.
 
     Same feasibility rule as iter_min_semidegree_hosts.  Cases are split by
     the exact witness set W of vertices missing at most cap = n-1-t out-arcs:
     rows in W are light (at most cap arcs), rows outside W heavy, and the
-    vertices outside W are capped.  ``need`` goes to _complements, as in
+    vertices outside W are capped.  ``kept`` goes to _complements, as in
     iter_min_semidegree_hosts.  Orders above _OUT_OR_IN_MAX_N (16) are
     refused before any row list is built.
     """
@@ -304,7 +299,7 @@ def iter_out_or_in_hosts(
     heavy = [[m for m in r if m.bit_count() > cap] for r in rows]
     for wmask in range(1 << n):
         options = [light[v] if wmask >> v & 1 else heavy[v] for v in range(n)]
-        yield from _complements(n, options, full ^ wmask, cap, need)
+        yield from _complements(n, options, full ^ wmask, cap, kept)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +372,7 @@ def _sweep(
 
     ``pattern`` and ``threshold`` are evaluated once r and n are known to
     be valid.  Hosts come from ``random_host(threshold, child_seed)`` or,
-    in exhaustive mode, from ``all_hosts(threshold, need)``; ``None`` makes
+    in exhaustive mode, from ``all_hosts(threshold, kept)``; ``None`` makes
     the condition sampling-only.  ``fast(g)`` returns a perfect packing, which
     skips the exact solver, or a falsy value when it gave up; only the exact
     solver can declare non-existence.  Every packing, from ``fast`` or the
@@ -387,20 +382,20 @@ def _sweep(
     host packed, without ``fast`` or the solver, when some kept packing
     fits it (check._fits): every host has order n, so that is when the
     packing passes verify_packing on it.  The first that fits moves to the
-    front (_fit_to_front).  The front is the one item of ``need``, and the
-    enumerator yields a host it fits as None, unbuilt (_complements); a
-    built host is tested against every kept packing, so a source that
-    builds every host gives the same report.  The hosts that reach
-    ``fast`` and the solver, those that no packing counted before them
-    fits, do not depend on the order (see SweepReport).  Random hosts are
-    independent, so random mode keeps nothing.  A host's label is
-    formatted only for a counterexample.
+    front (_fit_to_front).  The enumerator reads the front of ``kept`` and
+    yields a host it fits as None, unbuilt (_complements); only a built
+    host changes the list, and it is tested against every kept packing,
+    so a source that builds every host gives the same report.  The hosts
+    that reach ``fast`` and the solver, those that no packing counted
+    before them fits, do not depend on the order (see SweepReport).
+    Random hosts are independent, so random mode keeps nothing.  A host's
+    label is formatted only for a counterexample.
     """
     _check_order(r, n)
     p = pattern()
     t = threshold()
     family = normalize_patterns(p)
-    need: list = [None]
+    kept: list = []  # the need rows of every packing counted, front first
     if mode == "random":
         if not 0 <= samples < _SEED_STRIDE:
             raise DomainError(
@@ -409,7 +404,7 @@ def _sweep(
         hosts = (random_host(t, _derived_seed(seed, i)) for i in range(samples))
         prefix = "sample"
     elif mode == "exhaustive" and all_hosts is not None:
-        hosts, prefix = all_hosts(t, need), "enum"
+        hosts, prefix = all_hosts(t, kept), "enum"
     else:
         raise DomainError(f"unknown mode {mode!r}")
     params = {
@@ -426,11 +421,9 @@ def _sweep(
     examined = packed = over = 0
     cexs: list[Counterexample] = []
     reuse = mode == "exhaustive"
-    kept: list = []  # the need rows of every packing counted, front first
     for i, g in enumerate(hosts):
         examined += 1
         if g is None or _fit_to_front(kept, g):
-            need[0] = kept[0]
             packed += 1
             continue
         packing = fast(g) if fast is not None else None
@@ -443,7 +436,6 @@ def _sweep(
             packed += 1
             if reuse:
                 kept.insert(0, _packing_rows(packing, family))
-                need[0] = kept[0]
         elif cert.verdict == BUDGET_EXCEEDED:
             over += 1
         else:
@@ -486,7 +478,7 @@ def sweep_semidegree(
         threshold=lambda: ceil_frac((r - 1) * n, r),
         scope=SCOPE_ASYMPTOTIC,
         random_host=lambda t, s: random_digraph_min_semidegree(n, t, s),
-        all_hosts=lambda t, need: iter_min_semidegree_hosts(n, t, need),
+        all_hosts=lambda t, kept: iter_min_semidegree_hosts(n, t, kept),
         mode=mode, samples=samples, seed=seed, budget=budget,
     )
 
@@ -534,7 +526,7 @@ def sweep_out_or_in(
         threshold=lambda: ceil_frac((r - 1) * n, r),
         scope=SCOPE_ALL_ORDERS if r == 3 else SCOPE_CONJECTURED,
         random_host=lambda t, s: random_digraph_out_or_in(n, s, t),
-        all_hosts=lambda t, need: iter_out_or_in_hosts(n, t, need),
+        all_hosts=lambda t, kept: iter_out_or_in_hosts(n, t, kept),
         mode=mode, samples=samples, seed=seed, budget=budget,
         fast=t3_packs if r == 3 else None,
     )

@@ -236,19 +236,13 @@ def consistent_or_independent(g: Digraph, r: int, alpha: float) -> ConsistentRes
         return cand
 
     while len(chain) < r - 2:
+        # every vertex meets the out-or-in bound, so any candidate may join
         cand = neighbourhood()
-        pick = None
-        for v in bits(cand):
-            if at_least(g.d_out(v), deg_bound) or at_least(g.d_in(v), deg_bound):
-                pick = v
-                break
-        if pick is None:
+        if not cand:
             raise InvariantViolation("no insertable vertex for the consistent chain")
-        if at_least(g.d_out(pick), deg_bound):
-            chain.insert(turning, pick)
-            turning += 1
-        else:
-            chain.insert(turning, pick)
+        pick = (cand & -cand).bit_length() - 1
+        chain.insert(turning, pick)
+        turning += at_least(g.d_out(pick), deg_bound)
         states.append(ConsistentTransitive(tuple(chain), turning))
 
     final = neighbourhood()

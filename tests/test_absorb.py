@@ -120,7 +120,6 @@ def test_assignment_failure_surfaces():
         pattern_order=3,
         absorbers=((0, 1, 2, 3, 4, 5),),
         absorber_size=6,
-        hits={},
     )
     with pytest.raises(AssignmentFailed):
         absorb(Digraph.empty(36), Tournament.transitive(3), family, (6, 7, 8))
@@ -149,7 +148,6 @@ def test_family_mask_bookkeeping():
         pattern_order=3,
         absorbers=((0, 1, 2), (3, 4, 5)),
         absorber_size=3,
-        hits={},
     )
     assert family.m_vertices == (0, 1, 2, 3, 4, 5)
     assert family.is_disjoint()
@@ -158,7 +156,6 @@ def test_family_mask_bookkeeping():
         pattern_order=3,
         absorbers=((0, 1, 2), (2, 3, 4)),
         absorber_size=3,
-        hits={},
     )
     assert not clash.is_disjoint()
 

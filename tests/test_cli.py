@@ -106,6 +106,18 @@ def test_turan_ops(tmp_path, capsys):
     assert all({"vertices", "turning"} <= set(s) for s in doc["states"])
 
 
+def test_turan_ops_print_an_empty_independent_set(tmp_path, capsys):
+    # each vertex v sends arcs to v + 1 and v + 2 mod 4; at r = 5 both
+    # dichotomies answer with the empty independent set
+    rows = [0b0110, 0b1100, 0b1001, 0b0011]
+    path = write_graph(tmp_path, Digraph(4, rows))
+    for op in ("independent", "consistent"):
+        code, out, _ = run(capsys, "turan", "--graph", path, "--op", op, "--r", "5",
+                           "--tournament", "t5", "--alpha", "0.4")
+        doc = json.loads(out)
+        assert code == 0 and doc["embedding"] is None and doc["independent"] == [], op
+
+
 def test_complex_report(tmp_path, capsys):
     path = write_graph(tmp_path, make_c3_blowup(9, 0)[0])
     code, out, _ = run(capsys, "complex", "--graph", path, "--tournament", "t3")

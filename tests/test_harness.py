@@ -227,8 +227,9 @@ def test_exhaustive_semidegree_sweep_n6(monkeypatch):
 
 def test_the_walk_skips_exactly_the_hosts_the_need_rows_fit(monkeypatch):
     # the walk yields None in place of a host whose out-rows contain the
-    # need rows; every other host must equal the plain walk's, and the need
-    # may be replaced, or emptied, between any two hosts
+    # need rows at the front of ``kept``; every other host must equal the
+    # plain walk's, and, as in the sweep, the list may be reordered,
+    # replaced or emptied after any host the walk builds
     t3 = (Tournament.transitive(3),)
     spaces = [(iter_min_semidegree_hosts, 6600), (iter_out_or_in_hosts, 10**5)]
     for space, count in spaces:
@@ -236,19 +237,20 @@ def test_the_walk_skips_exactly_the_hosts_the_need_rows_fit(monkeypatch):
         needs = [check._packing_rows(harness.find_perfect_family_packing(
             g, t3, 100).packing, t3) for g in itertools.islice(space(6, 4), 0, count, count // 5)]
         assert len(set(needs)) > 1
-        schedule = needs + [None]
-        need = [None]
-        walk = itertools.islice(space(6, 4, need), count)
+        # each turn brings another need to the front; the last empties the list
+        schedule = [needs[j:] + needs[:j] for j in range(len(needs))] + [[]]
+        kept = []
+        walk = itertools.islice(space(6, 4, kept), count)
         skipped = built = 0
-        for i, (g, h) in enumerate(itertools.zip_longest(plain, walk, fillvalue="end")):
-            if need[0] is not None and check._fits(need[0], g):
+        for g, h in itertools.zip_longest(plain, walk, fillvalue="end"):
+            if kept and check._fits(kept[0], g):
                 assert h is None
                 skipped += 1
-            else:
-                assert (h._out, h._in, h.num_arcs) == (g._out, g._in, g.num_arcs)
-                built += 1
-            if i % 997 == 3:
-                need[0] = schedule[i // 997 % len(schedule)]
+                continue
+            assert (h._out, h._in, h.num_arcs) == (g._out, g._in, g.num_arcs)
+            built += 1
+            if built % 97 == 3:
+                kept[:] = schedule[built // 97 % len(schedule)]
         assert skipped and built and skipped + built == count
 
     # the sweep builds only the hosts that the front packing misses (575),
@@ -259,8 +261,8 @@ def test_the_walk_skips_exactly_the_hosts_the_need_rows_fit(monkeypatch):
     real = harness.iter_min_semidegree_hosts
     hosts = []
 
-    def recorded(n, t, need=None):
-        for g in real(n, t, need):
+    def recorded(n, t, kept=()):
+        for g in real(n, t, kept):
             if g is not None:
                 hosts.append(g)
             yield g
@@ -536,9 +538,9 @@ def test_a_host_the_last_packing_misses_reaches_the_solver(monkeypatch):
                                     if arc != (e.image[a], e.image[b])])
     empty = Digraph.empty(6)
     hosts = [k6, lacking, lacking, empty]
-    # a source that ignores the need rows builds every host, as this one does
+    # a source that ignores the kept need rows builds every host, as this one does
     monkeypatch.setattr(harness, "iter_min_semidegree_hosts",
-                        lambda n, t, need=None: iter(hosts))
+                        lambda n, t, kept=(): iter(hosts))
     solved.clear()
     rep = sweep_semidegree(3, T3, 6, mode="exhaustive")
     # the third host takes the second's packing; the packless one is solved
@@ -589,7 +591,7 @@ def test_t3_first_fit_returns_a_verified_packing_or_none():
 def test_exhaustive_out_or_in_sweep_reuses_both_fast_packers(monkeypatch):
     real_hosts = harness.iter_out_or_in_hosts
     monkeypatch.setattr(harness, "iter_out_or_in_hosts",
-                        lambda n, t, need=None: itertools.islice(real_hosts(n, t, need), 3000))
+                        lambda n, t, kept=(): itertools.islice(real_hosts(n, t, kept), 3000))
     calls = _recorded(monkeypatch, "_t3_first_fit", SOLVE)
     # the fast path runs only on hosts that no packing counted earlier fits
     # (67 first-fit and 66 local-search calls when only the last was tried)

@@ -11,6 +11,7 @@ from tpack.core import (
     Digraph,
     DomainError,
     FLOAT_SLACK,
+    InvariantViolation,
     Tournament,
     all_tournaments,
     at_least,
@@ -18,6 +19,7 @@ from tpack.core import (
     mask_of,
     min_semidegree,
 )
+from tpack import turan
 from tpack.turan import (
     consistent_or_independent,
     count_copies,
@@ -170,6 +172,55 @@ def test_independent_or_copy_random_hosts():
             assert common <= set(res.candidates.b_set)
 
 
+def test_independent_or_copy_a_only_clique_branch(monkeypatch):
+    # the branch runs when no arc leads from an a-candidate to a
+    # b-candidate; it closes a copy on a doubled r-clique among the a-only
+    # candidates, and otherwise the common candidates are the answer
+    cliques = []
+
+    def recorded(graph, size, cand_mask=None, _real=turan._find_clique):
+        found = _real(graph, size, cand_mask)
+        if cand_mask is not None:
+            cliques.append(found)
+        return found
+
+    monkeypatch.setattr(turan, "_find_clique", recorded)
+
+    def check(g, pattern, alpha):
+        res = independent_or_copy(g, pattern, alpha)
+        if res.embedding is not None:
+            assert res.embedding.is_valid(g)
+        else:
+            assert g.arcs_inside(mask_of(res.independent)) == 0
+            assert len(res.independent) >= res.bound - (pattern.n - 2) - FLOAT_SLACK
+        return res
+
+    # every 4-vertex host of min semidegree 2, at alpha 0: the branch runs
+    # on nine of them and finds no clique, so each gives an independent set
+    pairs = list(itertools.permutations(range(4), 2))
+    reached = 0
+    for pattern in all_tournaments(3):
+        for arcs in range(1 << len(pairs)):
+            g = Digraph.from_arcs(4, [e for i, e in enumerate(pairs) if arcs >> i & 1])
+            if min_semidegree(g) >= 2:
+                before = len(cliques)
+                res = check(g, pattern, 0.0)
+                if len(cliques) > before:
+                    reached += 1
+                    assert res.kind == "independent"
+    assert reached == 9 and cliques == [None] * 9
+
+    # the cyclic triangle's third vertex goes to 0, whose out-neighbours
+    # 1..8 (a doubled clique) send no arc to its in-neighbours 9..16; the
+    # a-only clique closes the copy
+    n, a, b = 18, mask_of(range(1, 9)), mask_of(range(9, 17))
+    rows = [a] + [(a | 1 << 17) ^ 1 << v for v in range(1, 9)]
+    rows += [(1 | a | b | 1 << 17) ^ 1 << v for v in range(9, 17)] + [a | b]
+    cliques.clear()
+    res = check(Digraph(n, rows), Tournament.cyclic_triangle(), 1 / 18)
+    assert cliques == [(1, 2, 3)] and res.embedding.image == (1, 2, 3)
+
+
 def test_independent_or_copy_outputs_are_pinned():
     """Copies, independent sets, bounds and candidate sets on relabelled
     one-way blow-ups with extra arcs, each at an alpha that meets the
@@ -245,3 +296,38 @@ def test_consistent_random_hosts():
             assert g.arcs_inside(mask_of(res.independent)) == 0
         for state in res.states:
             assert state.is_consistent(g, bound)
+
+
+def test_consistent_or_independent_outputs_are_pinned():
+    """Copies, independent sets, bounds and chain states on seeded hosts
+    whose vertices lean out-heavy, in-heavy or neither, each at an alpha
+    that meets the out-or-in precondition; a chain with no common
+    neighbour left is recorded as refused.  The sha256 was computed while
+    the chain step still re-tested the degree bound of each candidate."""
+    rng = random.Random(37)
+    out = []
+    for _ in range(600):
+        n, r = rng.randint(4, 14), rng.randint(3, 6)
+        lean = [rng.choice((0.2, 0.5, 0.8)) for _ in range(n)]
+        p = rng.choice((0.3, 0.5, 0.7, 0.9))
+        rows = [0] * n
+        for u in range(n):
+            for v in range(n):
+                if u != v and rng.random() < min(1.0, p * 2 * lean[u] * (1 - lean[v]) + p * 0.5):
+                    rows[u] |= 1 << v
+        g = Digraph(n, rows)
+        best = min(max(g.d_out(v), g.d_in(v)) for v in range(n))
+        alpha = max(0.0, 1 - 1 / (r - 1) - best / n) + rng.choice((0.0, 0.01, 0.1))
+        try:
+            res = consistent_or_independent(g, r, alpha)
+        except InvariantViolation as exc:
+            out.append(["violation", str(exc)])
+            continue
+        out.append([res.kind, res.embedding and res.embedding.image, res.independent,
+                    res.bound, [[s.vertices, s.turning] for s in res.states]])
+    assert sorted(Counter(row[0] for row in out).items()) == [
+        ("copy", 324), ("independent", 188), ("violation", 88)]
+    turnings = Counter(s[1] for row in out if row[0] != "violation" for s in row[4])
+    assert turnings[0] and turnings[1]
+    assert hashlib.sha256(json.dumps(out).encode()).hexdigest() == (
+        "812c005a5974dcad84ceb8b56604055e10d3df54271779e4a8fb71dbb28eeceb")
