@@ -6,6 +6,7 @@ ones); identical calls return identical digraphs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -343,6 +344,21 @@ _CHUNK = 1 << 15
 _LANE = b"\x01" + bytes(7)
 _M26, _M27 = (1 << 26) - 1, (1 << 27) - 1
 _NO_ARC = bytes.maketrans(b"\x00\x01", b"10")
+_BIT = bytes.maketrans(b"01", b"\x00\x01")
+
+
+@functools.lru_cache(maxsize=4)
+def _lane_masks(lanes: int) -> tuple[int, int, int]:
+    """Bit 0, the low 27 bits and the low 26 bits of each of this many 64-bit
+    lanes; a host needs at most two lane counts, _CHUNK and the remainder."""
+    ones = int.from_bytes(_LANE * lanes, "little")
+    return ones, ones * _M27, ones * _M26
+
+
+def _candidates(missed: int, n: int) -> list[int]:
+    """list(bits(missed)) for missed < 2^n, read off its binary digits."""
+    digits = bin(missed | 1 << n)[:2:-1].encode().translate(_BIT)
+    return list(itertools.compress(range(n), digits))
 
 
 def _random_base(n: int, rng: random.Random) -> tuple[list[int], list[int]]:
@@ -363,9 +379,9 @@ def _random_base(n: int, rng: random.Random) -> tuple[list[int], list[int]]:
     coins = []
     for start in range(0, total, _CHUNK):
         lanes = min(_CHUNK, total - start)
-        ones = int.from_bytes(_LANE * lanes, "little")
+        ones, m27, m26 = _lane_masks(lanes)
         w = getrandbits(64 * lanes)
-        x = ((w >> 5) & ones * _M27) << 26 | (w >> 38) & ones * _M26
+        x = ((w >> 5) & m27) << 26 | (w >> 38) & m26
         # every lane of x + bias is below 2^54, so after >> 53 a lane's low
         # byte is its bit 53
         coins.append(((x + ones * bias) >> 53).to_bytes(8 * lanes, "little")[0::8])
@@ -390,9 +406,8 @@ def _add_arcs(own: list[int], other: list[int], v: int, k: int, rng: random.Rand
     if k <= 0:
         return
     n = len(own)
-    row = own[v]
-    missed = ((1 << n) - 1) & ~(row | 1 << v)
-    options = [u for u in range(n) if missed >> u & 1]
+    row, bit = own[v], 1 << v
+    options = _candidates(((1 << n) - 1) & ~(row | bit), n)
     getrandbits = rng.getrandbits
     for m in range(len(options), len(options) - k, -1):
         width = m.bit_length()
@@ -401,7 +416,7 @@ def _add_arcs(own: list[int], other: list[int], v: int, k: int, rng: random.Rand
             i = getrandbits(width)
         u = options.pop(i)
         row |= 1 << u
-        other[u] |= 1 << v
+        other[u] |= bit
     own[v] = row
 
 
@@ -464,9 +479,8 @@ def random_digraph_total_min_degree(n: int, t: int, seed: int) -> Digraph:
         if need <= 0:
             continue
         bit = 1 << v
-        out_miss, in_miss = full & ~(rows[v] | bit), full & ~(cols[v] | bit)
-        out_opts = [u for u in range(n) if out_miss >> u & 1]
-        in_opts = [u for u in range(n) if in_miss >> u & 1]
+        out_opts = _candidates(full & ~(rows[v] | bit), n)
+        in_opts = _candidates(full & ~(cols[v] | bit), n)
         for _ in range(need):
             if out_opts and (not in_opts or rand() < 0.5):
                 own, other, options = rows, cols, out_opts

@@ -320,7 +320,8 @@ def _pattern_name(p: Digraph) -> str:
     return f"tournament-{t.n}v"
 
 
-# child seeds are seed * stride + index, distinct while index < stride
+# child seeds are seed * stride + index, distinct while index < stride and
+# seed >= 0 (random.Random(-x) seeds exactly as random.Random(x))
 _SEED_STRIDE = 1_000_003
 
 
@@ -401,6 +402,8 @@ def _sweep(
             raise DomainError(
                 f"samples must lie in [0, {_SEED_STRIDE}), got {samples}"
             )
+        if seed < 0:
+            raise DomainError(f"seed must be non-negative, got {seed}")
         hosts = (random_host(t, _derived_seed(seed, i)) for i in range(samples))
         prefix = "sample"
     elif mode == "exhaustive" and all_hosts is not None:

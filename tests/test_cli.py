@@ -270,6 +270,11 @@ def test_error_exit_codes(tmp_path, capsys):
     code, out, err = run(capsys, "verify", "krtotal", "--samples", "1000003")
     assert code == 1 and "error:" in err and "samples" in err and not out
 
+    # report seeds s and -s would derive the same hosts
+    code, out, err = run(capsys, "verify", "outin", "--r", "3", "--n", "6", "--seed", "-1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1 and "seed" in err
+
 
 _GEN = [
     (["blowup", "--n", "12", "--c", "1"], lambda: cons.make_c3_blowup(12, 1)[0]),

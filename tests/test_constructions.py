@@ -19,6 +19,8 @@ from tpack.core import (
     total_min_degree,
 )
 from tpack.constructions import (
+    _candidates,
+    _lane_masks,
     alpha_contains_c3_blowup,
     blowup_deficit,
     make_c3_blowup,
@@ -348,6 +350,38 @@ def test_large_generators_bounded_memory():
             tracemalloc.stop()
         assert peak < 4 << 20, (kind, peak)
         assert (list(g._out), list(g._in)) == _REFERENCES[kind](n, t, 3)
+
+
+def test_candidate_lists_are_the_ascending_set_bits():
+    """_candidates reads the mask's binary digits; it must list what bits()
+    yields, on every 10-bit mask and on random masks of mixed density."""
+    for missed in range(1 << 10):
+        assert _candidates(missed, 10) == list(bits(missed)), missed
+    rng = random.Random(0)
+    for n in (64, 300, 1000):
+        full = (1 << n) - 1
+        for i in range(2000):
+            missed = full
+            for _ in range(i % 4 + 1):
+                missed &= rng.getrandbits(n)
+            assert _candidates(missed, n) == list(bits(missed)), (n, missed)
+        assert _candidates(0, n) == []
+        assert _candidates(full, n) == list(range(n))
+
+
+def test_lane_mask_cache_stays_bounded():
+    """A sweep at one order builds its lane masks once, and hosts at many
+    orders keep at most maxsize entries."""
+    _lane_masks.cache_clear()
+    for n in range(3, 23):
+        for seed in range(3):
+            random_digraph_out_or_in(n, seed)
+    info = _lane_masks.cache_info()
+    assert (info.misses, info.hits) == (20, 40)
+    assert info.currsize <= info.maxsize == 4
+    ones, m27, m26 = _lane_masks(3)
+    assert ones == sum(1 << 64 * i for i in range(3))
+    assert (m27, m26) == (ones * ((1 << 27) - 1), ones * ((1 << 26) - 1))
 
 
 def test_random_generators_deterministic():

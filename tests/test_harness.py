@@ -163,9 +163,9 @@ def test_enumerated_hosts_match_checked_construction():
 
 
 def test_enumerated_hosts_carry_their_arc_count_at_n6():
-    # each enumerated host's arc count, counted from the rows it is built
-    # from, must equal a fresh Digraph's; check it at the order the sweeps
-    # run, past the checks above
+    # Digraph._from_rows counts each enumerated host's arcs from the rows it
+    # is given; that count must equal a fresh Digraph's. Check it at the
+    # order the sweeps run, past the checks above
     hosts = itertools.chain(iter_min_semidegree_hosts(6, 4),
                             itertools.islice(iter_out_or_in_hosts(6, 4), 10**5))
     count = 0
@@ -458,6 +458,32 @@ def test_samples_bound_is_refused_before_any_host(monkeypatch):
                 call()
     # exhaustive sweeps derive no seeds, so they ignore samples
     rep = sweep_semidegree(2, T2, 4, mode="exhaustive", samples=10**9)
+    assert _sha(rep.to_json()) == "3081883a9d54abf6"
+
+
+def test_negative_seed_is_refused_before_any_host(monkeypatch):
+    # random.Random(-x) seeds as random.Random(x), so report seeds s and -s
+    # would share their hosts
+    a, b = (random_digraph_out_or_in(30, harness._derived_seed(s, 0)) for s in (1, -1))
+    assert a._out == b._out
+
+    def no_host(*args):
+        raise AssertionError("a host was built")
+
+    for name in ("random_digraph_min_semidegree", "random_digraph_out_or_in",
+                 "random_digraph_total_min_degree"):
+        monkeypatch.setattr(harness, name, no_host)
+    for seed in (-1, -(10**9)):
+        for call in (
+            lambda: sweep_semidegree(3, T3, 6, seed=seed),
+            lambda: sweep_out_or_in(3, 6, seed=seed),
+            lambda: sweep_total_degree_kr(3, 6, seed=seed),
+            lambda: sweep_total_degree_c3(6, seed=seed),
+        ):
+            with pytest.raises(DomainError, match="seed must be non-negative, got -"):
+                call()
+    # exhaustive sweeps derive no seeds and report seed 0
+    rep = sweep_semidegree(2, T2, 4, mode="exhaustive", seed=-1)
     assert _sha(rep.to_json()) == "3081883a9d54abf6"
 
 
