@@ -336,7 +336,7 @@ def _cmd_absorb(args) -> int:
     # apply
     if not args.family_file or args.w is None:
         raise DomainError("apply needs --family-file and --w")
-    with open(args.family_file, encoding="utf-8") as fh:
+    with open(args.family_file, encoding="utf-8-sig") as fh:
         fam = _family_from_json(json.load(fh))
     packing = absorb(g, pat, fam, _ints(args.w), args.budget)
     _emit({"packing": _packing_json(packing)}, args.out)

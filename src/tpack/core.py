@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-import re
 from dataclasses import dataclass
-from operator import eq
 from typing import Iterable
 
 
@@ -46,9 +44,19 @@ def _transpose(width: int, rows) -> list[int]:
     non-empty one are left out, and w is the bit length of the widest row
     left; the columns below w are read off the joined bin(1 << w | row)
     texts, last row first, as every (w + 3)-th digit, and the rest are 0.
-    So a sparse matrix costs its rows times w, not height times width."""
+    So a matrix costs its rows times w, not height times width.  A matrix
+    with fewer than one set bit in 64 of those digits is transposed bit by
+    bit instead, so a sparse host costs its arcs, not its rows times w."""
     rows = rows[:len(bytes(map(bool, rows)).rstrip(b"\0"))]
     w = max(rows, default=0).bit_length()
+    if sum(map(int.bit_count, rows)) << 6 < len(rows) * w:
+        cols = [0] * width
+        for i, row in enumerate(rows):
+            while row:
+                low = row & -row
+                cols[low.bit_length() - 1] |= 1 << i
+                row ^= low
+        return cols
     text = "".join(map(bin, map((1 << w).__or__, reversed(rows))))
     return [int("0" + text[w + 2 - j::w + 3], 2) for j in range(w)] + [0] * (width - w)
 
@@ -614,49 +622,56 @@ def total_min_degree(g: Digraph) -> int:
     return min(g.d_out(v) + g.d_in(v) for v in range(g.n))
 
 
-#: The exact form digraph_to_text writes: a count line, then "u v" lines, in
-#: ASCII digits with single spaces and a newline after every line.
-_CANONICAL = re.compile(r"[0-9]+\n(?:[0-9]+ [0-9]+\n)*")
-
-
 def load_digraph_text(text: str) -> Digraph:
     """Parse the edge-list format: first line n, then one '0-indexed u v' arc per line.
 
     Text in the exact form digraph_to_text writes is read in bulk.  Any other
     text, and canonical text that a bulk check refuses, is read line by line
     (_load_checked), so every refusal names the first bad line."""
-    g = _load_canonical(text) if _CANONICAL.fullmatch(text) else None
+    g = _load_canonical(text)
     return _load_checked(text) if g is None else g
 
 
 def _load_canonical(text: str) -> Digraph | None:
-    """The digraph of a canonical text, or None when a check refuses it.
+    """The digraph of a text in the exact form digraph_to_text writes (a
+    count line, then "u v" lines, in ASCII digits with single spaces and a
+    newline after every line), or None when the text has another form or a
+    check refuses it.
 
-    Tokens map to vertices through the decimal forms of 0..k-1, where k is
-    min(n, number of arc tokens), so nothing of size n is built before the
-    arcs pass.  A token outside them (out of range, a leading zero, or an
-    index above k) refuses, as do a loop and a duplicate line.
+    The form is one check on the ASCII bytes: with the digits deleted they
+    must read "\n" then " \n" once per arc line, and the text must hold an
+    odd number of tokens and end in a newline, so tokens and separators
+    alternate.  Tokens map to vertices through the decimal forms of 0..k-1,
+    where k is min(n, number of arc tokens), so nothing of size n is built
+    before the arcs pass.  A token outside them (out of range, a leading
+    zero, or an index above k) refuses, as do a loop and a duplicate line,
+    which are looked for once on the built rows.
     """
-    head, *tokens = text.split()
+    if not text.isascii():
+        return None
+    data = text.encode()
+    tokens = data.split()
+    pairs = len(tokens) >> 1
+    if (len(tokens) != 2 * pairs + 1 or not data.endswith(b"\n")
+            or data.translate(None, b"0123456789") != b"\n" + b" \n" * pairs):
+        return None
     try:
-        n = int(head)
+        n = int(tokens[0])
     except ValueError:  # more digits than int() reads
         return None
-    k = min(n, len(tokens))
-    index = dict(zip(map(str, range(k)), range(k)))
+    k = min(n, 2 * pairs)
+    names = list(map(b"%d".__mod__, range(k)))
+    pows = [1 << v for v in range(k)]
+    rows = [0] * k
     try:
-        ends = list(map(index.__getitem__, tokens))
+        for u, bit in zip(map(dict(zip(names, range(k))).__getitem__, tokens[1::2]),
+                          map(dict(zip(names, pows)).__getitem__, tokens[2::2])):
+            rows[u] |= bit
     except KeyError:
         return None
-    us, vs = ends[0::2], ends[1::2]
-    if any(map(eq, us, vs)):
-        return None
-    rows = [0] * k
-    for u, v in zip(us, vs):
-        rows[u] |= 1 << v
-    if sum(map(int.bit_count, rows)) != len(us):  # a duplicate line
-        return None
-    return Digraph(n, rows + [0] * (n - k))
+    if any(map(int.__and__, rows, pows)) or sum(map(int.bit_count, rows)) != pairs:
+        return None  # a loop or a duplicate line
+    return Digraph._from_rows(n, rows + [0] * (n - k), _transpose(n, rows))
 
 
 def _load_checked(text: str) -> Digraph:
@@ -694,7 +709,8 @@ def _load_checked(text: str) -> Digraph:
 
 
 def load_digraph(path: str) -> Digraph:
-    with open(path, encoding="utf-8") as fh:
+    """load_digraph_text on a UTF-8 file; a leading byte-order mark is dropped."""
+    with open(path, encoding="utf-8-sig") as fh:
         return load_digraph_text(fh.read())
 
 

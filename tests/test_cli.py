@@ -455,3 +455,25 @@ def test_library_failures_end_in_one_error_line(tmp_path, capsys, case):
     assert (code, out) == (1, "")
     assert err.startswith("error:") and err.count("\n") == 1 and text in err
     assert "Traceback" not in err
+
+
+def test_host_and_family_files_may_start_with_a_byte_order_mark(tmp_path, capsys):
+    """Files saved with a UTF-8 byte-order mark read as without it; the mark
+    once reached the count line and the JSON parser and was refused there."""
+    bom = b"\xef\xbb\xbf"
+    host = tmp_path / "bom.edges"
+    host.write_bytes(bom + digraph_to_text(make_c3_blowup(9, 0)[0]).encode())
+    docs = []
+    for graph in (write_graph(tmp_path, make_c3_blowup(9, 0)[0]), str(host)):
+        code, out, err = run(capsys, "solve", "--graph", graph, "--tournament", "c3")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        del doc["time"]
+        docs.append(doc)
+    assert docs[0] == docs[1] and docs[0]["verdict"] == "packed"
+    # the family is read and checked before the assignment fails
+    argv = _absorb_apply(tmp_path, Digraph.empty(6), _UNROUTABLE)
+    plain = run(capsys, *argv)
+    fam = tmp_path / "family.json"
+    fam.write_bytes(bom + fam.read_bytes())
+    assert run(capsys, *argv) == plain and "cannot be routed" in plain[2]

@@ -14,6 +14,7 @@ from tpack.core import (
     ceil_frac,
     digraph_to_text,
     load_digraph_text,
+    _load_canonical,
     min_semidegree,
     spans_copy,
     total_min_degree,
@@ -192,15 +193,23 @@ def test_random_generators_are_pinned(kind):
 
 @pytest.mark.parametrize("kind", sorted(_GENERATORS))
 def test_parse_matches_from_arcs_on_generator_texts(kind):
-    """load_digraph_text builds the rows itself; on every pinned generator
-    text it must give the digraph from_arcs gives (arc lines reversed on odd
-    seeds)."""
+    """load_digraph_text builds the rows and their transpose itself; on every
+    pinned generator text it must give the out-rows, in-rows and arc count
+    from_arcs gives (arc lines reversed on odd seeds).  Each text is
+    canonical, so the bulk route reads every one with at least n arc tokens."""
     for n, t, seed in _generator_cases(kind):
         lines = digraph_to_text(_GENERATORS[kind](n, t, seed)).splitlines()
         if seed % 2:
             lines[1:] = lines[:0:-1]
+        text = "\n".join(lines) + "\n"
         arcs = [tuple(map(int, ln.split())) for ln in lines[1:]]
-        assert load_digraph_text("\n".join(lines)) == Digraph.from_arcs(n, arcs)
+        ref = Digraph.from_arcs(n, arcs)
+        g = load_digraph_text(text)
+        assert (g.n, g._out, g._in, g.num_arcs) == (n, ref._out, ref._in, len(arcs))
+        bulk = _load_canonical(text)
+        assert bulk is not None or 2 * len(arcs) < n
+        if bulk is not None:
+            assert (bulk._out, bulk._in, bulk.num_arcs) == (ref._out, ref._in, len(arcs))
 
 
 @pytest.mark.parametrize("kind", sorted(_GENERATORS))

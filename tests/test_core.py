@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +22,7 @@ from tpack.core import (
     digraph_to_text,
     iter_copies,
     k3_minus_pattern,
+    load_digraph,
     load_digraph_text,
     _load_canonical,
     _load_checked,
@@ -191,6 +193,13 @@ def test_transpose_of_any_shape():
         rows = [rng.getrandbits(width) if width else 0 for _ in range(height)]
         assert _transpose(width, rows) == _transpose_per_arc(width, rows)
         assert _transpose(height, _transpose(width, rows)) == rows
+    # sparse matrices, transposed bit by bit, and the densities around the switch
+    for width, height, per_row in ((3000, 500, 1), (700, 90, 3), (130, 130, 2), (64, 40, 1),
+                                   (64, 40, 2), (200, 1, 1), (1, 200, 1)):
+        rows = [sum(1 << j for j in rng.sample(range(width), per_row)) if rng.random() < 0.7
+                else 0 for _ in range(height)]
+        assert _transpose(width, rows) == _transpose_per_arc(width, rows)
+        assert _transpose(height, _transpose(width, rows)) == rows
 
 
 def test_short_text_with_a_large_count_parses_at_once():
@@ -202,6 +211,36 @@ def test_short_text_with_a_large_count_parses_at_once():
     assert time.perf_counter() - start < 1.0
     assert g == Digraph.from_arcs(n, [(0, 1)])
     assert g.in_mask(1) == 1 and g.num_arcs == 1
+
+
+def test_sparse_host_parses_in_time_and_memory_linear_in_its_arcs():
+    """A canonical host with n = 10,000 and 10,000 random arcs: the digit
+    transpose built a 10^8-character text (about 1.3 s and a 199 MB traced
+    peak); the bit-by-bit route takes well under a second and about 18 MB,
+    most of it the rows themselves."""
+    n = 10_000
+    rng = random.Random(35)
+    arcs = set()
+    while len(arcs) < n:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            arcs.add((u, v))
+    text = f"{n}\n" + "".join(f"{u} {v}\n" for u, v in sorted(arcs))
+    start = time.perf_counter()
+    g = load_digraph_text(text)
+    assert time.perf_counter() - start < 0.5
+    tracemalloc.start()
+    try:
+        load_digraph_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 << 20, peak
+    start = time.perf_counter()
+    ref = Digraph.from_arcs(n, arcs)
+    assert time.perf_counter() - start < 0.5
+    assert (g._out, g._in, g.num_arcs) == (ref._out, ref._in, n)
+    assert list(g._in) == _transpose_per_arc(n, g._out)
 
 
 def _induced_per_arc(rows, order):
@@ -561,18 +600,30 @@ def _mutated(text: str, kind: str, pick: int) -> str:
         lines[i] += "  "
     elif kind == "no-final-newline":
         return "\n".join(lines)
+    elif kind == "unicode-digit":  # the same digit in Arabic-Indic, which int() reads
+        d = pick % len(tokens[t])
+        tokens[t] = tokens[t][:d] + chr(0x660 + int(tokens[t][d])) + tokens[t][d + 1:]
+        lines[i] = " ".join(tokens)
+    elif kind == "separator":  # str.split() splits on both, bytes.split() on the tab alone
+        sep = "\t" if pick % 2 else "\x1c"
+        lines[i] = lines[i].replace(" ", sep) if i else sep + lines[i]
     return "\n".join(lines) + "\n"
+
+
+def _rows(g: Digraph) -> tuple:
+    """Everything a parse builds: Digraph.__eq__ compares only n and the out-rows."""
+    return g.n, g._out, g._in, g.num_arcs
 
 
 def _outcome(parse, text: str):
     try:
-        return parse(text)
+        return _rows(parse(text))
     except DomainError as err:
         return str(err)
 
 
 MUTATIONS = ("drop", "duplicate", "loop", "bump", "third", "zero", "plus", "crlf",
-             "comment", "blank", "spaces", "no-final-newline")
+             "comment", "blank", "spaces", "no-final-newline", "unicode-digit", "separator")
 
 
 @given(st.integers(min_value=0, max_value=12).flatmap(
@@ -582,13 +633,22 @@ MUTATIONS = ("drop", "duplicate", "loop", "bump", "third", "zero", "plus", "crlf
 def test_bulk_and_checked_routes_agree(host, kind, pick):
     """digraph_to_text output with at least n arc tokens is read in bulk;
     after one mutation the bulk route gives the same digraph as the checked
-    loop, or the same refusal."""
+    loop, or the same refusal.  A non-ASCII digit or another separator is
+    read by the checked loop alone: the shape check, not the tokenizer,
+    keeps it from the bulk route."""
     g = random_digraph(host[1], host[0])
     text = digraph_to_text(g)
     bulk = _load_canonical(text)
-    assert bulk == g or (bulk is None and 2 * g.num_arcs < g.n)
+    if bulk is None:
+        assert 2 * g.num_arcs < g.n
+    else:
+        assert _rows(bulk) == _rows(g)
     bad = _mutated(text, kind, pick)
     assert _outcome(load_digraph_text, bad) == _outcome(_load_checked, bad)
+    if kind in ("unicode-digit", "separator"):
+        assert _load_canonical(bad) is None
+    if kind == "unicode-digit":
+        assert _outcome(load_digraph_text, bad) == _rows(g)
 
 
 def test_bulk_route_builds_nothing_of_size_n_before_the_arcs_pass():
@@ -607,6 +667,16 @@ def test_bulk_route_builds_nothing_of_size_n_before_the_arcs_pass():
     # tokens that pair up across lines must not be read as arcs
     for text in (long_count, "3\n0 1 2\n1\n", "3\n0\n1 2\n", "3 0\n1\n2 0\n", "3\n0  1\n"):
         assert _outcome(load_digraph_text, text) == _outcome(_load_checked, text)
+
+
+def test_load_digraph_drops_a_byte_order_mark(tmp_path):
+    """A host file saved with a UTF-8 byte-order mark reads as the same host;
+    the mark once reached the count line and was refused there."""
+    g = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
+    path = tmp_path / "bom.edges"
+    path.write_bytes(b"\xef\xbb\xbf" + digraph_to_text(g).encode())
+    assert _rows(load_digraph(str(path))) == _rows(g)
+    assert parse_tournament_name(f"tour:{path}") == Tournament.cyclic_triangle()
 
 
 def test_parse_tournament_name():
