@@ -38,24 +38,36 @@ def mask_of(vertices) -> int:
     return m
 
 
-def _transpose(width: int, rows) -> list[int]:
+def _transpose(width: int, rows, ones: int | None = None) -> list[int]:
     """The columns of a bit matrix whose rows are masks below 1 << width:
     column j has bit i when rows[i] has bit j.  The rows after the last
     non-empty one are left out, and w is the bit length of the widest row
     left; the columns below w are read off the joined bin(1 << w | row)
     texts, last row first, as every (w + 3)-th digit, and the rest are 0.
-    So a matrix costs its rows times w, not height times width.  A matrix
-    with fewer than one set bit in 64 of those digits is transposed bit by
-    bit instead, so a sparse host costs its arcs, not its rows times w."""
+    So a matrix costs its rows times w, not height times width.
+
+    A caller that knows the number of set bits passes it as ones, and a
+    sparse matrix is then transposed bit by bit: the row indices are
+    collected per column and each column is built once from its list.  On
+    that route a set bit costs about as much time as 64 + w/64 of the digits
+    above (finding it in its row reads the row) and a column about 64, so
+    it is taken when those sum to less than rows times w."""
     rows = rows[:len(bytes(map(bool, rows)).rstrip(b"\0"))]
     w = max(rows, default=0).bit_length()
-    if sum(map(int.bit_count, rows)) << 6 < len(rows) * w:
-        cols = [0] * width
+    if ones is not None and (ones * (4096 + w) >> 6) + (w << 6) < len(rows) * w:
+        hits: list[list[int]] = [[] for _ in range(w)]
         for i, row in enumerate(rows):
             while row:
                 low = row & -row
-                cols[low.bit_length() - 1] |= 1 << i
+                hits[low.bit_length() - 1].append(i)
                 row ^= low
+        cols = [0] * width
+        for j, col in enumerate(hits):
+            if col:
+                buf = bytearray((col[-1] >> 3) + 1)
+                for i in col:
+                    buf[i >> 3] |= 1 << (i & 7)
+                cols[j] = int.from_bytes(buf, "little")
         return cols
     text = "".join(map(bin, map((1 << w).__or__, reversed(rows))))
     return [int("0" + text[w + 2 - j::w + 3], 2) for j in range(w)] + [0] * (width - w)
@@ -93,7 +105,7 @@ class Digraph:
             m += row.bit_count()
         self.n = n
         self._out = out
-        self._in = tuple(_transpose(n, out))
+        self._in = tuple(_transpose(n, out, m))
         self._m = m
 
     @classmethod
@@ -645,7 +657,10 @@ def _load_canonical(text: str) -> Digraph | None:
     where k is min(n, number of arc tokens), so nothing of size n is built
     before the arcs pass.  A token outside them (out of range, a leading
     zero, or an index above k) refuses, as do a loop and a duplicate line,
-    which are looked for once on the built rows.
+    which are looked for once after the arcs pass.  The powers 1 << v are
+    looked up by token only while k is small (their table takes about
+    k * k / 16 bytes); above that each arc's bit is shifted from its head's
+    index, so the memory follows the arcs and the rows.
     """
     if not text.isascii():
         return None
@@ -661,17 +676,25 @@ def _load_canonical(text: str) -> Digraph | None:
         return None
     k = min(n, 2 * pairs)
     names = list(map(b"%d".__mod__, range(k)))
-    pows = [1 << v for v in range(k)]
+    index = dict(zip(names, range(k))).__getitem__
+    small = k <= 4096  # the table of powers stays near 1 MB
+    if small:
+        pows = [1 << v for v in range(k)]
+        heads = map(dict(zip(names, pows)).__getitem__, tokens[2::2])
+    else:
+        heads = map((1).__lshift__, map(index, tokens[2::2]))
     rows = [0] * k
     try:
-        for u, bit in zip(map(dict(zip(names, range(k))).__getitem__, tokens[1::2]),
-                          map(dict(zip(names, pows)).__getitem__, tokens[2::2])):
+        for u, bit in zip(map(index, tokens[1::2]), heads):
             rows[u] |= bit
     except KeyError:
         return None
-    if any(map(int.__and__, rows, pows)) or sum(map(int.bit_count, rows)) != pairs:
-        return None  # a loop or a duplicate line
-    return Digraph._from_rows(n, rows + [0] * (n - k), _transpose(n, rows))
+    if (any(map(int.__and__, rows, pows)) if small
+            else any(map(bytes.__eq__, tokens[1::2], tokens[2::2]))):
+        return None  # a loop line
+    if sum(map(int.bit_count, rows)) != pairs:
+        return None  # a duplicate line
+    return Digraph._from_rows(n, rows + [0] * (n - k), _transpose(n, rows, pairs))
 
 
 def _load_checked(text: str) -> Digraph:

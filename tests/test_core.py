@@ -6,6 +6,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tpack import core
 from tpack.core import (
     Digraph,
     DomainError,
@@ -193,13 +194,65 @@ def test_transpose_of_any_shape():
         rows = [rng.getrandbits(width) if width else 0 for _ in range(height)]
         assert _transpose(width, rows) == _transpose_per_arc(width, rows)
         assert _transpose(height, _transpose(width, rows)) == rows
-    # sparse matrices, transposed bit by bit, and the densities around the switch
+    # given the set-bit count, a sparse matrix may go bit by bit: both routes
+    # agree at every density and shape tried
     for width, height, per_row in ((3000, 500, 1), (700, 90, 3), (130, 130, 2), (64, 40, 1),
-                                   (64, 40, 2), (200, 1, 1), (1, 200, 1)):
+                                   (64, 40, 2), (200, 1, 1), (1, 200, 1), (200, 3000, 1),
+                                   (5, 3000, 1), (3000, 40, 2)):
         rows = [sum(1 << j for j in rng.sample(range(width), per_row)) if rng.random() < 0.7
                 else 0 for _ in range(height)]
-        assert _transpose(width, rows) == _transpose_per_arc(width, rows)
-        assert _transpose(height, _transpose(width, rows)) == rows
+        ones = sum(map(int.bit_count, rows))
+        cols = _transpose(width, rows, ones)
+        assert cols == _transpose(width, rows) == _transpose_per_arc(width, rows)
+        assert _transpose(height, cols, ones) == rows
+
+
+def _columns_built_bit_by_bit(monkeypatch):
+    """The sizes of the column buffers _transpose's bit route allocates."""
+    sizes = []
+
+    def counted(size):
+        sizes.append(size)
+        return bytearray(size)
+
+    monkeypatch.setattr(core, "bytearray", counted, raising=False)
+    return sizes
+
+
+def _sparse_rows(width, height, inv_density, rng):
+    return [mask_of(rng.sample(range(width), width // inv_density)) for _ in range(height)]
+
+
+def test_transpose_routes_on_either_side_of_the_switch(monkeypatch):
+    """The bit route is taken where it is the cheaper one, and each route
+    stays fast on its side.  A tall sparse mask matrix (250,000 rows of 200
+    bits, one bit each) goes bit by bit in about 0.08 s; the digit route
+    took about 0.43 s there, and so did setting each bit with
+    cols[j] |= 1 << i, which copies a column as tall as the matrix.  A
+    square matrix goes bit by bit below about one set bit in 100 of its
+    digits; a denser one, or a short wide one whose rows the bit route
+    would read once per set bit, is read off the digits."""
+    rng = random.Random(36)
+    built = _columns_built_bit_by_bit(monkeypatch)
+    height, width = 250_000, 200
+    js = bytes(rng.randrange(width) for _ in range(height))
+    rows = [1 << j for j in js]
+    start = time.perf_counter()
+    cols = _transpose(width, rows, height)
+    assert time.perf_counter() - start < 0.3
+    assert len(built) == width
+    for j, col in enumerate(cols):  # column j marks the rows i with js[i] == j
+        want = js.translate(bytes(48 + (b == j) for b in range(256)))[::-1]
+        assert col == int(want, 2)
+    for width, height, inv_density, bit_route in ((3000, 3000, 512, True), (1000, 1000, 16, False),
+                                                  (20_000, 200, 256, False)):
+        rows = _sparse_rows(width, height, inv_density, rng)
+        built.clear()
+        start = time.perf_counter()
+        cols = _transpose(width, rows, sum(map(int.bit_count, rows)))
+        assert time.perf_counter() - start < 0.2
+        assert bool(built) == bit_route
+        assert cols == _transpose_per_arc(width, rows)
 
 
 def test_short_text_with_a_large_count_parses_at_once():
@@ -216,8 +269,9 @@ def test_short_text_with_a_large_count_parses_at_once():
 def test_sparse_host_parses_in_time_and_memory_linear_in_its_arcs():
     """A canonical host with n = 10,000 and 10,000 random arcs: the digit
     transpose built a 10^8-character text (about 1.3 s and a 199 MB traced
-    peak); the bit-by-bit route takes well under a second and about 18 MB,
-    most of it the rows themselves."""
+    peak); the bit-by-bit route takes well under a second and about 13 MB.
+    Most of that is the out-rows and in-rows themselves: a random arc sets
+    a bit about n/2 deep, so each side holds about n * n / 16 bytes."""
     n = 10_000
     rng = random.Random(35)
     arcs = set()
@@ -235,12 +289,50 @@ def test_sparse_host_parses_in_time_and_memory_linear_in_its_arcs():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 40 << 20, peak
+    assert peak < 24 << 20, peak
     start = time.perf_counter()
     ref = Digraph.from_arcs(n, arcs)
     assert time.perf_counter() - start < 0.5
     assert (g._out, g._in, g.num_arcs) == (ref._out, ref._in, n)
     assert list(g._in) == _transpose_per_arc(n, g._out)
+
+
+@pytest.mark.parametrize("shape", ["in-star", "low heads"])
+def test_hosts_with_short_rows_parse_in_memory_linear_in_their_arcs(shape):
+    """n = 100,000 and about n arcs that all end at vertices below 8: the
+    rows are small, so the parse must be too.  A table of the powers
+    1 << v for every v < n would take about n * n / 16 bytes (625 MB); the
+    bulk route keeps one only for at most 4096 vertices, so these texts
+    peak at about 28 MB."""
+    n = 100_000
+    rng = random.Random(n)
+    arcs = sorted({(u, 0 if shape == "in-star" else rng.randrange(8)) for u in range(8, n)})
+    text = f"{n}\n" + "".join(f"{u} {v}\n" for u, v in arcs)
+    start = time.perf_counter()
+    g = _load_canonical(text)
+    assert time.perf_counter() - start < 1.0
+    tracemalloc.start()
+    try:
+        _load_canonical(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 << 20, peak
+    ref = Digraph.from_arcs(n, arcs)
+    assert (g._out, g._in, g.num_arcs) == (ref._out, ref._in, len(arcs))
+
+
+def test_bulk_route_above_the_power_table_refuses_loops_and_duplicates():
+    """With k = 5,000 > 4,096 the bulk route shifts each arc's bit from its
+    head's index and looks for loops by token; a loop or a duplicate line
+    sends the text to the checked loop, whose message names it."""
+    n = 5000
+    text = f"{n}\n" + "".join(f"{u} 0\n" for u in range(1, 2501))
+    assert _load_canonical(text) == Digraph.from_arcs(n, [(u, 0) for u in range(1, 2501)])
+    for extra, message in (("9 9\n", "loop line '9 9'"), ("3 0\n", "duplicate arc line '3 0'")):
+        assert _load_canonical(text + extra) is None
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            load_digraph_text(text + extra)
 
 
 def _induced_per_arc(rows, order):
