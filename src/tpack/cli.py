@@ -71,6 +71,7 @@ from .structure import (
     matching_or_certificate_digraph,
 )
 from .harness import (
+    _SWEEPS,
     _pattern_name,
     sweep_out_or_in,
     sweep_semidegree,
@@ -390,31 +391,32 @@ def _persist_counterexamples(report, out: str | None) -> None:
             fh.write(cex.edge_list)
 
 
+# verify's checks in usage order: the sweep's kind in harness._SWEEPS (None
+# for the tightness suite) and its report, through this module's names of
+# the sweeps, which the bench's tracer and the tests replace
+_VERIFY = {
+    "threshold": ("semidegree", lambda a: sweep_semidegree(
+        a.r, parse_tournament_name(a.tournament or f"t{a.r}"), a.n,
+        a.mode, a.samples, a.seed, a.budget)),
+    "outin": ("out-or-in", lambda a: sweep_out_or_in(
+        a.r, a.n, a.mode, a.samples, a.seed, a.budget)),
+    "tightness": (None, lambda a: tightness_suite(a.r, a.n, a.budget)),
+    "krtotal": ("kr-total", lambda a: sweep_total_degree_kr(
+        a.r, a.n, a.samples, a.seed, a.budget)),
+    "c3total": ("c3-total", lambda a: sweep_total_degree_c3(a.n, a.samples, a.seed, a.budget)),
+}
+
+
 def _cmd_verify(args) -> int:
-    if args.check in ("krtotal", "c3total") and args.mode == "exhaustive":
+    kind, run = _VERIFY[args.check]
+    if kind and args.mode == "exhaustive" and _SWEEPS[kind].all_hosts is None:
         raise DomainError(f"{args.check} sweeps are sampling-only; drop --mode")
     if args.check != "threshold" and args.tournament is not None:
         raise DomainError(f"{args.check} takes no --tournament; only threshold does")
-    if args.check == "threshold":
-        pattern = parse_tournament_name(args.tournament or f"t{args.r}")
-        report = sweep_semidegree(
-            args.r, pattern, args.n, args.mode, args.samples, args.seed, args.budget
-        )
-    elif args.check == "outin":
-        report = sweep_out_or_in(
-            args.r, args.n, args.mode, args.samples, args.seed, args.budget
-        )
-    elif args.check == "tightness":
-        tr = tightness_suite(args.r, args.n, args.budget)
-        _emit(tr.to_dict(), args.out)
-        return 0
-    elif args.check == "krtotal":
-        report = sweep_total_degree_kr(
-            args.r, args.n, args.samples, args.seed, args.budget
-        )
-    else:  # c3total
-        report = sweep_total_degree_c3(args.n, args.samples, args.seed, args.budget)
+    report = run(args)
     _emit(report.to_dict(), args.out)
+    if kind is None:  # a tightness report has no counterexamples and no time
+        return 0
     _persist_counterexamples(report, args.out)
     print(f"elapsed: {report.elapsed:.3f}s", file=sys.stderr)
     return 2 if report.counterexamples else 0
@@ -512,9 +514,7 @@ def _build_parser() -> _Parser:
     lem.set_defaults(run=_cmd_lemma)
 
     ver = sub.add_parser("verify", help="threshold sweeps and tightness suites")
-    ver.add_argument("check", choices=[
-        "threshold", "outin", "tightness", "krtotal", "c3total",
-    ])
+    ver.add_argument("check", choices=list(_VERIFY))
     ver.add_argument("--r", type=int, default=3)
     ver.add_argument("--n", type=int, default=6)
     ver.add_argument("--mode", default="random", choices=["random", "exhaustive"])

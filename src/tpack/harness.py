@@ -354,47 +354,111 @@ def _fit_to_front(kept: list, g: Digraph) -> bool:
     return False
 
 
-def _sweep(
-    kind: str,
-    r: int,
-    n: int,
-    pattern: Callable[[], Digraph],
-    threshold: Callable[[], int],
-    scope: str,
-    random_host: Callable[[int, int], Digraph],
-    all_hosts: Callable[[int, list], Iterable[Digraph | None]] | None,
-    mode: str,
-    samples: int,
-    seed: int,
-    budget: int,
-    fast: Callable[[Digraph], Packing | None] | None = None,
-) -> SweepReport:
-    """Check each host meeting a degree condition for a perfect pattern packing.
+_T3_FAMILY = (Tournament.transitive(3),)
 
-    ``pattern`` and ``threshold`` are evaluated once r and n are known to
-    be valid.  Hosts come from ``random_host(threshold, child_seed)`` or,
-    in exhaustive mode, from ``all_hosts(threshold, kept)``; ``None`` makes
-    the condition sampling-only.  ``fast(g)`` returns a perfect packing, which
-    skips the exact solver, or a falsy value when it gave up; only the exact
-    solver can declare non-existence.  Every packing, from ``fast`` or the
-    solver, must pass verify_packing on its host before it is counted.  An
-    exhaustive sweep keeps the need rows (check._packing_rows) of every
-    packing it counts in ``kept``, most recently used first, and counts a
-    host packed, without ``fast`` or the solver, when some kept packing
-    fits it (check._fits): every host has order n, so that is when the
-    packing passes verify_packing on it.  The first that fits moves to the
-    front (_fit_to_front).  The enumerator reads the front of ``kept`` and
-    yields a host it fits as None, unbuilt (_complements); only a built
-    host changes the list, and it is tested against every kept packing,
-    so a source that builds every host gives the same report.  The hosts
-    that reach ``fast`` and the solver, those that no packing counted
-    before them fits, do not depend on the order (see SweepReport).
-    Random hosts are independent, so random mode keeps nothing.  A host's
-    label is formatted only for a counterexample.
+
+def _t3_first_fit(g: Digraph) -> Packing | None:
+    """The solver's first-fit stage for transitive triangles: a perfect
+    packing, or None when the stage gave up, which proves nothing."""
+    cert = _first_fit(g, _T3_FAMILY, DEFAULT_BUDGET)
+    return None if cert is None else cert.packing
+
+
+def _t3_packs(g: Digraph, budget: int) -> Packing | None:
+    """The out-or-in fast path at r = 3: first-fit, then the local-search
+    packer; None when both gave up, which proves nothing."""
+    packing = _t3_first_fit(g)
+    if packing:
+        return packing
+    try:
+        return t3_pack(g, budget)[0]
+    except SwapNotFound:
+        return None
+
+
+@dataclass(frozen=True)
+class _SweepKind:
+    """A sweep kind: its pattern (``given`` is the caller's, None where the
+    kind fixes it), degree threshold and claim scope; its seeded host and
+    exhaustive walk (None: sampling-only), each taking the threshold; and
+    a fast path tried before the solver at r = 3.  Each calls what it
+    needs by its module name, so a name replaced later (a tracer's
+    wrapper, a probe, a test's patch) is the one called."""
+
+    pattern: Callable[[int, Digraph | None], Digraph]  # (r, given)
+    threshold: Callable[[int, int], int]  # (r, n)
+    scope: Callable[[int], str]  # (r)
+    random_host: Callable[[int, int, int], Digraph]  # (n, t, seed)
+    all_hosts: Callable[[int, int, list], Iterable[Digraph | None]] | None  # (n, t, kept)
+    fast: Callable[[Digraph, int], Packing | None] | None = None  # (g, budget)
+
+
+# the sweep kinds by report kind
+_SWEEPS = {
+    "semidegree": _SweepKind(
+        pattern=lambda r, given: _tournament_of_order(given, r),
+        threshold=lambda r, n: ceil_frac((r - 1) * n, r),
+        scope=lambda r: SCOPE_ASYMPTOTIC,
+        random_host=lambda n, t, s: random_digraph_min_semidegree(n, t, s),
+        all_hosts=lambda n, t, kept: iter_min_semidegree_hosts(n, t, kept),
+    ),
+    "out-or-in": _SweepKind(
+        pattern=lambda r, given: Tournament.transitive(r),
+        threshold=lambda r, n: ceil_frac((r - 1) * n, r),
+        scope=lambda r: SCOPE_ALL_ORDERS if r == 3 else SCOPE_CONJECTURED,
+        random_host=lambda n, t, s: random_digraph_out_or_in(n, s, t),
+        all_hosts=lambda n, t, kept: iter_out_or_in_hosts(n, t, kept),
+        fast=_t3_packs,
+    ),
+    "kr-total": _SweepKind(
+        pattern=lambda r, given: Digraph.complete(r),
+        threshold=lambda r, n: ceil_frac((2 * r - 1) * n - r, r),
+        scope=lambda r: SCOPE_ALL_ORDERS,
+        random_host=lambda n, t, s: random_digraph_total_min_degree(n, t, s),
+        all_hosts=None,
+    ),
+    "c3-total": _SweepKind(
+        pattern=lambda r, given: Tournament.cyclic_triangle(),
+        threshold=lambda r, n: ceil_frac(3 * n - 3, 2),
+        scope=lambda r: SCOPE_ALL_ORDERS,
+        random_host=lambda n, t, s: random_digraph_total_min_degree(n, t, s),
+        all_hosts=None,
+    ),
+}
+
+
+def _sweep(
+    kind: str, r: int, n: int, pattern: Digraph | None,
+    mode: str, samples: int, seed: int, budget: int,
+) -> SweepReport:
+    """Check each host meeting the degree condition of ``_SWEEPS[kind]``
+    for a perfect pattern packing.
+
+    The entry's pattern and threshold are evaluated once r and n are known
+    to be valid.  Hosts come from its seeded host, one child seed a sample,
+    or in exhaustive mode from its walk.  At r = 3 its fast path returns a
+    perfect packing, which skips the exact solver, or a falsy value when it
+    gave up; only the exact solver can declare non-existence.  Every
+    packing, from the fast path or the solver, must pass verify_packing on
+    its host before it is counted.  An exhaustive sweep keeps the need rows
+    (check._packing_rows) of every packing it counts in ``kept``, most
+    recently used first, and counts a host packed, without the fast path
+    or the solver, when some kept packing fits it (check._fits): every host
+    has order n, so that is when the packing passes verify_packing on it.
+    The first that fits moves to the front (_fit_to_front).  The walk reads
+    the front of ``kept`` and yields a host it fits as None, unbuilt
+    (_complements); only a built host changes the list, and it is tested
+    against every kept packing, so a walk that builds every host gives the
+    same report.  The hosts that reach the fast path and the solver, those
+    that no packing counted before them fits, do not depend on the order
+    (see SweepReport).  Random hosts are independent, so random mode keeps
+    nothing.  A host's label is formatted only for a counterexample.
     """
     _check_order(r, n)
-    p = pattern()
-    t = threshold()
+    entry = _SWEEPS[kind]
+    p = entry.pattern(r, pattern)
+    t = entry.threshold(r, n)
+    fast = entry.fast if r == 3 else None
     family = normalize_patterns(p)
     kept: list = []  # the need rows of every packing counted, front first
     if mode == "random":
@@ -404,10 +468,10 @@ def _sweep(
             )
         if seed < 0:
             raise DomainError(f"seed must be non-negative, got {seed}")
-        hosts = (random_host(t, _derived_seed(seed, i)) for i in range(samples))
+        hosts = (entry.random_host(n, t, _derived_seed(seed, i)) for i in range(samples))
         prefix = "sample"
-    elif mode == "exhaustive" and all_hosts is not None:
-        hosts, prefix = all_hosts(t, kept), "enum"
+    elif mode == "exhaustive" and entry.all_hosts is not None:
+        hosts, prefix = entry.all_hosts(n, t, kept), "enum"
     else:
         raise DomainError(f"unknown mode {mode!r}")
     params = {
@@ -429,7 +493,7 @@ def _sweep(
         if g is None or _fit_to_front(kept, g):
             packed += 1
             continue
-        packing = fast(g) if fast is not None else None
+        packing = fast(g, budget) if fast is not None else None
         if not packing:
             cert = find_perfect_family_packing(g, family, budget)
             packing = cert.packing
@@ -456,7 +520,7 @@ def _sweep(
     return SweepReport(
         kind=kind,
         params=tuple(sorted(params.items())),
-        claim_scope=scope,
+        claim_scope=entry.scope(r),
         examined=examined,
         packed=packed,
         budget_exceeded=over,
@@ -466,42 +530,15 @@ def _sweep(
 
 
 def sweep_semidegree(
-    r: int,
-    pattern: Digraph,
-    n: int,
-    mode: str = "random",
-    samples: int = 100,
-    seed: int = 0,
-    budget: int = DEFAULT_BUDGET,
+    r: int, pattern: Digraph, n: int, mode: str = "random", samples: int = 100,
+    seed: int = 0, budget: int = DEFAULT_BUDGET,
 ) -> SweepReport:
     """Solve every (or a sample of) host with min semidegree >= ceil((1-1/r)n)."""
-    return _sweep(
-        "semidegree", r, n,
-        pattern=lambda: _tournament_of_order(pattern, r),
-        threshold=lambda: ceil_frac((r - 1) * n, r),
-        scope=SCOPE_ASYMPTOTIC,
-        random_host=lambda t, s: random_digraph_min_semidegree(n, t, s),
-        all_hosts=lambda t, kept: iter_min_semidegree_hosts(n, t, kept),
-        mode=mode, samples=samples, seed=seed, budget=budget,
-    )
-
-
-_T3_FAMILY = (Tournament.transitive(3),)
-
-
-def _t3_first_fit(g: Digraph) -> Packing | None:
-    """The solver's first-fit stage for transitive triangles: a perfect
-    packing, or None when the stage gave up, which proves nothing."""
-    cert = _first_fit(g, _T3_FAMILY, DEFAULT_BUDGET)
-    return None if cert is None else cert.packing
+    return _sweep("semidegree", r, n, pattern, mode, samples, seed, budget)
 
 
 def sweep_out_or_in(
-    r: int,
-    n: int,
-    mode: str = "random",
-    samples: int = 100,
-    seed: int = 0,
+    r: int, n: int, mode: str = "random", samples: int = 100, seed: int = 0,
     budget: int = DEFAULT_BUDGET,
 ) -> SweepReport:
     """Hosts where each vertex has out- or in-degree >= ceil((1-1/r)n), solved
@@ -513,65 +550,23 @@ def sweep_out_or_in(
     non-existence.  In exhaustive mode a host is first tried with every
     packing counted before it, and this chain runs only when none fits.
     """
-
-    def t3_packs(g: Digraph) -> Packing | None:
-        packing = _t3_first_fit(g)
-        if packing:
-            return packing
-        try:
-            return t3_pack(g, budget)[0]
-        except SwapNotFound:
-            return None
-
-    return _sweep(
-        "out-or-in", r, n,
-        pattern=lambda: Tournament.transitive(r),
-        threshold=lambda: ceil_frac((r - 1) * n, r),
-        scope=SCOPE_ALL_ORDERS if r == 3 else SCOPE_CONJECTURED,
-        random_host=lambda t, s: random_digraph_out_or_in(n, s, t),
-        all_hosts=lambda t, kept: iter_out_or_in_hosts(n, t, kept),
-        mode=mode, samples=samples, seed=seed, budget=budget,
-        fast=t3_packs if r == 3 else None,
-    )
+    return _sweep("out-or-in", r, n, None, mode, samples, seed, budget)
 
 
 def sweep_total_degree_kr(
-    r: int,
-    n: int,
-    samples: int = 100,
-    seed: int = 0,
-    budget: int = DEFAULT_BUDGET,
+    r: int, n: int, samples: int = 100, seed: int = 0, budget: int = DEFAULT_BUDGET
 ) -> SweepReport:
     """Sampled hosts with total degree >= (2-1/r)n - 1, solved for perfect
     complete-digraph packings (equivalently, cliques of mutual arc pairs)."""
-    return _sweep(
-        "kr-total", r, n,
-        pattern=lambda: Digraph.complete(r),
-        threshold=lambda: ceil_frac((2 * r - 1) * n - r, r),
-        scope=SCOPE_ALL_ORDERS,
-        random_host=lambda t, s: random_digraph_total_min_degree(n, t, s),
-        all_hosts=None,
-        mode="random", samples=samples, seed=seed, budget=budget,
-    )
+    return _sweep("kr-total", r, n, None, "random", samples, seed, budget)
 
 
 def sweep_total_degree_c3(
-    n: int,
-    samples: int = 100,
-    seed: int = 0,
-    budget: int = DEFAULT_BUDGET,
+    n: int, samples: int = 100, seed: int = 0, budget: int = DEFAULT_BUDGET
 ) -> SweepReport:
     """Sampled hosts with total degree >= ceil((3n-3)/2), solved for perfect
     cyclic-triangle packings."""
-    return _sweep(
-        "c3-total", 3, n,
-        pattern=Tournament.cyclic_triangle,
-        threshold=lambda: ceil_frac(3 * n - 3, 2),
-        scope=SCOPE_ALL_ORDERS,
-        random_host=lambda t, s: random_digraph_total_min_degree(n, t, s),
-        all_hosts=None,
-        mode="random", samples=samples, seed=seed, budget=budget,
-    )
+    return _sweep("c3-total", 3, n, None, "random", samples, seed, budget)
 
 
 def replay_counterexample(cex: Counterexample, budget: int = DEFAULT_BUDGET) -> bool:
