@@ -179,13 +179,16 @@ class Digraph:
         """Induced subdigraph on the given vertices plus the new->old index map.
 
         The kept vertices' columns of the kept out-rows are the induced
-        in-rows, and their transpose is the induced out-rows."""
+        in-rows, and their transpose is the induced out-rows.  Each
+        transpose is passed its set-bit count, so sparse rows go bit by bit."""
         order = tuple(sorted(set(vertices)))
         if order and not (0 <= order[0] and order[-1] < self.n):
             raise DomainError("induced set outside vertex range")
-        cols = _transpose(self.n, [self._out[v] for v in order])
+        rows = [self._out[v] for v in order]
+        cols = _transpose(self.n, rows, sum(map(int.bit_count, rows)))
         in_rows = [cols[v] for v in order]
-        return Digraph._from_rows(len(order), _transpose(len(order), in_rows), in_rows), order
+        m = sum(map(int.bit_count, in_rows))
+        return Digraph._from_rows(len(order), _transpose(len(order), in_rows, m), in_rows), order
 
     def minus_arcs(self, arcs) -> "Digraph":
         rows = list(self._out)

@@ -340,6 +340,35 @@ def _induced_per_arc(rows, order):
     return [sum(1 << pos[v] for v in bits(rows[u]) if v in pos) for u in order]
 
 
+def test_sparse_host_induces_in_time_and_memory_linear_in_its_arcs():
+    """The even half of a host with n = 10,000 and 10,000 random arcs: with
+    no set-bit counts, both transposes took the digit route (about 0.8 s and
+    a 100 MB traced peak); with them the induced host takes a few MB."""
+    n = 10_000
+    rng = random.Random(36)
+    arcs = set()
+    while len(arcs) < n:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            arcs.add((u, v))
+    g = Digraph.from_arcs(n, arcs)
+    keep = range(0, n, 2)
+    start = time.perf_counter()
+    sub, order = g.induced(keep)
+    assert time.perf_counter() - start < 0.2
+    tracemalloc.start()
+    try:
+        g.induced(keep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20, peak
+    assert order == tuple(keep)
+    assert list(sub._out) == _induced_per_arc(g._out, order)
+    assert list(sub._in) == _transpose_per_arc(len(order), sub._out)
+    assert sub.num_arcs == sum(u % 2 == v % 2 == 0 for u, v in arcs)
+
+
 def _asymmetric_pair(adj):
     for v, row in enumerate(adj):
         for u in bits(row):
