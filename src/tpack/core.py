@@ -637,12 +637,18 @@ def total_min_degree(g: Digraph) -> int:
     return min(g.d_out(v) + g.d_in(v) for v in range(g.n))
 
 
+#: the largest vertex count load_digraph_text reads: a host keeps about
+#: 32 B of rows a vertex, so this order holds about 134 MB before any arc
+MAX_ORDER = 1 << 22
+
+
 def load_digraph_text(text: str) -> Digraph:
     """Parse the edge-list format: first line n, then one '0-indexed u v' arc per line.
 
     Text in the exact form digraph_to_text writes is read in bulk.  Any other
     text, and canonical text that a bulk check refuses, is read line by line
-    (_load_checked), so every refusal names the first bad line."""
+    (_load_checked), so every refusal names the first bad line.  A count
+    above MAX_ORDER is refused after the lines, before any row is built."""
     g = _load_canonical(text)
     return _load_checked(text) if g is None else g
 
@@ -677,6 +683,8 @@ def _load_canonical(text: str) -> Digraph | None:
         n = int(tokens[0])
     except ValueError:  # more digits than int() reads
         return None
+    if n > MAX_ORDER:
+        return None  # refused by the checked loop, after any bad line
     k = min(n, 2 * pairs)
     names = list(map(b"%d".__mod__, range(k)))
     index = dict(zip(names, range(k))).__getitem__
@@ -731,6 +739,8 @@ def _load_checked(text: str) -> Digraph:
         if row >> v & 1:
             raise DomainError(f"duplicate arc line {ln!r}")
         rows[u] = row | 1 << v
+    if n > MAX_ORDER:
+        raise DomainError(f"vertex count {n} exceeds {MAX_ORDER}")
     return Digraph(n, [rows.get(u, 0) for u in range(n)])
 
 

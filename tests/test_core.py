@@ -790,6 +790,31 @@ def test_bulk_route_builds_nothing_of_size_n_before_the_arcs_pass():
         assert _outcome(load_digraph_text, text) == _outcome(_load_checked, text)
 
 
+def test_a_count_above_the_order_cap_is_refused_before_any_row():
+    """A text that is only a huge count once built its n rows on either
+    route (10^10 of them ran out of memory); a count above core.MAX_ORDER
+    is refused after the lines are checked, with nothing of size n built."""
+    cap = core.MAX_ORDER
+    assert cap >= 200_000
+    for n in (cap + 1, 10**10, 2**62):
+        message = f"^vertex count {n} exceeds {cap}$"
+        for text in (f"{n}\n", f"{n}\n0 1\n2 0\n", f"# c\n{n}\n0 1\n"):
+            assert _load_canonical(text) is None
+            tracemalloc.start()
+            try:
+                start = time.perf_counter()
+                with pytest.raises(DomainError, match=message):
+                    load_digraph_text(text)
+                assert time.perf_counter() - start < 0.1
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20, peak
+    # a bad line is still named first
+    with pytest.raises(DomainError, match="^loop line '3 3'$"):
+        load_digraph_text(f"{cap + 1}\n0 1\n3 3\n")
+
+
 def test_load_digraph_drops_a_byte_order_mark(tmp_path):
     """A host file saved with a UTF-8 byte-order mark reads as the same host;
     the mark once reached the count line and was refused there."""
