@@ -72,6 +72,7 @@ from .structure import (
 )
 from .harness import (
     _SWEEPS,
+    SweepReport,
     _pattern_name,
     sweep_out_or_in,
     sweep_semidegree,
@@ -391,6 +392,12 @@ def _persist_counterexamples(report, out: str | None) -> None:
             fh.write(cex.edge_list)
 
 
+def _c3_total(args) -> SweepReport:
+    if args.r != 3:
+        raise DomainError(f"c3total sweeps fix r = 3, got --r {args.r}; drop --r")
+    return sweep_total_degree_c3(args.n, args.samples, args.seed, args.budget)
+
+
 # verify's checks in usage order: the sweep's kind in harness._SWEEPS (None
 # for the tightness suite) and its report, through this module's names of
 # the sweeps, which the bench's tracer and the tests replace
@@ -403,7 +410,7 @@ _VERIFY = {
     "tightness": (None, lambda a: tightness_suite(a.r, a.n, a.budget)),
     "krtotal": ("kr-total", lambda a: sweep_total_degree_kr(
         a.r, a.n, a.samples, a.seed, a.budget)),
-    "c3total": ("c3-total", lambda a: sweep_total_degree_c3(a.n, a.samples, a.seed, a.budget)),
+    "c3total": ("c3-total", _c3_total),
 }
 
 

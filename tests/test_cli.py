@@ -3,10 +3,10 @@ import json
 import pytest
 
 from tpack import constructions as cons
-from tpack.cli import main
+from tpack.cli import _VERIFY, main
 from tpack.core import Digraph, Tournament, digraph_to_text, load_digraph
 from tpack.constructions import make_c3_blowup, make_source_counterexample
-from tpack.harness import Counterexample, SweepReport
+from tpack.harness import _SWEEPS, Counterexample, SweepReport
 from tpack.solver import Obstruction, validate_obstruction
 from tpack.structure import d_matching_covering_digraph
 
@@ -211,21 +211,53 @@ def test_verify_other_checks(tmp_path, capsys):
     doc = json.loads(out)
     assert code == 0 and doc["params"]["threshold"] == 8
 
-    # total-degree sweeps have no exhaustive enumerator; the flag must not
-    # be silently downgraded to sampling
-    for check in ("krtotal", "c3total"):
-        code, _, err = run(capsys, "verify", check, "--n", "6",
-                           "--mode", "exhaustive")
-        assert code == 1 and "sampling-only" in err
+    # sweeps with no exhaustive walk (read from the sweep table) must not
+    # silently downgrade the flag to sampling
+    sampling_only = [check for check, (kind, _) in _VERIFY.items()
+                     if kind and _SWEEPS[kind].all_hosts is None]
+    assert {"krtotal", "c3total"} <= set(sampling_only)
+    for check in sampling_only:
+        code, out, err = run(capsys, "verify", check, "--n", "6",
+                             "--mode", "exhaustive")
+        assert code == 1 and not out
+        assert err == f"error: {check} sweeps are sampling-only; drop --mode\n"
 
     # only threshold sweeps read --tournament; the others must not ignore it
     code, out, err = run(capsys, "verify", "outin", "--n", "3",
                          "--mode", "exhaustive", "--tournament", "c3")
     assert code == 1 and not out and "--tournament" in err
-    for check in ("tightness", "krtotal", "c3total"):
-        code, out, err = run(capsys, "verify", check, "--n", "3",
-                             "--tournament", "c3")
-        assert code == 1 and not out and "--tournament" in err
+    for check in _VERIFY:
+        if check != "threshold":
+            code, out, err = run(capsys, "verify", check, "--n", "3",
+                                 "--tournament", "c3")
+            assert code == 1 and not out and "--tournament" in err
+
+    # c3total packs cyclic triangles: an --r other than 3 must not be dropped
+    code, out, err = run(capsys, "verify", "c3total", "--r", "4", "--n", "6",
+                         "--samples", "2")
+    assert code == 1 and not out
+    assert err == "error: c3total sweeps fix r = 3, got --r 4; drop --r\n"
+    code, out, _ = run(capsys, "verify", "c3total", "--r", "3", "--n", "6",
+                       "--samples", "2")
+    assert code == 0 and json.loads(out)["params"]["r"] == 3
+
+
+def test_verify_usage_and_check_order(capsys, monkeypatch):
+    # the checks come from the sweep table in usage order; neither the
+    # usage line nor the order may change with it
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(
+        "usage: tpack verify [-h] [--r R] [--n N] [--mode {random,exhaustive}]\n"
+        "                    [--samples SAMPLES] [--seed SEED]\n"
+        "                    [--tournament TOURNAMENT] [--budget BUDGET] [--out OUT]\n"
+        "                    {threshold,outin,tightness,krtotal,c3total}\n\n")
+    code, out, err = run(capsys, "verify", "nosuch")
+    assert code == 1 and not out
+    assert err == ("error: argument check: invalid choice: 'nosuch' (choose from "
+                   "'threshold', 'outin', 'tightness', 'krtotal', 'c3total')\n")
 
 
 def test_verify_counterexample_exit_code(tmp_path, capsys, monkeypatch):
