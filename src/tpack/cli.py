@@ -71,8 +71,8 @@ from .structure import (
     matching_or_certificate_digraph,
 )
 from .harness import (
-    _SWEEPS,
     SweepReport,
+    _SWEEPS,
     _pattern_name,
     sweep_out_or_in,
     sweep_semidegree,
@@ -422,7 +422,7 @@ def _cmd_verify(args) -> int:
         raise DomainError(f"{args.check} takes no --tournament; only threshold does")
     report = run(args)
     _emit(report.to_dict(), args.out)
-    if kind is None:  # a tightness report has no counterexamples and no time
+    if kind is None:  # a tightness report has no counterexamples and no elapsed time
         return 0
     _persist_counterexamples(report, args.out)
     print(f"elapsed: {report.elapsed:.3f}s", file=sys.stderr)
