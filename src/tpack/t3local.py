@@ -31,7 +31,6 @@ from .solver import (
 
 _T3 = Tournament.transitive(3)
 _C3 = Tournament.cyclic_triangle()
-_C3_KEY = tuple(_C3.out_mask(v) for v in range(3))
 
 
 def two_thirds_threshold(n: int) -> int:
@@ -78,7 +77,7 @@ def minimize_arcs_two_thirds(g: Digraph) -> Digraph:
 
 
 def _element_is_cyclic(e: Embedding) -> bool:
-    return tuple(e.pattern.out_mask(v) for v in range(e.pattern.n)) == _C3_KEY
+    return e.pattern._out == _C3._out
 
 
 def _embed_triple(h: Digraph, triple) -> Embedding:
@@ -138,40 +137,31 @@ def swap_c3(g: Digraph, packing: Packing, idx: int) -> tuple[Packing, SwapStep] 
         if j == idx:
             continue
         omask = other.vertex_mask
-        sent = sum(g.d_out_to(x, omask) for x in triple)
-        received = sum(g.d_in_from(x, omask) for x in triple)
-        for mode, count in (("out", sent), ("in", received)):
-            if count < 7:
+        for rule, rows in (("rebuild-out", g._out), ("rebuild-in", g._in)):
+            if sum((rows[x] & omask).bit_count() for x in triple) < 7:
                 continue
-            rebuilt = _rebuild_pair(g, triple, tuple(sorted(bits(omask))), mode)
+            rebuilt = _rebuild_pair(g, triple, omask, rows)
             if rebuilt is None:
                 continue
             elements = [e for k, e in enumerate(packing.elements) if k not in (idx, j)]
             elements.extend(rebuilt)
-            step = SwapStep(f"rebuild-{mode}", (cyc, other), tuple(rebuilt))
+            step = SwapStep(rule, (cyc, other), tuple(rebuilt))
             return Packing(g.n, tuple(elements)), step
     return None
 
 
-def _rebuild_pair(g: Digraph, triple, tverts, mode: str):
-    """Split the six vertices into two transitive triangles, lowest indices first."""
-    tmask = mask_of(tverts)
+def _rebuild_pair(g: Digraph, triple, omask: int, rows):
+    """Split the six vertices into two transitive triangles, lowest indices first.
+
+    rows, g's out-rows or in-rows, is the direction in which the cycle's
+    vertices must be joined to the partner triple omask.
+    """
     for x in triple:
-        if mode == "out":
-            if g.d_out_to(x, tmask) != 3:
-                continue
-        else:
-            if g.d_in_from(x, tmask) != 3:
-                continue
+        if (rows[x] & omask).bit_count() != 3:
+            continue
         y, z = (w for w in triple if w != x)
-        for tstar in tverts:
-            if mode == "out":
-                joined = g.arc(y, tstar) and g.arc(z, tstar)
-            else:
-                joined = g.arc(tstar, y) and g.arc(tstar, z)
-            if not joined:
-                continue
-            rest = tuple(w for w in tverts if w != tstar)
+        for tstar in bits(omask & rows[y] & rows[z]):
+            rest = tuple(bits(omask ^ 1 << tstar))
             first = spans_copy(g, (y, z, tstar), _T3)
             second = spans_copy(g, (x,) + rest, _T3)
             if first is not None and second is not None:
