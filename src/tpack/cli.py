@@ -118,7 +118,7 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _emit(obj, out: str | None = None) -> None:
-    _write(json.dumps(obj, indent=2, sort_keys=True) + "\n", out)
+    _write(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n", out)
 
 
 def _embedding_json(emb) -> dict | None:
@@ -420,6 +420,19 @@ def _cmd_verify(args) -> int:
         raise DomainError(f"{args.check} sweeps are sampling-only; drop --mode")
     if args.check != "threshold" and args.tournament is not None:
         raise DomainError(f"{args.check} takes no --tournament; only threshold does")
+    # --mode, --samples and --seed default to None so that an option the
+    # check would not read is refused, not dropped
+    unread, scope = (), args.check
+    if kind is None:
+        unread = ("mode", "samples", "seed")
+    elif args.mode == "exhaustive":
+        unread, scope = ("samples", "seed"), f"{args.check} --mode exhaustive"
+    for opt in unread:
+        if getattr(args, opt) is not None:
+            raise DomainError(f"{scope} reads no --{opt}; drop --{opt}")
+    for opt, default in (("mode", "random"), ("samples", 100), ("seed", 0)):
+        if getattr(args, opt) is None:
+            setattr(args, opt, default)
     report = run(args)
     _emit(report.to_dict(), args.out)
     if kind is None:  # a tightness report has no counterexamples and no elapsed time
@@ -524,9 +537,9 @@ def _build_parser() -> _Parser:
     ver.add_argument("check", choices=list(_VERIFY))
     ver.add_argument("--r", type=int, default=3)
     ver.add_argument("--n", type=int, default=6)
-    ver.add_argument("--mode", default="random", choices=["random", "exhaustive"])
-    ver.add_argument("--samples", type=int, default=100)
-    ver.add_argument("--seed", type=int, default=0)
+    ver.add_argument("--mode", default=None, choices=["random", "exhaustive"])
+    ver.add_argument("--samples", type=int, default=None)
+    ver.add_argument("--seed", type=int, default=None)
     ver.add_argument("--tournament", default=None,
                      help="pattern for threshold sweeps, default t<r>")
     ver.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)

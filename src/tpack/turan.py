@@ -110,6 +110,8 @@ def independent_or_copy(g: Digraph, pattern: Tournament, alpha: float) -> TuranR
     a-only candidates also yields a copy; otherwise the common candidates
     form an independent set.
     """
+    if not 0 <= alpha < 1:
+        raise DomainError(f"alpha must lie in [0, 1), got {alpha}")
     n, r = g.n, pattern.n
     if r < 2:
         raise DomainError("need a pattern on at least 2 vertices")
@@ -216,6 +218,8 @@ def consistent_or_independent(g: Digraph, r: int, alpha: float) -> ConsistentRes
     carries an arc (closing the copy with two fresh vertices at the turning
     point) or is independent.
     """
+    if not 0 <= alpha < 1:
+        raise DomainError(f"alpha must lie in [0, 1), got {alpha}")
     n = g.n
     if r < 2:
         raise DomainError("need r >= 2")

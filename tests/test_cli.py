@@ -3,7 +3,7 @@ import json
 import pytest
 
 from tpack import constructions as cons
-from tpack.cli import _VERIFY, main
+from tpack.cli import _VERIFY, _emit, main
 from tpack.core import Digraph, Tournament, digraph_to_text, load_digraph
 from tpack.constructions import make_c3_blowup, make_source_counterexample
 from tpack.harness import _SWEEPS, Counterexample, SweepReport
@@ -176,6 +176,23 @@ def test_lemma_match_and_classify(tmp_path, capsys):
     assert code == 0 and doc["packing"]["perfect"] is True
 
 
+def test_turan_refuses_an_alpha_outside_the_unit_interval(tmp_path, capsys):
+    path = write_graph(tmp_path, cons.random_digraph_out_or_in(9, 1))
+    for op in ("independent", "consistent"):
+        for alpha in ("inf", "nan", "-inf", "1"):
+            code, out, err = run(capsys, "turan", "--graph", path, "--op", op,
+                                 f"--alpha={alpha}")
+            assert code == 1 and not out
+            assert err.startswith("error: alpha must lie in [0, 1)") and err.count("\n") == 1
+
+
+def test_no_subcommand_prints_a_non_finite_float(capsys):
+    for value in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            _emit({"bound": value})
+    assert capsys.readouterr().out == ""
+
+
 def test_verify_threshold_exhaustive_and_rerun(tmp_path, capsys):
     rep1 = tmp_path / "r1.json"
     rep2 = tmp_path / "r2.json"
@@ -240,6 +257,32 @@ def test_verify_other_checks(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", "c3total", "--r", "3", "--n", "6",
                        "--samples", "2")
     assert code == 0 and json.loads(out)["params"]["r"] == 3
+
+    # tightness reads none of --mode, --samples and --seed, and an exhaustive
+    # walk reads neither --samples nor --seed: each must be refused, not dropped
+    for opt, value in (("--mode", "random"), ("--mode", "exhaustive"),
+                       ("--samples", "7"), ("--seed", "9")):
+        code, out, err = run(capsys, "verify", "tightness", "--n", "6", opt, value)
+        assert code == 1 and not out
+        assert err == f"error: tightness reads no {opt}; drop {opt}\n"
+    code, out, err = run(capsys, "verify", "tightness", "--r", "3", "--n", "6",
+                         "--mode", "exhaustive", "--samples", "7", "--seed", "9")
+    assert code == 1 and not out
+    assert err == "error: tightness reads no --mode; drop --mode\n"
+    for check in ("threshold", "outin"):
+        for opt, value in (("--samples", "100"), ("--seed", "0"), ("--seed", "9")):
+            code, out, err = run(capsys, "verify", check, "--n", "3",
+                                 "--mode", "exhaustive", opt, value)
+            assert code == 1 and not out
+            assert err == f"error: {check} --mode exhaustive reads no {opt}; drop {opt}\n"
+    # the defaults still apply when the options are left out or given as read
+    code, out, _ = run(capsys, "verify", "outin", "--n", "6", "--samples", "3")
+    params = json.loads(out)["params"]
+    assert code == 0 and params["mode"] == "random" and params["seed"] == 0
+    code, out, _ = run(capsys, "verify", "outin", "--n", "6", "--mode", "random",
+                       "--seed", "5")
+    params = json.loads(out)["params"]
+    assert code == 0 and params["samples"] == 100 and params["seed"] == 5
 
 
 def test_verify_usage_and_check_order(capsys, monkeypatch):

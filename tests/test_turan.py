@@ -21,6 +21,7 @@ from tpack.core import (
 )
 from tpack import turan
 from tpack.turan import (
+    ConsistentTransitive,
     consistent_or_independent,
     count_copies,
     density_precondition_holds,
@@ -331,3 +332,33 @@ def test_consistent_or_independent_outputs_are_pinned():
     assert turnings[0] and turnings[1]
     assert hashlib.sha256(json.dumps(out).encode()).hexdigest() == (
         "812c005a5974dcad84ceb8b56604055e10d3df54271779e4a8fb71dbb28eeceb")
+
+
+@pytest.mark.parametrize("alpha", [float("inf"), float("-inf"), float("nan"), -0.1, 1.0])
+def test_dichotomies_refuse_alpha_outside_the_unit_interval(alpha):
+    # alpha is checked first: the empty host would fail the degree bounds and
+    # a one-vertex pattern the order check, each with another message
+    for call in (
+        lambda: independent_or_copy(Digraph.empty(6), Tournament.transitive(1), alpha),
+        lambda: consistent_or_independent(Digraph.empty(6), 1, alpha),
+    ):
+        with pytest.raises(DomainError, match=r"^alpha must lie in \[0, 1\), got "):
+            call()
+
+
+def test_consistent_chain_refusals():
+    """A transitive chain 0 -> 1 -> 2 whose first two vertices have out-degree
+    2 and whose last two have in-degree 2, so it turns at 1 or 2; each
+    mutation below breaks one condition."""
+    g = Digraph.from_arcs(4, [(0, 1), (0, 2), (1, 2), (1, 3), (3, 1), (3, 0)])
+    assert ConsistentTransitive((0, 1, 2), 1).is_consistent(g, 2)
+    assert ConsistentTransitive((0, 1, 2), 2).is_consistent(g, 2)
+    for state, bound in (
+        (ConsistentTransitive((0, 1, 2), -1), 2),   # turning point before the chain
+        (ConsistentTransitive((0, 1, 2), 4), 2),    # turning point past the chain
+        (ConsistentTransitive((0, 2, 1), 1), 2),    # 2 -> 1 is no arc
+        (ConsistentTransitive((0, 1, 2), 3), 2),    # 2 is in the head, out-degree 0
+        (ConsistentTransitive((0, 1, 2), 0), 2),    # 0 is in the tail, in-degree 1
+        (ConsistentTransitive((0, 1, 2), 1), 2.5),  # the bound above every degree
+    ):
+        assert not state.is_consistent(g, bound), state
