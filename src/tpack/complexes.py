@@ -7,6 +7,7 @@ makes the layered view a convenient place to check degree-sequence thresholds.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from .core import (
@@ -86,17 +87,10 @@ def degree_sequence(c: Complex) -> tuple[int, ...]:
     out = [len(c.layers[1])]
     for i in range(1, c.k):
         layer, above = c.layers[i], c.layers[i + 1]
-        if not layer:
-            if above:
-                raise InvariantViolation(f"layer {i} empty but layer {i + 1} is not")
-            out.append(0)
-            continue
-        best = None
-        for m in layer:
-            d = sum(1 for up in above if up & m == m)
-            if best is None or d < best:
-                best = d
-        out.append(best)
+        if above and not layer:
+            raise InvariantViolation(f"layer {i} empty but layer {i + 1} is not")
+        ups = Counter(up ^ 1 << v for up in above for v in bits(up))
+        out.append(min((ups[m] for m in layer), default=0))
     return tuple(out)
 
 

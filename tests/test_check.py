@@ -2,8 +2,11 @@ import ast
 import sys
 from pathlib import Path
 
+import pytest
+
 import tpack
 from tpack import check, harness, solver, structure
+from tpack.core import DomainError, Embedding, Tournament
 
 # the core names the checks may use; a new one is named here on purpose
 _CORE_NAMES = {"Digraph", "DomainError", "Embedding", "bits"}
@@ -34,3 +37,11 @@ def test_solver_and_its_callers_hold_the_checks_themselves():
         assert getattr(solver, name) is getattr(check, name) is getattr(tpack, name), name
     assert harness.verify_packing is structure.verify_packing is check.verify_packing
     assert (harness._fits, harness._packing_rows) == (check._fits, check._packing_rows)
+
+
+def test_packing_refuses_vertices_outside_the_host():
+    t3 = Tournament.transitive(3)
+    check.Packing(4, (Embedding(t3, (1, 2, 3)),))
+    for n, image in ((3, (1, 2, 3)), (0, (0, 1, 2)), (5, (0, 7, 1))):
+        with pytest.raises(DomainError, match="packing uses vertices outside the host"):
+            check.Packing(n, (Embedding(t3, image),))

@@ -125,3 +125,45 @@ def test_built_complexes_are_downward_closed(seed, n, cyclic):
     for e in exact:
         packing = matching_to_packing(g, t, [e])
         assert packing_to_matching(packing) == [e]
+
+
+def test_downward_closure_refuses_a_missing_face():
+    full = Complex(3, 2, (frozenset({0}), frozenset({0b001, 0b010, 0b100}),
+                          frozenset({0b011, 0b110})))
+    assert is_downward_closed(full)
+    for layer, face in ((0, 0), (1, 0b100), (1, 0b001)):
+        layers = list(full.layers)
+        layers[layer] = layers[layer] - {face}
+        assert not is_downward_closed(Complex(3, 2, tuple(layers))), (layer, face)
+
+
+def _reference_degree_sequence(c):
+    """Per-layer minimum up-degrees by scanning every upper edge for each lower edge."""
+    out = [len(c.layers[1])]
+    for i in range(1, c.k):
+        if not c.layers[i] and c.layers[i + 1]:
+            raise InvariantViolation(f"layer {i} empty but layer {i + 1} is not")
+        out.append(min((sum(1 for up in c.layers[i + 1] if up & m == m)
+                        for m in c.layers[i]), default=0))
+    return tuple(out)
+
+
+def test_degree_sequence_matches_the_reference_on_random_layers():
+    """Random layers, not necessarily downward closed, some of them empty."""
+    rng = random.Random(5)
+    raised = 0
+    for _ in range(400):
+        n, k = rng.randrange(1, 7), rng.randrange(1, 5)
+        layers = [frozenset({0})] + [
+            frozenset(m for m in range(1 << n) if m.bit_count() == i and rng.random() < 0.4)
+            for i in range(1, k + 1)]
+        c = Complex(n, k, tuple(layers))
+        try:
+            want = _reference_degree_sequence(c)
+        except InvariantViolation as exc:
+            with pytest.raises(InvariantViolation, match=str(exc)):
+                degree_sequence(c)
+            raised += 1
+            continue
+        assert degree_sequence(c) == want
+    assert raised

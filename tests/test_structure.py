@@ -617,3 +617,41 @@ def test_extremal_pack_and_classification_are_pinned():
                      "finish": 3, "refused": 33, "classify": 900}
     assert weak == {"internal": 6954, "external": 7227}
     assert digest.hexdigest() == _PINNED_CLASSES[1]
+
+
+def test_validator_refuses_each_mutated_certificate():
+    """One valid certificate of each type, then one mutation per refusal."""
+    # two triangles joined by the edge 2-5; on seven vertices, 6 is isolated
+    edges = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 5)]
+    g, g7 = Graph.from_edges(6, edges), Graph.from_edges(7, edges)
+    valid = [
+        (g, PerfectMatching(((0, 1), (2, 5), (3, 4)))),
+        (g, IndependentSetCertificate((0, 3), (0, 3, 4), 1 / 36)),
+        (g7, IndependentSetCertificate((0, 3, 6), (0, 3, 4, 6), 1 / 49)),
+        (g, ClosePartition((0, 1, 2), (3, 4, 5), 1, 1 / 36)),
+        (g7, ClosePartition((0, 1, 2), (3, 4, 5, 6), 1, 1 / 49)),
+    ]
+    for host, cert in valid:
+        validate_match_certificate(host, cert)
+    refused = [
+        (g, PerfectMatching(((0, 1), (2, 6), (3, 4))), r"pair \(2, 6\) out of range"),
+        (g, PerfectMatching(((-1, 1), (2, 5), (3, 4))), r"pair \(-1, 1\) out of range"),
+        (g, PerfectMatching(((0, 0), (2, 5), (3, 4))), r"pair \(0, 0\) out of range"),
+        (g, IndependentSetCertificate((0, 3), (3, 4, 5), 1 / 36), "core escapes the padded set"),
+        (g, IndependentSetCertificate((0,), (0, 3, 6), 1), "padded set out of range"),
+        (g, IndependentSetCertificate((0,), (-1, 0, 3), 1), "padded set out of range"),
+        (g, IndependentSetCertificate((0, 1), (0, 1, 3), 1), "core spans an edge"),
+        (g, IndependentSetCertificate((0, 3), (0, 3), 1), "smaller than half the host"),
+        (g7, IndependentSetCertificate((0, 3, 6), (0, 3, 6), 1), "smaller than half the host"),
+        (g, IndependentSetCertificate((0, 3), (0, 3, 4), 0.0), "spans 1 pairs, above"),
+        (g, ClosePartition((0, 1, 2), (3, 4), 1, 1), "sides do not partition the host"),
+        (g, ClosePartition((0, 1, 2), (2, 3, 4, 5), 1, 1), "sides do not partition the host"),
+        (g, ClosePartition((0, 1), (2, 3, 4, 5), 2, 1), "not floor/ceil halves"),
+        (g7, ClosePartition((0, 1, 2, 6), (3, 4, 5), 1, 1), "not floor/ceil halves"),
+        (g, ClosePartition((0, 1, 2), (3, 4, 5), 0, 1), "recorded cross count 0 but host has 1"),
+        (g, ClosePartition((0, 1, 2), (3, 4, 5), 1, 0.0), "cross count above the allowance"),
+        (g, ((0, 1), (2, 5), (3, 4)), "unknown certificate type tuple"),
+    ]
+    for host, cert, message in refused:
+        with pytest.raises(InvariantViolation, match=message):
+            validate_match_certificate(host, cert)
